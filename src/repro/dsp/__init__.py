@@ -22,7 +22,6 @@ from repro.dsp.analysis import (
 from repro.dsp.detection import detect_onset
 from repro.dsp.filters import (
     design_bandpass,
-    design_bandstop,
     design_highpass,
     design_lowpass,
     highpass,
@@ -39,7 +38,6 @@ __all__ = [
     "Preprocessor",
     "autocorrelation",
     "design_bandpass",
-    "design_bandstop",
     "envelope",
     "estimate_f0",
     "resample_fft",

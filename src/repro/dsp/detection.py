@@ -24,9 +24,9 @@ their meaning under every activity condition.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import PreprocessConfig
-from repro.dsp.windows import window_start_indices, window_std
 from repro.errors import OnsetNotFoundError, ShapeError
 from repro.types import ACCEL_AXES, ensure_raw_recording
 
@@ -98,12 +98,57 @@ def detection_signals_batch(
     return filtered.transpose(0, 2, 1)[:, pad:]
 
 
-def _metric_from_detection(detection: np.ndarray, window: int) -> np.ndarray:
-    """Per-window detection metric from a precomputed detection signal."""
-    stds = [window_std(detection[:, axis], window) for axis in range(3)]
-    if any(s.size == 0 for s in stds):
-        return np.empty(0)
-    return np.max(np.stack(stds, axis=0), axis=0)
+def window_metrics(axis_major: np.ndarray, window: int) -> np.ndarray:
+    """Per-window detection metric of ``(..., 3, n)`` axis-major blocks.
+
+    Returns ``(..., n // window)``: for each stride-``window`` window,
+    the maximum over the three accelerometer axes of its std.  Trailing
+    samples that do not fill a window are dropped.  The windows are
+    copied into one C-contiguous ``(..., 3, frames, window)`` block and
+    reduced along its last axis.  numpy picks its summation order by
+    memory layout, so this gives every std the order of one contiguous
+    framed window, whatever the layout of the caller's array.
+    """
+    frames = axis_major.shape[-1] // window
+    blocks = np.ascontiguousarray(axis_major[..., : frames * window])
+    blocks = blocks.reshape(*blocks.shape[:-1], frames, window)
+    return blocks.std(axis=-1).max(axis=-2)
+
+
+def first_confirmed(metric: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Index of the first window that fires the std rule, along the last axis.
+
+    Window ``i`` fires when ``metric[i]`` is not ``<= onset_std_start``
+    (so a NaN metric passes the start test) and the next
+    ``onset_sustain_windows`` metrics are all ``>= onset_std_sustain``
+    (so a NaN fails the sustain test).  A window whose sustain run is
+    cut off by the end of ``metric`` never fires.  Returns ``-1`` where
+    no window fires.
+    """
+    sustain = config.onset_sustain_windows
+    decidable = metric.shape[-1] - sustain
+    if decidable <= 0:
+        return np.full(metric.shape[:-1], -1)
+    starts = ~(metric[..., :decidable] <= config.onset_std_start)
+    # Sliding-window minimum of the sustain test; the run starting at
+    # window i + 1 confirms window i.
+    runs = sliding_window_view(metric >= config.onset_std_sustain, sustain, axis=-1)
+    fired = starts & runs[..., 1:, :].all(axis=-1)
+    return np.where(fired.any(axis=-1), fired.argmax(axis=-1), -1)
+
+
+def coarse_onsets(detections: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Start of the triggering window of each ``(B, n, 3)`` detection signal.
+
+    The std rule for a whole batch in one reduction; ``-1`` where no
+    window fires.  :func:`detect_onset_from_signal` refines an entry to
+    stride-1 precision.
+    """
+    window = config.onset_window
+    fired = first_confirmed(
+        window_metrics(detections.transpose(0, 2, 1), window), config
+    )
+    return np.where(fired >= 0, fired * window, -1)
 
 
 def onset_metric(
@@ -113,18 +158,27 @@ def onset_metric(
 ) -> np.ndarray:
     """Per-window detection metric: max high-passed accel std across axes."""
     config = config or PreprocessConfig(onset_window=window)
-    return _metric_from_detection(_detection_signal(recording, config), window)
+    return window_metrics(_detection_signal(recording, config).T, window)
 
 
 def detect_onset_from_signal(
-    detection: np.ndarray, config: PreprocessConfig | None = None
+    detection: np.ndarray,
+    config: PreprocessConfig | None = None,
+    coarse_start: int | None = None,
 ) -> int:
     """The paper's std rule on an already high-passed ``(n, 3)`` block.
 
     The batch pipeline filters a whole ``(B, n, 6)`` stack in one pass
-    (:func:`detection_signals_batch`) and then applies this rule per
-    item, so the expensive recursion is shared while every recording
-    still gets its own onset.
+    (:func:`detection_signals_batch`), runs the window scan for the
+    whole stack at once (:func:`coarse_onsets`) and then calls this per
+    item with ``coarse_start`` set, so each recording still gets its own
+    refined onset and its own error.
+
+    Args:
+        detection: the ``(n, 3)`` detection signal.
+        config: thresholds; defaults to the paper's values.
+        coarse_start: the item's :func:`coarse_onsets` entry (``-1``
+            when no window fired); scanned here when ``None``.
 
     Raises:
         repro.errors.OnsetNotFoundError: if no window satisfies the rule.
@@ -133,27 +187,17 @@ def detect_onset_from_signal(
     detection = np.asarray(detection, dtype=np.float64)
     if detection.ndim != 2 or detection.shape[1] != 3:
         raise ShapeError(f"detection signal must be (n, 3), got {detection.shape}")
-    metric = _metric_from_detection(detection, config.onset_window)
-    if metric.size == 0:
+    if detection.shape[0] < config.onset_window:
         raise OnsetNotFoundError("recording shorter than one window")
-    starts = window_start_indices(
-        detection.shape[0], config.onset_window, config.onset_window
-    )
-    sustain = config.onset_sustain_windows
-    for idx in range(metric.size):
-        if metric[idx] <= config.onset_std_start:
-            continue
-        tail = metric[idx + 1 : idx + 1 + sustain]
-        if tail.size < sustain:
-            # Not enough future windows to confirm the sustain rule.
-            continue
-        if np.all(tail >= config.onset_std_sustain):
-            return _refine_onset(detection, int(starts[idx]), config)
-    raise OnsetNotFoundError(
-        "no window exceeded "
-        f"{config.onset_std_start} with {sustain} sustained windows "
-        f">= {config.onset_std_sustain}"
-    )
+    if coarse_start is None:
+        coarse_start = int(coarse_onsets(detection[None], config)[0])
+    if coarse_start < 0:
+        raise OnsetNotFoundError(
+            "no window exceeded "
+            f"{config.onset_std_start} with {config.onset_sustain_windows} "
+            f"sustained windows >= {config.onset_std_sustain}"
+        )
+    return _refine_onset(detection, coarse_start, config)
 
 
 def detect_onset(
@@ -199,7 +243,7 @@ def _refine_onset(
     lo, hi = refinement_bounds(detection.shape[0], coarse_start, window)
     if hi <= lo:
         return coarse_start
-    return refine_from_region(detection[lo : hi + window], lo, hi, window)
+    return refine_from_region(detection[lo : hi + window].T, lo, hi, window)
 
 
 def refinement_bounds(
@@ -222,15 +266,15 @@ def refine_from_region(
 ) -> int:
     """Half-rise refinement over ``detection[lo : hi + window]``.
 
-    ``region`` must be that slice (or a bitwise-equal copy in the same
-    column-contiguous layout, as the streaming detector's ring gather
-    produces); the return value is the absolute refined onset.
+    ``region`` is that slice axis-major, ``(3, hi + window - lo)``; the
+    return value is the absolute refined onset.  The stride-1 windows
+    are copied into one C-contiguous ``(3, hi - lo + 1, window)`` block,
+    so each std reduces a contiguous run exactly as
+    :func:`window_metrics` does.
     """
     # Rolling std of the detection metric on a stride-1 grid.
-    rolling = np.empty(hi - lo + 1)
-    for offset, start in enumerate(range(lo, hi + 1)):
-        chunk = region[start - lo : start - lo + window]
-        rolling[offset] = chunk.std(axis=0).max()
+    windows = np.ascontiguousarray(sliding_window_view(region, window, axis=-1))
+    rolling = windows.std(axis=-1).max(axis=0)
     # Anchor at the half-rise point of the attack.  A relative anchor is
     # effort-invariant: a louder trial crosses any *absolute* threshold
     # earlier, which would shift the segment between trials.

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from repro.config import PreprocessConfig
 from repro.dsp.detection import (
+    coarse_onsets,
     detect_onset,
     detect_onset_from_signal,
     detection_signals_batch,
@@ -126,11 +127,11 @@ class Preprocessor:
     ]:
         """Vectorised batch pipeline with per-item failure bookkeeping.
 
-        Onset detection is decided per recording (each has its own
-        event), but every dense stage — the detection high-pass, outlier
-        replacement, segment filtering and normalisation — runs once
-        over the stacked ``(B, 6, n)`` array.  Per item the output is
-        numerically identical to :meth:`process`.
+        Each recording's onset is refined and cut per item (each has its
+        own event), but every dense stage — the detection high-pass, the
+        onset window scan, outlier replacement, segment filtering and
+        normalisation — runs once over the stacked ``(B, 6, n)`` array.
+        Per item the output is numerically identical to :meth:`process`.
 
         An axis is *usable* when it is finite end-to-end after filtering
         and carries any signal at all; dead channels (sensor dropout)
@@ -169,15 +170,17 @@ class Preprocessor:
                 and all(it.ndim == 2 and it.shape[1] == NUM_AXES for it in items)
                 and len({it.shape[0] for it in items}) == 1
             )
-            detections = (
-                detection_signals_batch(np.stack(items), cfg, sos=self._sos)
-                if rectangular
-                else None
-            )
+            if rectangular:
+                detections = detection_signals_batch(
+                    np.stack(items), cfg, sos=self._sos
+                )
+                coarse = coarse_onsets(detections, cfg)
             for idx, item in enumerate(items):
                 try:
-                    if detections is not None:
-                        onset = detect_onset_from_signal(detections[idx], cfg)
+                    if rectangular:
+                        onset = detect_onset_from_signal(
+                            detections[idx], cfg, coarse_start=int(coarse[idx])
+                        )
                     else:
                         onset = detect_onset(item, cfg, sos=self._sos)
                     segments.append(

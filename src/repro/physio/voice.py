@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import ConfigError
 from repro.physio.person import PersonProfile
@@ -122,6 +121,8 @@ class VoiceSource:
             ``(waveform, cycle_phase)``, both of length
             ``round(duration_s * rate_hz)``.
         """
+        from scipy.signal import lfilter
+
         if duration_s <= 0 or rate_hz <= 0:
             raise ConfigError("duration and rate must be positive")
         if voiced_s is not None and voiced_s <= 0:

@@ -5,31 +5,29 @@ with the batch pipeline on the concatenated signal, for every possible
 chunking of the input** — including 1-sample chunks and uneven tails.
 The equivalence arguments (verified by ``tests/test_stream_equivalence.py``):
 
-* :class:`StreamingSOSFilter` — the direct-form-II-transposed biquad
-  update ``y = b0*x + s1; s1 = b1*x - a1*y + s2; s2 = b2*x - a2*y`` is
-  elementwise per (sample, section), so the section-outer / time-inner
-  loop of :func:`repro.dsp.filters.sosfilt` commutes with any chunking
-  of the time axis once the per-section ``(s1, s2)`` registers are
-  carried across ``push`` calls.  Coefficients come from the shared
+* :class:`StreamingSOSFilter` — it runs :func:`repro.dsp.filters.cascade`,
+  the scalar kernel behind :func:`repro.dsp.filters.sosfilt`, and keeps
+  its per-lane, per-section ``(s1, s2)`` registers across ``push``
+  calls.  The kernel's update
+  ``y = b0*x + s1; s1 = b1*x - a1*y + s2; s2 = b2*x - a2*y`` reads only
+  the current sample and the registers, so the section-outer /
+  time-inner order commutes with any chunking of the time axis once
+  the registers are carried.  Coefficients come from the shared
   :func:`repro.dsp.filters.normalized_sections` helper, and a fresh
   (or ``reset``) filter starts from the batch function's documented
   zero-initial-condition state.
 
 * :class:`StreamingOnsetDetector` — numpy's reductions choose their
   summation order by memory layout (contiguous axes take the pairwise
-  8-accumulator path, strided axes fall back to sequential), so the
-  detector's ring buffer stores the high-passed accelerometer
-  *axis-major* — ``(3, capacity)`` C-contiguous — mirroring the batch
-  detection signal ``sosfilt(sos, padded.T).T[pad:]``, whose reduction
-  axis is likewise contiguous.  Window metrics and the stride-1
-  refinement then reduce over contiguous runs exactly as the batch
-  path does, and the std-rule scan is decided candidate-by-candidate
-  in the same order as :func:`repro.dsp.detection.detect_onset`.
-
-* :class:`StreamingMinMaxNormalizer` — min/max are exact and
-  associative, so running per-lane extrema over chunks equal the batch
-  extrema bit-for-bit, and Eq. 7 applied with them reproduces
-  :func:`repro.dsp.normalize.min_max_normalize` exactly.
+  8-accumulator path, strided axes fall back to sequential).  The
+  batch and streaming detectors therefore share the array-form rule
+  of :mod:`repro.dsp.detection`: :func:`~repro.dsp.detection.window_metrics`
+  and :func:`~repro.dsp.detection.refine_from_region` copy their
+  windows into C-contiguous blocks and reduce along the last axis, so
+  a window's std does not depend on whether its samples came from the
+  batch detection signal or from this detector's axis-major ring, and
+  :func:`~repro.dsp.detection.first_confirmed` decides candidates in
+  the same order as :func:`repro.dsp.detection.detect_onset`.
 
 * :class:`SegmentAssembler` — MAD outlier replacement is median-based
   and therefore irreducibly segment-level: there is no exact streaming
@@ -42,16 +40,20 @@ The equivalence arguments (verified by ``tests/test_stream_equivalence.py``):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.config import PreprocessConfig
 from repro.dsp.detection import (
     _detection_pad,
     _detection_sos,
+    first_confirmed,
     refine_from_region,
     refinement_bounds,
+    window_metrics,
 )
-from repro.dsp.filters import normalized_sections, sosfilt
+from repro.dsp.filters import cascade, normalized_sections, sosfilt, zero_state
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import replace_outliers
 from repro.errors import ShapeError, StreamStateError
@@ -81,8 +83,7 @@ class StreamingSOSFilter:
 
     def reset(self) -> None:
         """Return to the zero-initial-condition state (a fresh filter)."""
-        self._s1 = [np.zeros(self._batch_shape) for _ in self._sections]
-        self._s2 = [np.zeros(self._batch_shape) for _ in self._sections]
+        self._state = zero_state(self._sections, math.prod(self._batch_shape))
         self._samples = 0
 
     @property
@@ -96,20 +97,8 @@ class StreamingSOSFilter:
             raise ShapeError(
                 f"chunk batch shape {chunk.shape[:-1]} != {self._batch_shape}"
             )
-        out = chunk.copy()
-        num = out.shape[-1]
-        for j, (b0, b1, b2, a1, a2) in enumerate(self._sections):
-            s1 = self._s1[j]
-            s2 = self._s2[j]
-            for i in range(num):
-                x = out[..., i]
-                y = b0 * x + s1
-                s1 = b1 * x - a1 * y + s2
-                s2 = b2 * x - a2 * y
-                out[..., i] = y
-            self._s1[j] = s1
-            self._s2[j] = s2
-        self._samples += num
+        out = cascade(self._sections, chunk, self._state)
+        self._samples += chunk.shape[-1]
         return out
 
 
@@ -161,7 +150,7 @@ class StreamingOnsetDetector:
         self._ring = np.zeros((3, self._cap))
         self._head = 0  # absolute count of detection samples stored
         self._tail = 0  # absolute index of the oldest retained sample
-        self._metrics: list[np.float64] = []
+        self._metrics: list[float] = []
         self._candidate = 0  # next metric window index to decide
         self._primed = False
         self._onset: int | None = None
@@ -246,10 +235,9 @@ class StreamingOnsetDetector:
     def _gather(self, start: int, length: int) -> np.ndarray:
         """Copy ``detection[start : start + length]`` out of the ring.
 
-        Returned as ``(length, 3)`` with a contiguous time axis per
-        column — the same layout as a slice of the batch detection
-        signal, so downstream reductions take identical summation
-        paths.
+        Returned axis-major, ``(3, length)``, the layout
+        :func:`~repro.dsp.detection.window_metrics` and
+        :func:`~repro.dsp.detection.refine_from_region` take.
         """
         out = np.empty((3, length))
         s = start % self._cap
@@ -257,55 +245,55 @@ class StreamingOnsetDetector:
         out[:, :first] = self._ring[:, s : s + first]
         if first < length:
             out[:, first:] = self._ring[:, : length - first]
-        return out.T
+        return out
 
     def _scan(self, final: bool) -> None:
         cfg = self.config
         window = cfg.onset_window
-        # Complete any newly full stride-aligned metric windows.  The
-        # per-axis slice is contiguous (capacity is a multiple of the
-        # window), matching the batch window_std reduction layout.
-        while (len(self._metrics) + 1) * window <= self._head:
-            s = (len(self._metrics) * window) % self._cap
-            stds = np.empty(3)
-            for axis in range(3):
-                stds[axis] = self._ring[axis, s : s + window].std()
-            self._metrics.append(stds.max())
-        sustain = cfg.onset_sustain_windows
-        while self._candidate < len(self._metrics):
-            idx = self._candidate
-            if self._metrics[idx] <= cfg.onset_std_start:
-                self._advance()
-                continue
-            tail = self._metrics[idx + 1 : idx + 1 + sustain]
-            if len(tail) < sustain:
-                if final:
-                    # Batch semantics: an incomplete sustain tail can
-                    # never confirm, on this or any later candidate.
-                    self._advance()
-                    continue
-                return  # wait for more windows
-            if all(m >= cfg.onset_std_sustain for m in tail):
-                coarse = idx * window
-                if not final and self._head < coarse + 3 * window:
-                    # Refinement bounds still depend on the length.
-                    return
-                # The shortest prefix on which the batch rule confirms
-                # this same candidate: sustain tail complete and the
-                # refinement bounds length-independent.  Pure stream
-                # arithmetic, so callers that cut a recording here get
-                # a chunking-invariant boundary.
-                self._final_at = max(
-                    (idx + 1 + sustain) * window, coarse + 3 * window
-                )
-                self._onset = self._refine(coarse)
+        # Complete any newly full stride-aligned metric windows.
+        done = len(self._metrics) * window
+        ready = (self._head - done) // window * window
+        if ready:
+            block = self._gather(done, ready)
+            self._metrics.extend(window_metrics(block, window).tolist())
+        pending = np.asarray(self._metrics[self._candidate :])
+        fired = int(first_confirmed(pending, cfg))
+        if fired >= 0:
+            idx = self._candidate + fired
+            self._advance_to(idx)
+            coarse = idx * window
+            if not final and self._head < coarse + 3 * window:
+                # Refinement bounds still depend on the length.
                 return
-            self._advance()
+            # The shortest prefix on which the batch rule confirms
+            # this same candidate: sustain tail complete and the
+            # refinement bounds length-independent.  Pure stream
+            # arithmetic, so callers that cut a recording here get
+            # a chunking-invariant boundary.
+            self._final_at = max(
+                (idx + 1 + cfg.onset_sustain_windows) * window, coarse + 3 * window
+            )
+            self._onset = self._refine(coarse)
+            return
+        if final:
+            # Batch semantics: an incomplete sustain tail can never
+            # confirm, on this or any later candidate.
+            self._advance_to(len(self._metrics))
+            return
+        # Wait at the first window that passes the start test but whose
+        # sustain tail is not complete yet.
+        decidable = max(pending.size - cfg.onset_sustain_windows, 0)
+        waiting = np.flatnonzero(~(pending[decidable:] <= cfg.onset_std_start))
+        self._advance_to(
+            self._candidate
+            + decidable
+            + (int(waiting[0]) if waiting.size else pending.size - decidable)
+        )
 
-    def _advance(self) -> None:
-        self._candidate += 1
+    def _advance_to(self, candidate: int) -> None:
+        self._candidate = candidate
         window = self.config.onset_window
-        self._tail = max(self._tail, max(0, self._candidate * window - window))
+        self._tail = max(self._tail, max(0, candidate * window - window))
 
     def _refine(self, coarse: int) -> int:
         window = self.config.onset_window
@@ -314,48 +302,6 @@ class StreamingOnsetDetector:
             return coarse
         region = self._gather(lo, hi + window - lo)
         return refine_from_region(region, lo, hi, window)
-
-
-class StreamingMinMaxNormalizer:
-    """Running per-lane extrema; Eq. 7 applied with them at the end.
-
-    min/max are exact and associative, so the extrema accumulated over
-    any chunking equal the batch ``min``/``max`` bit-for-bit, and
-    :meth:`normalize` reproduces
-    :func:`repro.dsp.normalize.min_max_normalize` on the concatenated
-    signal exactly (including the constant-lane → all-zeros rule).
-    """
-
-    def __init__(self) -> None:
-        self._lo: np.ndarray | None = None
-        self._hi: np.ndarray | None = None
-
-    @property
-    def primed(self) -> bool:
-        return self._lo is not None
-
-    def push(self, chunk: np.ndarray) -> None:
-        """Fold one ``(..., k)`` chunk into the running extrema."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.shape[-1] == 0:
-            return
-        lo = chunk.min(axis=-1, keepdims=True)
-        hi = chunk.max(axis=-1, keepdims=True)
-        if self._lo is None:
-            self._lo, self._hi = lo, hi
-        else:
-            self._lo = np.minimum(self._lo, lo)
-            self._hi = np.maximum(self._hi, hi)
-
-    def normalize(self, segment: np.ndarray) -> np.ndarray:
-        """Eq. 7 over ``segment`` using the accumulated extrema."""
-        if self._lo is None:
-            raise StreamStateError("no samples pushed yet")
-        segment = np.asarray(segment, dtype=np.float64)
-        span = self._hi - self._lo
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (segment - self._lo) / safe
-        return np.where(span == 0.0, 0.0, out)
 
 
 class SegmentAssembler:

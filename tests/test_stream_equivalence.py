@@ -22,7 +22,6 @@ from repro.dsp.pipeline import Preprocessor
 from repro.errors import OnsetNotFoundError
 from repro.stream import (
     SegmentAssembler,
-    StreamingMinMaxNormalizer,
     StreamingOnsetDetector,
     StreamingSOSFilter,
     StreamSession,
@@ -175,27 +174,6 @@ class TestStreamingOnsetDetector:
         # Further pushes and finish() keep reporting the same onset.
         assert detector.push(recording[:5]) == onset
         assert detector.finish() == onset
-
-
-class TestStreamingNormalizer:
-    @given(chunk_plans, st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_chunked_extrema_equal_batch(self, plan, seed):
-        rng = np.random.default_rng(seed)
-        segment = rng.normal(size=(6, int(rng.integers(2, 200))))
-        batch = min_max_normalize(segment, axis=-1)
-        norm = StreamingMinMaxNormalizer()
-        for a, b in cuts(segment.shape[1], plan):
-            norm.push(segment[:, a:b])
-        assert np.array_equal(norm.normalize(segment), batch)
-
-    def test_constant_axis_maps_to_zero(self):
-        segment = np.vstack([np.full(30, 7.0), np.arange(30.0)])
-        norm = StreamingMinMaxNormalizer()
-        norm.push(segment)
-        out = norm.normalize(segment)
-        assert np.array_equal(out, min_max_normalize(segment, axis=-1))
-        assert np.all(out[0] == 0.0)
 
 
 class TestSegmentAssembler:
