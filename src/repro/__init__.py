@@ -49,7 +49,6 @@ from repro.core import (
 )
 from repro.cascade import (
     ExitPolicy,
-    QuantizedExtractor,
     Stage1Gate,
     calibrate_cascade,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "PersonProfile",
     "PreprocessConfig",
     "Preprocessor",
-    "QuantizedExtractor",
     "Recorder",
     "RecordingCondition",
     "ReproError",

@@ -1,13 +1,13 @@
 """Early-exit cascaded inference (DESIGN.md §4k).
 
 Clear-cut probes exit on a cheap stage-1 score; borderline probes pay
-the full (optionally quantized) extractor.  The package splits into:
+the full extractor.  The routing itself lives in
+:func:`repro.core.verification.verify_batch`; this package holds its
+parts:
 
 * :mod:`repro.cascade.stage1` — the per-user gate producing scores;
 * :mod:`repro.cascade.policy` — the ``(t_accept, t_reject)`` exit band
   plus deterministic audit sampling;
-* :mod:`repro.cascade.quant` — int8/float16 post-training quantization
-  for the stage-2 extractor;
 * :mod:`repro.cascade.calibrate` — held-out threshold sweeps with
   pinned FAR/FRR deltas versus the full pipeline;
 * :mod:`repro.cascade.bench` — the speed-vs-quality benchmark behind
@@ -22,15 +22,12 @@ from repro.cascade.policy import (
     ROUTE_REJECT,
     ExitPolicy,
 )
-from repro.cascade.quant import QuantizedExtractor, QuantizedTensor, quantize_state
 from repro.cascade.stage1 import Stage1Gate, Stage1Reference
 from repro.cascade.calibrate import CascadeCalibration, SweepPoint, calibrate_cascade
 
 __all__ = [
     "CascadeCalibration",
     "ExitPolicy",
-    "QuantizedExtractor",
-    "QuantizedTensor",
     "ROUTE_ACCEPT",
     "ROUTE_BORDERLINE",
     "ROUTE_FORCED",
@@ -39,5 +36,4 @@ __all__ = [
     "Stage1Reference",
     "SweepPoint",
     "calibrate_cascade",
-    "quantize_state",
 ]

@@ -10,10 +10,7 @@ Measures, on one substrate, everything the cascade claims
   enabled versus the ``full_pipeline=True`` bypass (best-of repeats on
   identical batches), plus the component costs that explain the ratio;
 * **accounting** — the ``cascade_exits_total`` counters must cover
-  100 % of the evaluated probes;
-* **storage** — int8/float16 quantized model bytes, worst-case weight
-  perturbation, and the decision agreement + distance drift of the
-  quantized stage 2 against the float extractor.
+  100 % of the evaluated probes.
 
 The substrate is a *server-class* extractor (wide channels at the
 bit-compatible float64 default compute dtype) so stage 2 dominates the
@@ -40,11 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.cascade.calibrate import CascadeCalibration, calibrate_cascade
-from repro.cascade.quant import QuantizedExtractor
 from repro.config import (
     CascadeConfig,
     ExtractorConfig,
-    InferenceConfig,
     MandiPassConfig,
     SecurityConfig,
 )
@@ -54,12 +49,7 @@ from repro.obs import runtime as obs
 BENCH_EPSILON = 0.05
 
 
-def _build_cascade_system(
-    stage1: str,
-    quantization: str = "none",
-    enabled: bool = True,
-    num_users: int = 4,
-):
+def _build_cascade_system(num_users: int = 4):
     """A cascade-enabled system on the server-class bench substrate."""
     from repro.core.extractor import TwoBranchExtractor
     from repro.core.system import MandiPass
@@ -68,10 +58,8 @@ def _build_cascade_system(
     config = MandiPassConfig(
         extractor=extractor_config,
         security=SecurityConfig(matrix_seed=1),
-        inference=InferenceConfig(stage2_quantization=quantization),
         cascade=CascadeConfig(
-            enabled=enabled,
-            stage1=stage1,
+            enabled=True,
             epsilon_far=BENCH_EPSILON,
             epsilon_frr=BENCH_EPSILON,
         ),
@@ -79,7 +67,7 @@ def _build_cascade_system(
     model = TwoBranchExtractor(
         extractor_config, num_classes=num_users, seed=0
     ).eval()
-    return MandiPass(model, config=config), model
+    return MandiPass(model, config=config)
 
 
 def _probe_sets(num_genuine: int, num_impostor: int, offset: int, num_users: int = 4):
@@ -150,107 +138,68 @@ def run_cascade_bench(
     eval_probes = eval_genuine + eval_impostor
     eval_labels = [True] * len(eval_genuine) + [False] * len(eval_impostor)
 
-    modes: dict[str, dict] = {}
-    for stage1 in ("features", "cnn"):
-        system, model = _build_cascade_system(stage1)
-        system.enroll("bench", enroll)
-        calibration = calibrate_cascade(
-            system, "bench", cal_genuine, cal_impostor, grid_size=grid_size
-        )
-        system.retune_cascade(calibration.t_accept, calibration.t_reject)
-
-        # Warm both paths (im2col workspaces, eval caches, lazy state).
-        system.verify_many("bench", eval_probes[:4])
-        system.verify_many("bench", eval_probes[:4], full_pipeline=True)
-
-        with obs.collecting() as registry:
-            cascade_results = system.verify_many("bench", eval_probes)
-            snapshot = registry.to_dict()
-        full_results = system.verify_many("bench", eval_probes, full_pipeline=True)
-
-        far, frr = _error_rates(cascade_results, eval_labels)
-        full_far, full_frr = _error_rates(full_results, eval_labels)
-        agreement = float(
-            np.mean(
-                [
-                    c.accepted == f.accepted
-                    for c, f in zip(cascade_results, full_results)
-                ]
-            )
-        )
-        exits = _exit_counters(snapshot)
-        cascade_ms = 1e3 * _time_verify(
-            system, "bench", eval_probes, repeats, full_pipeline=False
-        )
-        full_ms = 1e3 * _time_verify(
-            system, "bench", eval_probes, repeats, full_pipeline=True
-        )
-        modes[stage1] = {
-            "calibration": {
-                "t_accept": calibration.t_accept,
-                "t_reject": calibration.t_reject,
-                "feasible": calibration.feasible,
-                "exit_fraction": calibration.exit_fraction,
-                "full_far": calibration.full_far,
-                "full_frr": calibration.full_frr,
-                "sweep": _sweep_rows(calibration),
-            },
-            "eval": {
-                "far": far,
-                "frr": frr,
-                "full_far": full_far,
-                "full_frr": full_frr,
-                "far_delta": max(0.0, far - full_far),
-                "frr_delta": max(0.0, frr - full_frr),
-                "decision_agreement": agreement,
-                "exits": exits,
-                "exits_accounted": sum(exits.values()) == len(eval_probes),
-            },
-            "timing": {
-                "cascade_ms_per_probe": cascade_ms,
-                "full_ms_per_probe": full_ms,
-                "speedup": full_ms / cascade_ms if cascade_ms else float("nan"),
-                "repeats": repeats,
-            },
-        }
-
-    # Quantized stage 2: storage and decision drift versus float.
-    baseline_system, baseline_model = _build_cascade_system(
-        "features", enabled=False
+    system = _build_cascade_system()
+    system.enroll("bench", enroll)
+    calibration = calibrate_cascade(
+        system, "bench", cal_genuine, cal_impostor, grid_size=grid_size
     )
-    baseline_system.enroll("bench", enroll)
-    baseline_results = baseline_system.verify_many("bench", eval_probes)
-    quantization: dict[str, dict] = {
-        "float32_bytes": int(baseline_model.storage_nbytes())
-    }
-    for scheme in ("int8", "float16"):
-        quantized = QuantizedExtractor(baseline_model, scheme)
-        q_system, _ = _build_cascade_system(
-            "features", quantization=scheme, enabled=False
-        )
-        q_system.enroll("bench", enroll)
-        q_results = q_system.verify_many("bench", eval_probes)
-        drift = max(
-            abs(q.distance - b.distance)
-            for q, b in zip(q_results, baseline_results)
-        )
-        quantization[scheme] = {
-            "bytes": int(quantized.storage_nbytes()),
-            "compression": baseline_model.storage_nbytes()
-            / quantized.storage_nbytes(),
-            "max_weight_error": quantized.max_weight_error,
-            "max_distance_drift": float(drift),
-            "decision_agreement": float(
-                np.mean(
-                    [
-                        q.accepted == b.accepted
-                        for q, b in zip(q_results, baseline_results)
-                    ]
-                )
-            ),
-        }
+    system.retune_cascade(calibration.t_accept, calibration.t_reject)
 
-    operating = modes["features"]
+    # Warm both paths (im2col workspaces, eval caches, lazy state).
+    system.verify_many("bench", eval_probes[:4])
+    system.verify_many("bench", eval_probes[:4], full_pipeline=True)
+
+    with obs.collecting() as registry:
+        cascade_results = system.verify_many("bench", eval_probes)
+        snapshot = registry.to_dict()
+    full_results = system.verify_many("bench", eval_probes, full_pipeline=True)
+
+    far, frr = _error_rates(cascade_results, eval_labels)
+    full_far, full_frr = _error_rates(full_results, eval_labels)
+    agreement = float(
+        np.mean(
+            [
+                c.accepted == f.accepted
+                for c, f in zip(cascade_results, full_results)
+            ]
+        )
+    )
+    exits = _exit_counters(snapshot)
+    cascade_ms = 1e3 * _time_verify(
+        system, "bench", eval_probes, repeats, full_pipeline=False
+    )
+    full_ms = 1e3 * _time_verify(
+        system, "bench", eval_probes, repeats, full_pipeline=True
+    )
+    operating = {
+        "calibration": {
+            "t_accept": calibration.t_accept,
+            "t_reject": calibration.t_reject,
+            "feasible": calibration.feasible,
+            "exit_fraction": calibration.exit_fraction,
+            "full_far": calibration.full_far,
+            "full_frr": calibration.full_frr,
+            "sweep": _sweep_rows(calibration),
+        },
+        "eval": {
+            "far": far,
+            "frr": frr,
+            "full_far": full_far,
+            "full_frr": full_frr,
+            "far_delta": max(0.0, far - full_far),
+            "frr_delta": max(0.0, frr - full_frr),
+            "decision_agreement": agreement,
+            "exits": exits,
+            "exits_accounted": sum(exits.values()) == len(eval_probes),
+        },
+        "timing": {
+            "cascade_ms_per_probe": cascade_ms,
+            "full_ms_per_probe": full_ms,
+            "speedup": full_ms / cascade_ms if cascade_ms else float("nan"),
+            "repeats": repeats,
+        },
+    }
+
     report = {
         "quick": quick,
         "machine": {"python": platform.python_version(), "platform": sys.platform},
@@ -261,8 +210,7 @@ def run_cascade_bench(
             "eval_probes": len(eval_probes),
             "epsilon": BENCH_EPSILON,
         },
-        "modes": modes,
-        "quantization": quantization,
+        "modes": {"features": operating},
         "claims": {
             "operating_mode": "features",
             "speedup": operating["timing"]["speedup"],

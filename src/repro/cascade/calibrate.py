@@ -28,6 +28,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.cascade.policy import ROUTE_ACCEPT, ROUTE_BORDERLINE, band_routes
 from repro.errors import VerificationError
 from repro.types import RawRecording
 
@@ -150,9 +151,9 @@ def calibrate_cascade(
         for t_reject in reject_edges:
             if t_reject < t_accept:
                 continue
-            exit_accept = scores <= t_accept
-            exit_reject = (scores >= t_reject) & ~exit_accept
-            exited = exit_accept | exit_reject
+            routes = band_routes(scores, t_accept, t_reject)
+            exit_accept = routes == ROUTE_ACCEPT
+            exited = routes != ROUTE_BORDERLINE
             accepted = np.where(exited, exit_accept, full_accepted)
             far, frr = _error_rates(accepted, genuine_mask)
             far_delta = max(0.0, far - full_far)

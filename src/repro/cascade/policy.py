@@ -5,8 +5,12 @@ audit-sampling counter.  Scores are distance-like (lower = more
 genuine), and the band ``(t_accept, t_reject)`` partitions them:
 
 * ``score <= t_accept``  — clear genuine, exit as a stage-1 accept;
-* ``score >= t_reject``  — clear impostor, exit as a stage-1 reject;
+* ``score > t_reject``   — clear impostor, exit as a stage-1 reject;
 * in between             — borderline, pay the full extractor.
+
+:func:`band_routes` is that rule, shared by :meth:`ExitPolicy.route`
+and the calibration sweep.  The reject edge is exclusive, so a
+degenerate band (``t_accept == t_reject``) is a plain threshold.
 
 Widening the band (lower ``t_accept``, higher ``t_reject``) is
 *monotone*: it can only move probes out of the exit regions into the
@@ -36,6 +40,18 @@ ROUTE_BORDERLINE = 0
 ROUTE_ACCEPT = 1
 ROUTE_REJECT = 2
 ROUTE_FORCED = 3
+
+
+def band_routes(
+    scores: np.ndarray, t_accept: float, t_reject: float
+) -> np.ndarray:
+    """The exit band rule: ``(K,)`` accept / reject / borderline codes."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.where(
+        scores <= t_accept,
+        ROUTE_ACCEPT,
+        np.where(scores > t_reject, ROUTE_REJECT, ROUTE_BORDERLINE),
+    ).astype(np.int64)
 
 
 class ExitPolicy:
@@ -78,22 +94,16 @@ class ExitPolicy:
     def route(self, scores: np.ndarray) -> np.ndarray:
         """Route one batch of stage-1 scores; ``(K,)`` route codes.
 
-        The accept edge wins a degenerate band (``t_accept ==
-        t_reject`` with the score on both edges).  Forced-full audit
-        sampling overrides the band.
+        :func:`band_routes` under the installed band; forced-full audit
+        sampling overrides it.
         """
-        scores = np.asarray(scores, dtype=np.float64)
         config = self.config
-        routes = np.where(
-            scores <= config.t_accept,
-            ROUTE_ACCEPT,
-            np.where(scores >= config.t_reject, ROUTE_REJECT, ROUTE_BORDERLINE),
-        ).astype(np.int64)
+        routes = band_routes(scores, config.t_accept, config.t_reject)
         fraction = config.forced_full_fraction
-        if fraction > 0.0 and scores.size:
+        if fraction > 0.0 and routes.size:
             with self._lock:
-                counts = self._probes_seen + np.arange(scores.size)
-                self._probes_seen += scores.size
+                counts = self._probes_seen + np.arange(routes.size)
+                self._probes_seen += routes.size
             forced = np.floor((counts + 1) * fraction) > np.floor(counts * fraction)
             routes[forced] = ROUTE_FORCED
         return routes

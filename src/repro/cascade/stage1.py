@@ -1,28 +1,17 @@
 """Stage-1 gate: cheap per-probe confidence scores from signals.
 
-Two scorers, both producing *distance-like* scores (lower = more
-likely the enrolled user) from preprocessed ``(K, 6, n)`` signal
-stacks, fitted per user at enrollment:
-
-``"features"``
-    The Section V-A hand features: each probe's 36-d statistical
-    feature sample (SFS) is compared to the enrollment mean by a
-    robust per-dimension z-distance, ``mean(|sfs - mu| / s)`` with the
-    scale floored so low-variance dimensions cannot explode the score.
-    Genuine probes land near 1 (one enrollment standard deviation per
-    dimension on average); impostors drift upward.  The paper shows
-    SFSes cannot carry 34-way identification — but the cascade only
-    needs them to flag *clear-cut* binary cases, and the calibrated
-    band keeps everything ambiguous on the full pipeline.
-
-``"cnn"``
-    A truncated single-branch CNN head sharing the production
-    weights: the probe's positive-direction plane runs through the
-    first conv block of the extractor's positive branch only
-    (Conv + BatchNorm + ReLU — one of six conv blocks, no flatten/FC),
-    the activation is mean-pooled over width into a ``(c1 * 6,)``
-    sketch, and the score is the cosine distance to the enrollment
-    mean sketch — the same [0, 2] space as full-pipeline distances.
+The scorer produces *distance-like* scores (lower = more likely the
+enrolled user) from preprocessed ``(K, 6, n)`` signal stacks, fitted
+per user at enrollment.  It uses the Section V-A hand features: each
+probe's 36-d statistical feature sample (SFS) is compared to the
+enrollment mean by a robust per-dimension z-distance,
+``mean(|sfs - mu| / s)`` with the scale floored so low-variance
+dimensions cannot explode the score.  Genuine probes land near 1 (one
+enrollment standard deviation per dimension on average); impostors
+drift upward.  The paper shows SFSes cannot carry 34-way
+identification — but the cascade only needs them to flag *clear-cut*
+binary cases, and the calibrated band keeps everything ambiguous on
+the full pipeline.
 
 Scoring is wrapped in the ``cascade.stage1`` fault point and the
 ``cascade_stage1`` latency span; an injected error propagates as a
@@ -37,8 +26,6 @@ import threading
 
 import numpy as np
 
-from repro.config import CascadeConfig
-from repro.core.similarity import cosine_distance
 from repro.errors import VerificationError
 from repro.faults import runtime as faults
 from repro.ml.features import statistical_features_batch
@@ -52,18 +39,15 @@ _SCALE_FLOOR_ABS = 1e-8
 
 @dataclasses.dataclass(frozen=True)
 class Stage1Reference:
-    """Per-user fitted stage-1 state (one of the two layouts).
+    """Per-user fitted stage-1 state.
 
     Attributes:
-        kind: the scorer that fitted it (``"features"`` / ``"cnn"``).
-        center: enrollment mean — a 36-d SFS for ``"features"``, a
-            pooled conv sketch for ``"cnn"``.
-        scale: per-dimension robust scale (``"features"`` only).
+        center: enrollment mean 36-d SFS.
+        scale: per-dimension robust scale.
     """
 
-    kind: str
     center: np.ndarray
-    scale: np.ndarray | None = None
+    scale: np.ndarray
 
 
 def _fit_features(signal_arrays: np.ndarray) -> Stage1Reference:
@@ -73,7 +57,7 @@ def _fit_features(signal_arrays: np.ndarray) -> Stage1Reference:
     scale = np.maximum(
         spread, _SCALE_FLOOR_REL * np.abs(center) + _SCALE_FLOOR_ABS
     )
-    return Stage1Reference(kind="features", center=center, scale=scale)
+    return Stage1Reference(center=center, scale=scale)
 
 
 def _score_features(
@@ -87,22 +71,13 @@ def _score_features(
 class Stage1Gate:
     """Facade owning the per-user stage-1 references and the scorer.
 
-    Args:
-        config: the cascade section selecting the scorer.
-        model: the production extractor (the ``"cnn"`` scorer borrows
-            its first positive-branch conv block; unused otherwise).
-        frontend: the direction-splitting front end feeding that block.
-
     Thread-safety mirrors the facade it serves: :meth:`fit_user` /
     :meth:`drop_user` run under the device write lock, :meth:`scores`
-    under the read lock (eval-mode forwards are concurrency-safe), so
-    the internal dict lock only guards the reference map itself.
+    under the read lock, so the internal dict lock only guards the
+    reference map itself.
     """
 
-    def __init__(self, config: CascadeConfig, model=None, frontend=None) -> None:
-        self.config = config
-        self._model = model
-        self._frontend = frontend
+    def __init__(self) -> None:
         self._references: dict[str, Stage1Reference] = {}
         self._lock = threading.Lock()
 
@@ -115,11 +90,7 @@ class Stage1Gate:
             raise VerificationError(
                 "stage-1 fitting needs a non-empty (K, 6, n) signal stack"
             )
-        if self.config.stage1 == "features":
-            reference = _fit_features(signal_arrays)
-        else:
-            sketches = self._cnn_sketches(signal_arrays)
-            reference = Stage1Reference(kind="cnn", center=sketches.mean(axis=0))
+        reference = _fit_features(signal_arrays)
         with self._lock:
             self._references[user_id] = reference
 
@@ -151,36 +122,6 @@ class Stage1Gate:
         faults.maybe_delay("cascade.stage1")
         faults.maybe_fail("cascade.stage1")
         with obs.span("cascade_stage1"):
-            signal_arrays = np.asarray(signal_arrays, dtype=np.float64)
-            if reference.kind == "features":
-                return _score_features(reference, signal_arrays)
-            sketches = self._cnn_sketches(signal_arrays)
-            return np.array(
-                [cosine_distance(sketch, reference.center) for sketch in sketches]
+            return _score_features(
+                reference, np.asarray(signal_arrays, dtype=np.float64)
             )
-
-    def _cnn_sketches(self, signal_arrays: np.ndarray) -> np.ndarray:
-        """Pooled first-conv-block activations ``(K, c1 * 6)``.
-
-        Runs the front end plus exactly one of the extractor's six
-        conv blocks (positive branch only) — the truncated head whose
-        cost the bench reports against the full forward.
-        """
-        if self._model is None or self._frontend is None:
-            raise VerificationError(
-                "the 'cnn' stage-1 scorer needs the extractor and front end"
-            )
-        features = self._frontend.transform_batch(signal_arrays)
-        x = features[:, 0:1, :, :]
-        model = self._model
-        # Same eval discipline as extract_embeddings: BatchNorm must
-        # use running statistics and nothing may cache activations.
-        was_training = model.training
-        model.eval()
-        try:
-            for layer in model.branch_pos.layers[:3]:
-                x = layer(x)
-        finally:
-            if was_training:
-                model.train()
-        return x.mean(axis=3).reshape(x.shape[0], -1)

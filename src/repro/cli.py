@@ -16,8 +16,8 @@ Commands:
                      through the serving stack and write the
                      outcome-accounting report ``BENCH_chaos.json``.
 * ``cascade-bench`` -- calibrate and benchmark the early-exit cascade
-                     (stage-1 gate + quantized stage 2) against the
-                     full pipeline and write ``BENCH_cascade.json``.
+                     (stage-1 feature gate) against the full pipeline
+                     and write ``BENCH_cascade.json``.
 * ``scenario-bench`` -- run the adversarial scenario matrix (motion x
                      degradation x attacks; IMU vs heartbeat vs fused)
                      and write ``BENCH_scenarios.json``.
@@ -421,30 +421,21 @@ def _cmd_cascade_bench(args: argparse.Namespace) -> int:
     report = run_cascade_bench(
         quick=args.quick, output=args.output or None
     )
-    for stage1, mode in report["modes"].items():
-        cal = mode["calibration"]
-        ev = mode["eval"]
-        timing = mode["timing"]
-        print(f"  stage1={stage1:<8}: band "
-              f"({cal['t_accept']:.3f}, {cal['t_reject']:.3f}) "
-              f"{'feasible' if cal['feasible'] else 'INFEASIBLE'}, "
-              f"exit fraction {cal['exit_fraction']:.2f}")
-        print(f"    eval     : FAR {ev['far']:.3f} (delta "
-              f"{ev['far_delta']:.3f}), FRR {ev['frr']:.3f} "
-              f"(delta {ev['frr_delta']:.3f}), "
-              f"exits {ev['exits']}")
-        print(f"    timing   : cascade "
-              f"{timing['cascade_ms_per_probe']:.3f} ms/probe vs full "
-              f"{timing['full_ms_per_probe']:.3f} ms/probe "
-              f"({timing['speedup']:.2f}x)")
-    quant = report["quantization"]
-    print(f"  storage    : float32 {quant['float32_bytes']:,} bytes")
-    for scheme in ("int8", "float16"):
-        row = quant[scheme]
-        print(f"    {scheme:<8} : {row['bytes']:,} bytes "
-              f"({row['compression']:.2f}x), distance drift "
-              f"{row['max_distance_drift']:.2e}, agreement "
-              f"{row['decision_agreement']:.3f}")
+    mode = report["modes"]["features"]
+    cal = mode["calibration"]
+    ev = mode["eval"]
+    timing = mode["timing"]
+    print(f"  band       : ({cal['t_accept']:.3f}, {cal['t_reject']:.3f}) "
+          f"{'feasible' if cal['feasible'] else 'INFEASIBLE'}, "
+          f"exit fraction {cal['exit_fraction']:.2f}")
+    print(f"  eval       : FAR {ev['far']:.3f} (delta "
+          f"{ev['far_delta']:.3f}), FRR {ev['frr']:.3f} "
+          f"(delta {ev['frr_delta']:.3f}), "
+          f"exits {ev['exits']}")
+    print(f"  timing     : cascade "
+          f"{timing['cascade_ms_per_probe']:.3f} ms/probe vs full "
+          f"{timing['full_ms_per_probe']:.3f} ms/probe "
+          f"({timing['speedup']:.2f}x)")
     claims = report["claims"]
     for name in ("speedup_at_least_2x", "far_delta_within_epsilon",
                  "frr_delta_within_epsilon", "exits_accounted"):
@@ -622,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     cascade_bench = sub.add_parser(
         "cascade-bench",
         help="early-exit cascade: calibrated thresholds, speedup, "
-             "quantized-stage-2 storage",
+             "exit accounting",
     )
     cascade_bench.add_argument("--quick", action="store_true",
                                help="CI smoke: smaller probe pools")

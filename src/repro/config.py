@@ -174,24 +174,11 @@ class InferenceConfig:
             shared no-op registry, whose overhead is held within 5% of
             an uninstrumented baseline by
             ``benchmarks/test_obs_overhead.py``.
-        stage2_quantization: post-training quantization scheme for the
-            extractor used by the verify/identify hot path
-            (:mod:`repro.cascade.quant`, DESIGN.md §4k).  ``"none"``
-            (default) runs the float master weights unchanged;
-            ``"int8"`` stores conv/linear weights as per-output-channel
-            symmetric int8 (scale = max|w| / 127, zero-point 0) and
-            ``"float16"`` stores every parameter as IEEE half
-            precision.  Either way the runtime forward dequantizes to
-            float and accumulates in the engine's compute dtype —
-            numpy has no low-precision gemm, so the scheme buys
-            storage bytes (the ``model_bytes{dtype=...}`` gauge) and a
-            bounded, benchmarked decision drift, not compute.
     """
 
     compute_dtype: str = "float64"
     batch_size: int = 256
     metrics_enabled: bool = False
-    stage2_quantization: str = "none"
 
     def __post_init__(self) -> None:
         _require(
@@ -199,10 +186,6 @@ class InferenceConfig:
             "compute_dtype must be 'float32' or 'float64'",
         )
         _require(self.batch_size > 0, "batch_size must be positive")
-        _require(
-            self.stage2_quantization in ("none", "int8", "float16"),
-            "stage2_quantization must be 'none', 'int8' or 'float16'",
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,7 +260,7 @@ class CascadeConfig:
     With the cascade enabled, a cheap stage-1 scorer produces one
     distance-like confidence score per probe from the preprocessed
     signal, and the exit band ``(t_accept, t_reject)`` routes it:
-    ``score <= t_accept`` accepts immediately, ``score >= t_reject``
+    ``score <= t_accept`` accepts immediately, ``score > t_reject``
     rejects immediately, and only the borderline band in between pays
     the full extractor (stage 2).  Disabled by default — and when
     disabled every decision is bitwise identical to the plain pipeline.
@@ -285,19 +268,13 @@ class CascadeConfig:
     Attributes:
         enabled: turn the cascade on for :meth:`MandiPass.verify_many
             <repro.core.system.MandiPass.verify_many>`.
-        stage1: stage-1 scorer. ``"features"`` scores the robust
-            z-distance of the probe's 36-d statistical feature sample
-            (Section V-A hand features) to the enrollment mean;
-            ``"cnn"`` pools the first conv block of the extractor's
-            positive branch into a sketch and scores cosine distance
-            to the enrollment sketch (a truncated single-branch head
-            sharing the production weights).
         t_accept: accept-band edge (inclusive).  Scores at or below it
             exit as stage-1 accepts.
-        t_reject: reject-band edge (inclusive).  Scores at or above it
-            exit as stage-1 rejects.  Must be >= ``t_accept`` — an
-            inverted band is rejected at construction.  Both edges are
-            operating points fitted by
+        t_reject: reject-band edge (exclusive).  Scores above it exit
+            as stage-1 rejects, so ``t_accept == t_reject`` is a plain
+            threshold.  Must be >= ``t_accept`` — an inverted band is
+            rejected at construction.  Both edges are operating points
+            fitted by
             :func:`repro.cascade.calibrate_cascade`; the defaults are
             deliberately conservative (wide borderline band).
         forced_full_fraction: audit-sampling rate — this deterministic
@@ -312,7 +289,6 @@ class CascadeConfig:
     """
 
     enabled: bool = False
-    stage1: str = "features"
     t_accept: float = 0.05
     t_reject: float = 1.60
     forced_full_fraction: float = 0.0
@@ -320,10 +296,6 @@ class CascadeConfig:
     epsilon_frr: float = 0.02
 
     def __post_init__(self) -> None:
-        _require(
-            self.stage1 in ("features", "cnn"),
-            "stage1 must be 'features' or 'cnn'",
-        )
         _require(self.t_accept >= 0.0, "t_accept must be >= 0")
         _require(
             self.t_reject >= self.t_accept,

@@ -164,12 +164,6 @@ class InferenceEngine:
             :class:`~repro.errors.TransientError`, and verification
             proceeding (flagged degraded) when at least four of six IMU
             axes are usable.
-        quantization: post-training quantization scheme for the
-            extractor forward (``"none"``, ``"int8"``, ``"float16"``;
-            DESIGN.md §4k).  ``"none"`` runs ``model`` itself — the
-            bitwise-identical default; otherwise a
-            :class:`repro.cascade.quant.QuantizedExtractor` clone is
-            built lazily on first use and serves every embedding.
     """
 
     def __init__(
@@ -180,36 +174,18 @@ class InferenceEngine:
         batch_size: int = 256,
         compute_dtype: np.dtype | str = "float64",
         resilience: ResilienceConfig | None = None,
-        quantization: str = "none",
     ) -> None:
         if batch_size <= 0:
             raise ConfigError("batch_size must be positive")
         compute_dtype = np.dtype(compute_dtype)
         if compute_dtype not in (np.float32, np.float64):
             raise ConfigError("compute_dtype must be float32 or float64")
-        if quantization not in ("none", "int8", "float16"):
-            raise ConfigError(
-                "quantization must be 'none', 'int8' or 'float16'"
-            )
         self.model = model
         self.preprocessor = preprocessor
         self.frontend = frontend
         self.batch_size = batch_size
         self.compute_dtype = compute_dtype
         self.resilience = resilience or ResilienceConfig()
-        self.quantization = quantization
-        self._stage2_model = model if quantization == "none" else None
-
-    @property
-    def stage2_model(self):
-        """The model the embedding stages run: ``model`` or its
-        quantized clone (built lazily so engines that never embed pay
-        nothing for the scheme)."""
-        if self._stage2_model is None:
-            from repro.cascade.quant import QuantizedExtractor
-
-            self._stage2_model = QuantizedExtractor(self.model, self.quantization)
-        return self._stage2_model
 
     def _with_retry(self, fn: Callable[[], T], stage: str) -> T:
         """Run one stage, retrying transient failures with backoff.
@@ -276,7 +252,7 @@ class InferenceEngine:
         with obs.span("extractor"):
             return center_embedding(
                 extract_embeddings(
-                    self.stage2_model,
+                    self.model,
                     feature_arrays,
                     batch_size=self.batch_size,
                     dtype=self.compute_dtype,
@@ -290,8 +266,9 @@ class InferenceEngine:
 
         Applies payload corruption once, runs the retried preprocess
         stage, and records per-item failure / degraded-mode metrics.
-        The cascade path stops here to score stage 1 on signals before
-        deciding which rows pay :meth:`embed_signals`.
+        :func:`~repro.core.verification.verify_batch` stops here so a
+        stage-1 gate can score signals before deciding which rows pay
+        :meth:`embed_signal_values`.
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)

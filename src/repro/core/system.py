@@ -23,7 +23,8 @@ from repro.core.fusion import fuse_decision_level, fuse_score_level
 from repro.core.gallery import ShardedGallery
 from repro.core.similarity import accept, cosine_distance, distances_to_template
 from repro.core.verification import (
-    cascade_verify_batch,
+    count_decisions,
+    identify_batch,
     verify_batch,
     verify_presented_vector,
 )
@@ -78,15 +79,12 @@ class MandiPass:
             batch_size=config.inference.batch_size,
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
-            quantization=config.inference.stage2_quantization,
         )
         # Early-exit cascade (DESIGN.md §4k): both halves exist only
         # when enabled, so the disabled default cannot perturb the
         # verify path in any way.
         if config.cascade.enabled:
-            self._cascade_gate: Stage1Gate | None = Stage1Gate(
-                config.cascade, model=model, frontend=self.frontend
-            )
+            self._cascade_gate: Stage1Gate | None = Stage1Gate()
             self._cascade_policy: ExitPolicy | None = ExitPolicy(config.cascade)
         else:
             self._cascade_gate = None
@@ -103,12 +101,6 @@ class MandiPass:
         else:
             self._heartbeat = None
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
-        if self.engine.quantization != "none":
-            obs.set_gauge(
-                "model_bytes",
-                float(self.engine.stage2_model.storage_nbytes()),
-                dtype=self.engine.quantization,
-            )
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}
         # Derived 1:N scoring state.  ``None`` means "rebuild from the
@@ -227,29 +219,16 @@ class MandiPass:
         this batch — the calibration/audit escape hatch, also used by
         streaming clients that already ran stage 1 locally.
         """
-        use_cascade = (
-            not full_pipeline
-            and self._cascade_gate is not None
-            and self._cascade_gate.has_user(user_id)
-        )
         with self._rwlock.read_locked():
             transform = self._transforms.get(user_id)
             if transform is None:
                 raise VerificationError(f"user {user_id!r} is not enrolled")
             record = self.enclave.unseal(user_id)
+            gate = self._cascade_gate
+            if full_pipeline or gate is None or not gate.has_user(user_id):
+                gate = None
             with obs.span("verify"):
                 obs.observe_batch_size("verify_many", len(recordings))
-                if use_cascade:
-                    return cascade_verify_batch(
-                        user_id=user_id,
-                        engine=self.engine,
-                        gate=self._cascade_gate,
-                        policy=self._cascade_policy,
-                        recordings=recordings,
-                        template=np.asarray(record.template),
-                        transform=transform,
-                        threshold=self.config.decision.threshold,
-                    )
                 return verify_batch(
                     user_id=user_id,
                     engine=self.engine,
@@ -257,6 +236,8 @@ class MandiPass:
                     template=np.asarray(record.template),
                     transform=transform,
                     threshold=self.config.decision.threshold,
+                    gate=gate,
+                    policy=self._cascade_policy,
                 )
 
     # ------------------------------------------------------------------
@@ -517,45 +498,21 @@ class MandiPass:
         """
         with self._rwlock.read_locked(), obs.span("identify"):
             obs.observe_batch_size("identify_many", len(recordings))
-            results: list[VerificationResult | None] = [None] * len(recordings)
-            if not self._transforms or not recordings:
-                return results
-            try:
-                gallery = self._current_gallery()
-                gallery.sync()
-            except TransientError:
-                # Graceful degradation (DESIGN.md §4g): a transient
-                # shard-build failure falls back to per-user scoring —
-                # slower, no derived state — instead of failing the
-                # whole identification batch.  Unapplied mutations stay
-                # logged; the next sync retries them.
-                return self._identify_fallback(recordings)
-            outcome = self.engine.embed(recordings)
-            if outcome.num_ok == 0:
-                return results
-            degraded = set(int(i) for i in outcome.degraded)
-            matches = gallery.best_match(outcome.values)
-            threshold = self.config.decision.threshold
-            for row, input_index in enumerate(np.asarray(outcome.indices)):
-                match = matches[row]
-                if match is None:
-                    continue
-                results[int(input_index)] = VerificationResult(
-                    accepted=accept(match.distance, threshold),
-                    distance=match.distance,
-                    threshold=threshold,
-                    user_id=match.user_id,
-                    degraded=int(input_index) in degraded,
-                )
-            if obs.get_registry().enabled:
-                for result in results:
-                    decision = (
-                        "refusal"
-                        if result is None
-                        else ("accept" if result.accepted else "reject")
-                    )
-                    obs.inc("decisions_total", decision=decision)
-            return results
+            gallery = None
+            if self._transforms and recordings:
+                try:
+                    gallery = self._current_gallery()
+                    gallery.sync()
+                except TransientError:
+                    # Graceful degradation (DESIGN.md §4g): a transient
+                    # shard-build failure falls back to per-user scoring
+                    # — slower, no derived state — instead of failing
+                    # the whole identification batch.  Unapplied
+                    # mutations stay logged; the next sync retries them.
+                    return self._identify_fallback(recordings)
+            return identify_batch(
+                self.engine, gallery, recordings, self.config.decision.threshold
+            )
 
     def _identify_fallback(
         self, recordings: Sequence[RawRecording]
@@ -573,7 +530,7 @@ class MandiPass:
         results: list[VerificationResult | None] = [None] * len(recordings)
         outcome = self.engine.embed(recordings)
         if outcome.num_ok == 0:
-            return results
+            return count_decisions(results)
         obs.inc("degraded_total", float(outcome.num_ok), path="identify_fallback")
         best_distance = np.full(outcome.num_ok, np.inf)
         best_user = [""] * outcome.num_ok
@@ -594,15 +551,7 @@ class MandiPass:
                 user_id=best_user[row],
                 degraded=True,
             )
-        if obs.get_registry().enabled:
-            for result in results:
-                decision = (
-                    "refusal"
-                    if result is None
-                    else ("accept" if result.accepted else "reject")
-                )
-                obs.inc("decisions_total", decision=decision)
-        return results
+        return count_decisions(results)
 
     def adapt_template(
         self, user_id: str, recording: RawRecording, rate: float = 0.1

@@ -1,11 +1,14 @@
-"""Verification phase (Fig. 3, right).
+"""Verification phase (Fig. 3, right) and 1:N identification.
 
 A verification request is one recording: preprocess, extract the
 MandiblePrint, project with the user's Gaussian matrix, compare against
 the sealed template by cosine distance, accept iff within threshold.
 :func:`verify_batch` decides a whole stack of requests in one vectorised
-pass through the :class:`repro.core.engine.InferenceEngine`; the
-single-recording helpers delegate to the same engine.
+pass through the :class:`repro.core.engine.InferenceEngine`, optionally
+routed through the early-exit cascade; :func:`identify_batch` is the
+1:N counterpart.  Every decision is counted once, by
+:func:`count_decisions`.  The single-recording helpers delegate to the
+same engine.
 """
 
 from __future__ import annotations
@@ -14,6 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cascade.policy import (
+    ROUTE_ACCEPT,
+    ROUTE_BORDERLINE,
+    ROUTE_FORCED,
+    ROUTE_REJECT,
+)
 from repro.core.engine import InferenceEngine
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import FrontEnd
@@ -27,6 +36,20 @@ from repro.types import RawRecording, VerificationResult
 #: Distance reported for a request whose recording carried no usable
 #: vibration; maximal, so it can never be accepted.
 REJECTED_DISTANCE = 2.0
+
+#: ``exit_stage`` and ``cascade_exits_total`` label of each cascade route.
+_ROUTE_STAGES = {
+    ROUTE_ACCEPT: "stage1",
+    ROUTE_REJECT: "stage1",
+    ROUTE_BORDERLINE: "stage2",
+    ROUTE_FORCED: "stage2_forced",
+}
+_ROUTE_EXITS = {
+    ROUTE_ACCEPT: "stage1_accept",
+    ROUTE_REJECT: "stage1_reject",
+    ROUTE_BORDERLINE: "stage2",
+    ROUTE_FORCED: "stage2_forced",
+}
 
 
 def probe_embedding(
@@ -47,6 +70,25 @@ def probe_embedding(
     return InferenceEngine(model, preprocessor, frontend).embed_one(recording)
 
 
+def count_decisions(
+    results: Sequence[VerificationResult | None],
+) -> Sequence[VerificationResult | None]:
+    """Count every result once under ``decisions_total``; returns ``results``.
+
+    ``None`` (identify with nothing usable) and ``exit_stage ==
+    "refused"`` (no embedding was produced) are refusals -- failures to
+    acquire, never biometric rejects.
+    """
+    if obs.get_registry().enabled:
+        for result in results:
+            if result is None or result.exit_stage == "refused":
+                decision = "refusal"
+            else:
+                decision = "accept" if result.accepted else "reject"
+            obs.inc("decisions_total", decision=decision)
+    return results
+
+
 def verify_batch(
     user_id: str,
     engine: InferenceEngine,
@@ -54,129 +96,70 @@ def verify_batch(
     template: np.ndarray,
     transform: CancelableTransform,
     threshold: float,
+    gate=None,
+    policy=None,
 ) -> list[VerificationResult]:
     """Decide a batch of verification requests in one vectorised pass.
 
-    Item-for-item this mirrors :func:`verify_recording`: a recording
-    without a detectable vibration (e.g. a zero-effort attack) is
-    rejected with the maximum distance rather than raising — one bad
-    recording never poisons the rest of the batch.  Results come back in
-    input order, one per recording.
-    """
-    outcome = engine.embed(recordings)
-    distances = np.full(outcome.batch_size, REJECTED_DISTANCE)
-    if outcome.num_ok:
-        probes = transform.apply(outcome.values)
-        distances[np.asarray(outcome.indices, dtype=np.int64)] = (
-            distances_to_template(probes, np.asarray(template, dtype=np.float64))
-        )
-    ok = outcome.ok_mask()
-    degraded = set(int(i) for i in outcome.degraded)
-    results = [
-        VerificationResult(
-            accepted=accept(float(d), threshold),
-            distance=float(d),
-            threshold=threshold,
-            user_id=user_id,
-            degraded=idx in degraded,
-            # A recording that never produced an embedding is a refusal
-            # (failure to acquire), same provenance the cascade path
-            # reports; fusion treats the modality as absent.
-            exit_stage="full" if ok[idx] else "refused",
-        )
-        for idx, d in enumerate(distances)
-    ]
-    if obs.get_registry().enabled:
-        for result, usable in zip(results, ok):
-            # A request whose recording never produced an embedding is a
-            # *refusal* (the sentinel distance), not a biometric reject.
-            if not usable:
-                obs.inc("decisions_total", decision="refusal")
-            elif result.accepted:
-                obs.inc("decisions_total", decision="accept")
-            else:
-                obs.inc("decisions_total", decision="reject")
-    return results
+    A recording without a detectable vibration (e.g. a zero-effort
+    attack) is a refusal: rejected with the maximum distance and
+    ``exit_stage == "refused"`` rather than raising, so one bad
+    recording never poisons the rest of the batch.  Results come back
+    in input order, one per recording.
 
-
-def cascade_verify_batch(
-    user_id: str,
-    engine: InferenceEngine,
-    gate,
-    policy,
-    recordings: Sequence[RawRecording],
-    template: np.ndarray,
-    transform: CancelableTransform,
-    threshold: float,
-) -> list[VerificationResult]:
-    """Decide a batch through the early-exit cascade (DESIGN.md §4k).
-
-    Clear-cut probes exit on the stage-1 score with ``exit_stage ==
-    "stage1"`` (their ``distance`` is the stage-1 score and their
+    Without a ``gate`` every usable row pays the extractor and is
+    labelled ``exit_stage == "full"``.  With a stage-1 ``gate`` and its
+    exit ``policy`` the batch runs the early-exit cascade (DESIGN.md
+    §4k): clear-cut probes exit on the stage-1 score with ``exit_stage
+    == "stage1"`` (their ``distance`` is the stage-1 score and their
     ``threshold`` the accept-band edge, so ``accept()`` stays
-    self-consistent); borderline and audit-forced probes pay
-    :meth:`~repro.core.engine.InferenceEngine.embed_signal_values` and
-    carry real cosine distances.  A transient stage-1 failure (the
-    ``cascade.stage1`` fault point) degrades the whole batch to the
-    full pipeline — availability over speed — recorded under the
-    ``fallback_full`` exit counter with ``exit_stage == "full"``.
-
-    Exit accounting is total: ``cascade_exits_total`` summed over its
-    ``stage`` labels equals the batch size.
+    self-consistent); borderline and audit-forced probes pay the
+    extractor and carry real cosine distances.  A transient stage-1
+    failure (the ``cascade.stage1`` fault point) sends the whole batch
+    through the extractor -- availability over speed -- with
+    ``exit_stage == "full"`` and the ``fallback_full`` exit label.
+    Under a gate, ``cascade_exits_total`` summed over its ``stage``
+    labels equals the batch size.
     """
-    from repro.cascade.policy import ROUTE_ACCEPT, ROUTE_BORDERLINE, ROUTE_FORCED
-
     outcome = engine.preprocessed(recordings)
     distances = np.full(outcome.batch_size, REJECTED_DISTANCE)
     thresholds = np.full(outcome.batch_size, threshold)
     stages = ["refused"] * outcome.batch_size
-    counter_stages = ["refused"] * outcome.batch_size
+    exits = ["refused"] * outcome.batch_size
     success = np.asarray(outcome.indices, dtype=np.int64)
     if outcome.num_ok:
-        try:
-            scores = gate.scores(user_id, outcome.values)
-        except TransientError:
-            embedded = engine.embed_signals(outcome)
-            probes = transform.apply(embedded.values)
-            distances[success] = distances_to_template(
-                probes, np.asarray(template, dtype=np.float64)
-            )
-            for idx in success:
-                stages[int(idx)] = "full"
-                counter_stages[int(idx)] = "fallback_full"
+        routes = None
+        if gate is not None:
+            try:
+                scores = gate.scores(user_id, outcome.values)
+            except TransientError:
+                pass  # availability over speed: the batch pays stage 2
+            else:
+                routes = policy.route(scores)
+        if routes is None:
+            # ``exits`` labels are only emitted under a gate, where
+            # reaching this branch means the stage-1 fault fallback.
+            stage2 = np.ones(outcome.num_ok, dtype=bool)
+            for idx in success.tolist():
+                stages[idx] = "full"
+                exits[idx] = "fallback_full"
         else:
-            routes = policy.route(scores)
-            stage2_mask = (routes == ROUTE_BORDERLINE) | (routes == ROUTE_FORCED)
+            stage2 = (routes == ROUTE_BORDERLINE) | (routes == ROUTE_FORCED)
             obs.set_gauge(
                 "cascade_borderline_fraction",
                 float((routes == ROUTE_BORDERLINE).sum()) / outcome.num_ok,
             )
-            for pos, route in enumerate(routes):
-                idx = int(success[pos])
-                if route == ROUTE_ACCEPT:
-                    distances[idx] = scores[pos]
-                    thresholds[idx] = policy.t_accept
-                    stages[idx] = "stage1"
-                    counter_stages[idx] = "stage1_accept"
-                elif route == ROUTE_FORCED:
-                    stages[idx] = "stage2_forced"
-                    counter_stages[idx] = "stage2_forced"
-                elif route == ROUTE_BORDERLINE:
-                    stages[idx] = "stage2"
-                    counter_stages[idx] = "stage2"
-                else:
-                    distances[idx] = scores[pos]
-                    thresholds[idx] = policy.t_accept
-                    stages[idx] = "stage1"
-                    counter_stages[idx] = "stage1_reject"
-            if stage2_mask.any():
-                embeddings = engine.embed_signal_values(
-                    outcome.values[stage2_mask]
-                )
-                probes = transform.apply(embeddings)
-                distances[success[stage2_mask]] = distances_to_template(
-                    probes, np.asarray(template, dtype=np.float64)
-                )
+            distances[success[~stage2]] = scores[~stage2]
+            thresholds[success[~stage2]] = policy.t_accept
+            for idx, route in zip(success.tolist(), routes.tolist()):
+                stages[idx] = _ROUTE_STAGES[route]
+                exits[idx] = _ROUTE_EXITS[route]
+        if stage2.any():
+            signals = outcome.values if stage2.all() else outcome.values[stage2]
+            probes = transform.apply(engine.embed_signal_values(signals))
+            distances[success[stage2]] = distances_to_template(
+                probes, np.asarray(template, dtype=np.float64)
+            )
     degraded = set(int(i) for i in outcome.degraded)
     results = [
         VerificationResult(
@@ -189,16 +172,43 @@ def cascade_verify_batch(
         )
         for idx, (d, t, stage) in enumerate(zip(distances, thresholds, stages))
     ]
-    if obs.get_registry().enabled:
-        for result, counter_stage in zip(results, counter_stages):
-            obs.inc("cascade_exits_total", stage=counter_stage)
-            if counter_stage == "refused":
-                obs.inc("decisions_total", decision="refusal")
-            elif result.accepted:
-                obs.inc("decisions_total", decision="accept")
-            else:
-                obs.inc("decisions_total", decision="reject")
-    return results
+    if gate is not None and obs.get_registry().enabled:
+        for label in exits:
+            obs.inc("cascade_exits_total", stage=label)
+    return count_decisions(results)
+
+
+def identify_batch(
+    engine: InferenceEngine,
+    gallery,
+    recordings: Sequence[RawRecording],
+    threshold: float,
+) -> list[VerificationResult | None]:
+    """1:N identification of a batch against a synced gallery.
+
+    Embeds the batch once and scores every usable probe with
+    ``gallery.best_match``.  ``None`` marks a recording with no usable
+    vibration, or a batch against an empty (or absent) gallery.
+    """
+    results: list[VerificationResult | None] = [None] * len(recordings)
+    if gallery is None or gallery.num_users == 0 or not recordings:
+        return count_decisions(results)
+    outcome = engine.embed(recordings)
+    if outcome.num_ok:
+        degraded = set(int(i) for i in outcome.degraded)
+        matches = gallery.best_match(outcome.values)
+        for row, input_index in enumerate(np.asarray(outcome.indices).tolist()):
+            match = matches[row]
+            if match is None:
+                continue
+            results[input_index] = VerificationResult(
+                accepted=accept(match.distance, threshold),
+                distance=match.distance,
+                threshold=threshold,
+                user_id=match.user_id,
+                degraded=input_index in degraded,
+            )
+    return count_decisions(results)
 
 
 def verify_recording(

@@ -22,33 +22,16 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.optim import SGD, Adam, RMSProp
-from repro.nn.pooling import AvgPool2d, MaxPool2d
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    EarlyStopping,
-    ExponentialLR,
-    Scheduler,
-    StepLR,
-    clip_grad_norm,
-)
 from repro.nn.serialize import load_state_dict, save_state_dict
 from repro.nn.tensor import Parameter
 
 __all__ = [
     "Adam",
-    "AvgPool2d",
-    "CosineAnnealingLR",
-    "EarlyStopping",
-    "ExponentialLR",
     "GELU",
     "LeakyReLU",
-    "MaxPool2d",
     "RMSProp",
-    "Scheduler",
     "Softmax",
-    "StepLR",
     "Tanh",
-    "clip_grad_norm",
     "ArrayDataset",
     "BatchNorm2d",
     "Conv2d",

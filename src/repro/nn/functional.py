@@ -128,8 +128,8 @@ def sliding_windows(
     """Read-only ``(B, C, out_h, out_w, kh, kw)`` window view of ``x``.
 
     Zero-copy: the view aliases ``x``, so it is only valid while ``x``
-    is alive and unmodified.  Used by the pooling layers to reduce over
-    windows without materialising them.
+    is alive and unmodified, and lets a reduction run over windows
+    without materialising them.
     """
     if x.ndim != 4:
         raise ShapeError("sliding_windows expects (B, C, H, W)")

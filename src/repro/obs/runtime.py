@@ -154,9 +154,7 @@ cascade_exits_total          counter    ``stage``: stage1_accept,
 cascade_borderline_fraction  gauge      --  (borderline share of the
                                             last scored batch)
 model_bytes                  gauge      ``dtype``: float32 (the live
-                                        extractor), int8 / float16 (the
-                                        quantized stage-2 clone when
-                                        configured)
+                                        extractor)
 gallery_bytes                gauge      --  (derived 1:N scoring state,
                                             all shards)
 ===========================  =========  =================================

@@ -166,7 +166,7 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
                 self._pinned.append(old_segment)
         obs.set_gauge("serve_worker_mapped_generation", generation)
 
-    # -- request handlers (mirror MandiPass bitwise) --------------------
+    # -- request handlers (the facade's decision routines) -------------
 
     def verify_many(self, user_id: str, recordings: list) -> list:
         from repro.core.verification import verify_batch
@@ -187,41 +187,13 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
             )
 
     def identify_many(self, recordings: list) -> list:
-        from repro.core.similarity import accept
-        from repro.types import VerificationResult
+        from repro.core.verification import identify_batch
 
         with obs.span("identify"):
             obs.observe_batch_size("identify_many", len(recordings))
-            results: list = [None] * len(recordings)
-            gallery = self._gallery
-            if gallery is None or gallery.num_users == 0 or not recordings:
-                return results
-            outcome = self.engine.embed(recordings)
-            if outcome.num_ok == 0:
-                return results
-            degraded = set(int(i) for i in outcome.degraded)
-            matches = gallery.best_match(outcome.values)
-            threshold = self.threshold
-            for row, input_index in enumerate(np.asarray(outcome.indices)):
-                match = matches[row]
-                if match is None:
-                    continue
-                results[int(input_index)] = VerificationResult(
-                    accepted=accept(match.distance, threshold),
-                    distance=match.distance,
-                    threshold=threshold,
-                    user_id=match.user_id,
-                    degraded=int(input_index) in degraded,
-                )
-            if obs.get_registry().enabled:
-                for result in results:
-                    decision = (
-                        "refusal"
-                        if result is None
-                        else ("accept" if result.accepted else "reject")
-                    )
-                    obs.inc("decisions_total", decision=decision)
-            return results
+            return identify_batch(
+                self.engine, self._gallery, recordings, self.threshold
+            )
 
 
 def _safe_exception(exc: BaseException) -> BaseException:  # pragma: no cover - worker side

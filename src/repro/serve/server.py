@@ -217,6 +217,14 @@ class AuthServer:
     ):
         self.system = system
         self.config = config if config is not None else system.config.serving
+        if self.config.num_worker_processes > 0 and system.config.cascade.enabled:
+            # Workers decide through verify_batch without a stage-1
+            # gate, so pool mode would silently disagree with thread
+            # mode on the same request.
+            raise ConfigError(
+                "the early-exit cascade is not supported with "
+                "num_worker_processes > 0"
+            )
         self.resilience = (
             resilience if resilience is not None else system.config.resilience
         )

@@ -5,9 +5,7 @@ Covers the four pieces and their integration surface:
 * ``CascadeConfig`` validation (inverted bands rejected);
 * ``ExitPolicy`` band routing + deterministic audit sampling, with a
   hypothesis property pinning band-widening monotonicity;
-* ``Stage1Gate`` scorers (features / cnn) and lifecycle;
-* post-training quantization (int8 / float16) bounds and the
-  ``QuantizedExtractor`` stage-2 protocol;
+* the ``Stage1Gate`` feature scorer and lifecycle;
 * the system facade: disabled-default bitwise parity, exit-provenance
   accounting, forced-full audit parity, stage-1 fault fallback, and
   the serving / streaming integration points.
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -27,22 +25,18 @@ from repro.cascade import (
     ROUTE_FORCED,
     ROUTE_REJECT,
     ExitPolicy,
-    QuantizedExtractor,
-    Stage1Gate,
     calibrate_cascade,
-    quantize_state,
 )
 from repro.config import (
     CascadeConfig,
     ExtractorConfig,
-    InferenceConfig,
     MandiPassConfig,
     SecurityConfig,
     StreamConfig,
 )
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.system import MandiPass
-from repro.errors import ConfigError, ModelError, VerificationError
+from repro.errors import ConfigError, VerificationError
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.imu import Recorder
 from repro.physio import sample_population
@@ -52,22 +46,14 @@ from repro.physio import sample_population
 TIGHT_BAND = {"t_accept": 1.2, "t_reject": 2.5}
 
 
-def build_system(
-    stage1: str = "features",
-    enabled: bool = True,
-    quantization: str = "none",
-    **cascade_kwargs,
-) -> MandiPass:
+def build_system(enabled: bool = True, **cascade_kwargs) -> MandiPass:
     extractor_config = ExtractorConfig(embedding_dim=64, channels=(4, 8, 16))
     config = MandiPassConfig(
         extractor=extractor_config,
         security=SecurityConfig(
             template_dim=64, projected_dim=64, matrix_seed=1
         ),
-        inference=InferenceConfig(stage2_quantization=quantization),
-        cascade=CascadeConfig(
-            enabled=enabled, stage1=stage1, **cascade_kwargs
-        ),
+        cascade=CascadeConfig(enabled=enabled, **cascade_kwargs),
     )
     model = TwoBranchExtractor(
         extractor_config, num_classes=4, seed=0
@@ -105,10 +91,6 @@ class TestCascadeConfig:
     def test_degenerate_band_allowed(self):
         CascadeConfig(t_accept=0.5, t_reject=0.5)
 
-    def test_unknown_stage1_rejected(self):
-        with pytest.raises(ConfigError):
-            CascadeConfig(stage1="transformer")
-
     def test_forced_fraction_bounds(self):
         with pytest.raises(ConfigError):
             CascadeConfig(forced_full_fraction=1.5)
@@ -127,7 +109,7 @@ class TestExitPolicy:
             ROUTE_ACCEPT,
             ROUTE_ACCEPT,
             ROUTE_BORDERLINE,
-            ROUTE_REJECT,
+            ROUTE_BORDERLINE,  # the reject edge is exclusive
             ROUTE_REJECT,
         ]
 
@@ -182,6 +164,9 @@ class TestExitMonotonicity:
         widen_accept=st.floats(0.0, 5.0, allow_nan=False),
         widen_reject=st.floats(0.0, 5.0, allow_nan=False),
     )
+    @example(
+        scores=[1.0], t_accept=1.0, gap=0.0, widen_accept=1.0, widen_reject=0.0
+    )
     def test_widening_only_moves_probes_into_stage2(
         self, scores, t_accept, gap, widen_accept, widen_reject
     ):
@@ -222,23 +207,13 @@ class TestStage1Gate:
 
     def test_features_scorer_separates_population(self, probes):
         enroll, genuine, impostor = probes
-        system = build_system("features")
+        system = build_system()
         system.enroll("alice", enroll)
         gate = system.cascade_gate
         assert gate.has_user("alice")
         genuine_scores = gate.scores("alice", self._signals(system, genuine))
         impostor_scores = gate.scores("alice", self._signals(system, impostor))
         assert genuine_scores.max() < impostor_scores.min()
-
-    def test_cnn_scorer_bounded_cosine(self, probes):
-        enroll, genuine, _ = probes
-        system = build_system("cnn")
-        system.enroll("alice", enroll)
-        scores = system.cascade_gate.scores(
-            "alice", self._signals(system, genuine)
-        )
-        assert np.isfinite(scores).all()
-        assert (scores >= 0.0).all() and (scores <= 2.0).all()
 
     def test_fit_requires_signals(self):
         system = build_system()
@@ -260,78 +235,6 @@ class TestStage1Gate:
         assert system.cascade_gate.has_user("alice")
         system.revoke("alice")
         assert not system.cascade_gate.has_user("alice")
-
-
-# -- quantization ---------------------------------------------------------
-
-
-class TestQuantization:
-    def test_int8_roundtrip_error_bounded_per_channel(self):
-        model = TwoBranchExtractor(
-            ExtractorConfig(embedding_dim=64, channels=(4, 8, 16)),
-            num_classes=4,
-            seed=0,
-        )
-        state = model.state_dict()
-        quantized = quantize_state(state, "int8")
-        for name, original in state.items():
-            tensor = quantized[name]
-            recovered = tensor.dequantize()
-            if original.ndim >= 2:
-                assert tensor.data.dtype == np.int8
-                flat = original.reshape(original.shape[0], -1)
-                bound = np.abs(flat).max(axis=1) / 127.0 * 0.5 + 1e-12
-                err = np.abs(recovered - original).reshape(
-                    original.shape[0], -1
-                ).max(axis=1)
-                assert (err <= bound).all()
-            else:
-                # 1-D params are stored as float32 under the int8 scheme
-                np.testing.assert_allclose(
-                    recovered, original, rtol=1e-6, atol=1e-7
-                )
-
-    def test_unknown_scheme_rejected(self):
-        model = TwoBranchExtractor(
-            ExtractorConfig(embedding_dim=64, channels=(4, 8, 16)),
-            num_classes=4,
-            seed=0,
-        )
-        with pytest.raises(ModelError):
-            quantize_state(model.state_dict(), "int4")
-
-    def test_extractor_protocol_and_compression(self):
-        model = TwoBranchExtractor(
-            ExtractorConfig(embedding_dim=64, channels=(4, 8, 16)),
-            num_classes=4,
-            seed=0,
-        ).eval()
-        for scheme, min_ratio in (("int8", 3.0), ("float16", 1.9)):
-            quantized = QuantizedExtractor(model, scheme)
-            ratio = model.storage_nbytes() / quantized.storage_nbytes()
-            assert ratio >= min_ratio
-            assert quantized.training is False
-            assert quantized.eval() is quantized
-            with pytest.raises(ModelError):
-                quantized.train()
-
-    def test_quantized_embeddings_track_float(self, probes):
-        enroll, genuine, _ = probes
-        baseline = build_system(enabled=False)
-        baseline.enroll("alice", enroll)
-        base = baseline.verify_many("alice", genuine)
-        for scheme, tolerance in (("int8", 0.05), ("float16", 1e-2)):
-            system = build_system(enabled=False, quantization=scheme)
-            system.enroll("alice", enroll)
-            results = system.verify_many("alice", genuine)
-            drift = max(
-                abs(q.distance - b.distance) for q, b in zip(results, base)
-            )
-            assert drift < tolerance
-
-    def test_engine_rejects_unknown_quantization(self):
-        with pytest.raises(ConfigError):
-            build_system(enabled=False, quantization="int4")
 
 
 # -- system facade --------------------------------------------------------
@@ -428,6 +331,51 @@ class TestCascadeSystem:
         key = 'cascade_exits_total{stage="fallback_full"}'
         assert snapshot["counters"][key] == len(queue)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "verify",
+            "cascade_verify",
+            "cascade_stage1_fault",
+            "identify",
+            "identify_fallback",
+            "pool_identify",
+        ],
+    )
+    def test_decisions_total_counts_every_request(self, probes, path):
+        """Every request lands in exactly one ``decisions_total`` label."""
+        enroll, genuine, impostor = probes
+        system = build_system(
+            enabled=path.startswith("cascade"), **TIGHT_BAND
+        )
+        system.enroll("alice", enroll)
+        queue = genuine[:3] + impostor[:3] + [np.zeros((210, 6))]
+        with obs.collecting() as registry:
+            if path == "cascade_stage1_fault":
+                rule = FaultRule("cascade.stage1", "error")
+                with FaultPlan([rule], seed=0).active():
+                    results = system.verify_many("alice", queue)
+                assert {r.exit_stage for r in results[:-1]} == {"full"}
+            elif path.endswith("verify"):
+                results = system.verify_many("alice", queue)
+            elif path == "identify_fallback":
+                rule = FaultRule("gallery.build", "error")
+                with FaultPlan([rule], seed=0).active():
+                    results = system.identify_many(queue)
+                assert all(r.degraded for r in results[:-1])
+            elif path == "identify":
+                results = system.identify_many(queue)
+            snapshot = registry.to_dict()
+            if path == "pool_identify":
+                snapshot = _pool_identify_snapshot(system, queue)
+        decisions = {
+            key: value
+            for key, value in snapshot["counters"].items()
+            if key.startswith("decisions_total{")
+        }
+        assert sum(decisions.values()) == len(queue)
+        assert decisions['decisions_total{decision="refusal"}'] == 1
+
     def test_retune_requires_enabled_cascade(self, probes):
         system = build_system(enabled=False)
         with pytest.raises(ConfigError):
@@ -438,12 +386,28 @@ class TestCascadeSystem:
 
     def test_model_bytes_gauges_published(self):
         with obs.collecting() as registry:
-            build_system(enabled=False, quantization="int8")
+            build_system(enabled=False)
             snapshot = registry.to_dict()
-        gauges = snapshot["gauges"]
-        float_bytes = gauges['model_bytes{dtype="float32"}']
-        int8_bytes = gauges['model_bytes{dtype="int8"}']
-        assert float_bytes > int8_bytes > 0
+        assert snapshot["gauges"]['model_bytes{dtype="float32"}'] > 0
+
+
+def _pool_identify_snapshot(system: MandiPass, queue: list) -> dict:
+    """Worker-side metrics of one identify batch served by a 1-process pool."""
+    from repro.config import ServingConfig
+    from repro.serve import shm as serve_shm
+    from repro.serve.pool import WorkerPool
+    from repro.serve.server import RequestKind
+
+    pool = WorkerPool(system, ServingConfig(num_worker_processes=1))
+    pool.start()
+    try:
+        pool.ensure_current_epoch()
+        results = pool.execute(0, RequestKind.IDENTIFY, None, queue)
+        assert results[-1] is None
+        return pool.worker_metrics()
+    finally:
+        pool.stop()
+        serve_shm.assert_no_leaked_segments()
 
 
 # -- calibration ----------------------------------------------------------

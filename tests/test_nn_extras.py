@@ -1,62 +1,14 @@
-"""Tests for pooling, extra activations, schedulers and RMSProp."""
+"""Tests for the extra activations and RMSProp."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
-from repro.nn import (
-    Adam,
-    AvgPool2d,
-    CosineAnnealingLR,
-    EarlyStopping,
-    ExponentialLR,
-    GELU,
-    LeakyReLU,
-    MaxPool2d,
-    RMSProp,
-    SGD,
-    Softmax,
-    StepLR,
-    Tanh,
-    clip_grad_norm,
-)
+from repro.errors import ConfigError
+from repro.nn import GELU, LeakyReLU, RMSProp, Softmax, Tanh
 from repro.nn.gradcheck import check_layer_input_grad
 from repro.nn.tensor import Parameter
 
 TOL = 1e-6
-
-
-class TestPooling:
-    def test_maxpool_values(self):
-        pool = MaxPool2d((2, 2))
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = pool(x)
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_maxpool_gradient(self, rng):
-        pool = MaxPool2d((2, 2))
-        x = rng.normal(size=(2, 3, 4, 6))
-        assert check_layer_input_grad(pool, x) < TOL
-
-    def test_maxpool_strided_gradient(self, rng):
-        pool = MaxPool2d((2, 2), stride=(1, 2))
-        x = rng.normal(size=(2, 2, 5, 6))
-        assert check_layer_input_grad(pool, x) < TOL
-
-    def test_avgpool_values(self):
-        pool = AvgPool2d((2, 2))
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = pool(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_gradient(self, rng):
-        pool = AvgPool2d((2, 3))
-        x = rng.normal(size=(2, 2, 4, 6))
-        assert check_layer_input_grad(pool, x) < TOL
-
-    def test_rejects_bad_kernel(self):
-        with pytest.raises(ShapeError):
-            MaxPool2d((0, 2))
 
 
 class TestActivations:
@@ -86,70 +38,6 @@ class TestActivations:
 
     def test_softmax_gradient(self, rng):
         assert check_layer_input_grad(Softmax(), rng.normal(size=(3, 5))) < TOL
-
-
-class TestSchedulers:
-    def _optimizer(self):
-        return SGD([Parameter(np.zeros(2))], lr=1.0)
-
-    def test_step_lr(self):
-        sched = StepLR(self._optimizer(), step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        sched = CosineAnnealingLR(self._optimizer(), total_epochs=10, min_lr=0.1)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        sched = CosineAnnealingLR(self._optimizer(), total_epochs=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_exponential(self):
-        sched = ExponentialLR(self._optimizer(), gamma=0.5)
-        assert sched.step() == pytest.approx(0.5)
-        assert sched.step() == pytest.approx(0.25)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ConfigError):
-            StepLR(self._optimizer(), step_size=0)
-        with pytest.raises(ConfigError):
-            ExponentialLR(self._optimizer(), gamma=0.0)
-
-
-class TestClipAndEarlyStop:
-    def test_clip_reduces_norm(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 10.0)
-        norm = clip_grad_norm([param], max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(param.grad) == pytest.approx(1.0)
-
-    def test_clip_leaves_small_gradients(self):
-        param = Parameter(np.zeros(4))
-        param.grad = np.full(4, 0.1)
-        clip_grad_norm([param], max_norm=5.0)
-        np.testing.assert_allclose(param.grad, 0.1)
-
-    def test_early_stopping_min_mode(self):
-        stopper = EarlyStopping(patience=2, mode="min")
-        values = [1.0, 0.9, 0.95, 0.96]
-        stops = [stopper.update(v) for v in values]
-        assert stops == [False, False, False, True]
-
-    def test_early_stopping_max_mode(self):
-        stopper = EarlyStopping(patience=1, mode="max")
-        assert not stopper.update(0.5)
-        assert not stopper.update(0.7)
-        assert stopper.update(0.6)
-
-    def test_min_delta_counts(self):
-        stopper = EarlyStopping(patience=1, min_delta=0.1, mode="min")
-        assert not stopper.update(1.0)
-        assert stopper.update(0.95)  # improvement below min_delta
 
 
 class TestRMSProp:
