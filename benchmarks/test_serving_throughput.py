@@ -7,9 +7,10 @@ bars of the serving layer:
 * closed-loop throughput >= 5x the sequential one-at-a-time loop
   (>= 2x under ``SERVE_QUICK=1``, where the tiny request counts leave
   the micro-batches half empty);
-* idle-arrival p99 latency within the coalescing policy bound
-  (``max_wait_ms`` + the single-service p99 + two GIL switch
-  intervals);
+* idle-arrival p99 latency within the work-conserving bound (the
+  single-service p99 + two GIL switch intervals: dispatch has no
+  coalescing window, so an idle request pays only its own service and
+  the two thread handoffs);
 * overload on a small queue actually sheds or rejects instead of
   queueing without bound;
 * the Poisson / diurnal arrival traces complete against a 2-process

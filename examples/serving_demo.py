@@ -4,15 +4,15 @@ A deployed verification service receives *single* requests — one 'EMM'
 per attempt — yet the inference engine is an order of magnitude more
 efficient per request when it runs batches.  The serving layer closes
 that gap: concurrent callers submit one recording each, a dynamic
-batcher coalesces them into micro-batches under a
-``(max_batch_size, max_wait_ms)`` policy, and every caller gets their
-own result back through a future.
+batcher hands whatever queued up while the worker was busy to the
+next batch (up to ``max_batch_size``), and every caller gets their own
+result back through a future.
 
 The demo walks through:
 
 1. many concurrent clients — watch the batch occupancy climb while
    every decision matches a direct ``verify``;
-2. an idle-arrival request — it pays at most the coalescing window;
+2. an idle-arrival request — dispatched at once, it pays one service;
 3. overload against a tiny admission queue — requests are *rejected*
    or *shed* explicitly instead of queueing without bound;
 4. graceful drain — accepted requests complete on shutdown.
@@ -49,7 +49,7 @@ def build_device() -> tuple[MandiPass, list]:
         extractor=extractor_config,
         security=SecurityConfig(template_dim=64, projected_dim=64, matrix_seed=1),
         inference=InferenceConfig(compute_dtype="float32"),
-        serving=ServingConfig(max_batch_size=32, max_wait_ms=5.0),
+        serving=ServingConfig(max_batch_size=32),
     )
     model = TwoBranchExtractor(extractor_config, num_classes=4, seed=0).eval()
     device = MandiPass(model, config=config)
@@ -105,14 +105,13 @@ def main() -> None:
     print(f"  decisions matching a direct verify: {matches}/{len(probes)}")
 
     # ------------------------------------------------------------------
-    # 2. Idle arrival: the coalescing window is the worst case.
+    # 2. Idle arrival: dispatched at once, no coalescing wait.
     # ------------------------------------------------------------------
     with AuthServer(device) as server:
         t0 = time.perf_counter()
         server.verify("alice", probes[0]).result(timeout=30)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-    print(f"\nIdle arrival: {elapsed_ms:.1f} ms end-to-end "
-          f"(window {device.config.serving.max_wait_ms} ms + one service)")
+    print(f"\nIdle arrival: {elapsed_ms:.1f} ms end-to-end (one service)")
 
     # ------------------------------------------------------------------
     # 3. Overload: explicit backpressure on a tiny queue.
@@ -121,9 +120,7 @@ def main() -> None:
     tally = {"ok": 0, "rejected": 0, "expired": 0}
     # Batches of 4: whatever queues behind the in-flight batch outlives
     # its 6 ms deadline and is shed instead of served late.
-    overload_config = ServingConfig(
-        max_batch_size=4, max_wait_ms=5.0, queue_capacity=8
-    )
+    overload_config = ServingConfig(max_batch_size=4, queue_capacity=8)
     with AuthServer(device, config=overload_config) as server:
         futures = [
             server.verify("alice", probes[i % len(probes)], timeout_ms=6.0)

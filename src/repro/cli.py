@@ -287,7 +287,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         quick=args.quick,
         dtype=args.dtype,
         max_batch_size=args.batch_size,
-        max_wait_ms=args.wait_ms,
         num_clients=args.clients,
         requests_per_client=args.requests,
         process_counts=processes,
@@ -301,8 +300,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     overload = baseline["open_loop"]
     arrivals = report["arrivals"]
     print(f"serving benchmark ({'quick' if args.quick else 'full'} mode, "
-          f"{report['config']['dtype']}, batch<= {args.batch_size}, "
-          f"wait {args.wait_ms} ms)")
+          f"{report['config']['dtype']}, batch<= {args.batch_size})")
     print(f"  machine    : {machine['usable_cpus']}/{machine['cpu_count']} "
           f"cpus usable, start method {machine['start_method']}, "
           f"python {machine['python']}")
@@ -546,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--requests", type=int, default=None,
                              help="requests per closed-loop client")
     serve_bench.add_argument("--batch-size", type=int, default=64)
-    serve_bench.add_argument("--wait-ms", type=float, default=4.0)
     serve_bench.add_argument(
         "--dtype", choices=("float32", "float64"), default="float32"
     )

@@ -313,76 +313,42 @@ class CascadeConfig:
 class ServingConfig:
     """Concurrent-serving policy for :class:`repro.serve.AuthServer`.
 
-    The dynamic batcher dispatches the batch at the head of its FIFO as
-    soon as either ``max_batch_size`` coalescible requests are queued
-    or the head request has waited ``max_wait_ms`` — so an idle-arrival
-    request pays at most ``max_wait_ms`` of queueing plus one batch
-    service time, and a loaded queue ships full batches.
+    Dispatch is work-conserving: an idle dispatcher takes the oldest
+    queued key group at once, up to ``max_batch_size`` requests, so an
+    idle-arrival request pays no coalescing wait — only its own service
+    time.  Batches form from the backlog that builds while a worker is
+    busy, so a loaded queue still ships full batches.
 
     Attributes:
         max_batch_size: upper bound on one micro-batch handed to the
             batch engine.  64 matches the hot-path benchmark's sweet
             spot (BENCH_hotpath.json).
-        max_wait_ms: longest a queued request may wait for co-batching
-            before being dispatched in a partial batch.
         queue_capacity: admission bound on queued requests; submissions
             beyond it resolve as explicitly *rejected* rather than
             growing an unbounded heap.
-        num_workers: batch-draining worker threads.  One worker already
-            saturates a single-core host (the forward holds the BLAS);
-            more overlap queueing with compute on multi-core hosts.
         drain_timeout_s: how long ``stop(drain=True)`` waits for the
             workers to finish the accepted backlog.
-        warm_gallery_on_start: build/sync the 1:N identification
-            gallery when the server starts, so the first identify
-            request does not pay the shard builds for the whole
-            enrolled backlog.  Best-effort: a transient warm-up
-            failure falls back to the lazy per-request sync.
         num_worker_processes: size of the multi-process worker pool
-            (DESIGN.md §4i).  0 (default) keeps the in-process thread
-            pool; N > 0 spawns N worker processes, each running the
-            full pipeline against shared-memory epochs, with one
-            dispatcher thread per process (``num_workers`` is then
-            ignored).  Escapes the GIL: thread workers only overlap
-            inside BLAS, process workers overlap everywhere.
-        mp_start_method: multiprocessing start method for the pool.
-            ``"spawn"`` (default) is portable and inherits no parent
-            locks; ``"fork"``/``"forkserver"`` start faster on Linux.
-        epoch_min_publish_interval_ms: floor on the time between two
-            shared-memory epoch publishes.  0 (default) publishes on
-            every observed template-version change; a positive value
-            coalesces mutation bursts — workers serve the previous
-            epoch (still internally consistent) until the interval
-            elapses.
+            (DESIGN.md §4i).  0 (default) serves from one in-process
+            dispatcher thread; N > 0 spawns N worker processes, each
+            running the full pipeline against shared-memory epochs,
+            with one dispatcher thread per process.  Escapes the GIL:
+            a second thread would only overlap inside BLAS, process
+            workers overlap everywhere.
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 5.0
     queue_capacity: int = 1024
-    num_workers: int = 1
     drain_timeout_s: float = 30.0
-    warm_gallery_on_start: bool = True
     num_worker_processes: int = 0
-    mp_start_method: str = "spawn"
-    epoch_min_publish_interval_ms: float = 0.0
 
     def __post_init__(self) -> None:
         _require(self.max_batch_size > 0, "max_batch_size must be positive")
-        _require(self.max_wait_ms >= 0.0, "max_wait_ms must be non-negative")
         _require(self.queue_capacity > 0, "queue_capacity must be positive")
-        _require(self.num_workers > 0, "num_workers must be positive")
         _require(self.drain_timeout_s > 0, "drain_timeout_s must be positive")
         _require(
             self.num_worker_processes >= 0,
             "num_worker_processes must be non-negative",
-        )
-        _require(
-            self.mp_start_method in ("spawn", "fork", "forkserver"),
-            "mp_start_method must be one of 'spawn', 'fork', 'forkserver'",
-        )
-        _require(
-            self.epoch_min_publish_interval_ms >= 0.0,
-            "epoch_min_publish_interval_ms must be non-negative",
         )
 
 

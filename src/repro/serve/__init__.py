@@ -7,11 +7,12 @@ This subsystem serves the traffic shape real deployments actually see,
 concurrent independent single requests, by coalescing them:
 
 * :class:`~repro.serve.server.AuthServer` — Future-style single-request
-  facade with optional per-request deadlines, worker threads, graceful
+  facade with optional per-request deadlines, graceful
   drain-on-shutdown;
 * :class:`~repro.serve.batcher.DynamicBatcher` — bounded admission
-  queue forming key-homogeneous micro-batches under a
-  ``(max_batch_size, max_wait_ms)`` policy, shedding expired requests;
+  queue with work-conserving dispatch: an idle worker takes the oldest
+  key group at once, up to ``max_batch_size`` requests, so batches
+  form only from backlog; expired requests are shed;
 * :class:`~repro.serve.locks.RWLock` — the readers/writer lock that
   serializes template mutations against in-flight scoring batches;
 * :class:`~repro.serve.pool.WorkerPool` — the multi-process worker

@@ -15,21 +15,15 @@ exposing three attributes —
     be *shed* instead of served, or ``None``.
 ``enqueued_at``
     stamped by :meth:`offer`; the batcher reads it back for the
-    ``max_wait`` policy and the queue-wait histogram.
+    queue-wait histogram.
 
-Policy: a worker blocked in :meth:`next_batch` dispatches the
-earliest-arrived key whose group is *ready* — **either**
-``max_batch_size`` items of that key are queued **or** its oldest item
-has waited ``max_wait_s`` (so an idle-arrival request pays at most
-``max_wait_s`` of queueing, and a loaded queue ships full batches).
-Keys are scanned in order of their oldest item, so the FIFO head
-always gets first claim and single-key behaviour is exactly the
-classic head policy; with several keys queued, a later key that
-already filled a batch no longer waits out the head's coalescing
-window — that head-of-line blocking was invisible with one worker but
-wastes real capacity once multiple dispatchers (one per worker
-process) drain the queue in parallel.  A closing batcher dispatches
-immediately — drain never waits out the coalescing timer.
+Policy: dispatch is work-conserving.  A worker blocked in
+:meth:`next_batch` takes the key of the FIFO head at once and ships up
+to ``max_batch_size`` queued items of that key — there is no coalescing
+timer, so an idle-arrival request pays no queueing beyond the wake-up.
+Batches still form from the backlog that builds while the workers are
+busy: the next dispatch after a long batch collects every request of
+the head's key that arrived meanwhile.
 
 Admission control is a bounded FIFO: :meth:`offer` returns ``False``
 instead of growing an unbounded heap; the caller translates that into
@@ -59,8 +53,6 @@ class DynamicBatcher:
 
     Args:
         max_batch_size: upper bound on one dispatched batch.
-        max_wait_s: longest the head request may wait for co-batching
-            before a partial batch is dispatched anyway.
         capacity: admission bound on queued (not yet dispatched) items.
         on_shed: called once per expired item, outside the lock.
     """
@@ -68,18 +60,14 @@ class DynamicBatcher:
     def __init__(
         self,
         max_batch_size: int,
-        max_wait_s: float,
         capacity: int,
         on_shed: Callable[[object], None] | None = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ConfigError("max_batch_size must be positive")
-        if max_wait_s < 0:
-            raise ConfigError("max_wait_s must be non-negative")
         if capacity <= 0:
             raise ConfigError("capacity must be positive")
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self.capacity = capacity
         self._on_shed = on_shed
         self._cond = threading.Condition()
@@ -132,12 +120,12 @@ class DynamicBatcher:
     # -- consumer side --------------------------------------------------
 
     def next_batch(self) -> list | None:
-        """Block until a micro-batch is ready; None once closed + empty.
+        """The head key's micro-batch; blocks only while the queue is
+        empty, and returns None once closed + empty.
 
-        Expired items encountered while waiting are shed promptly (the
-        ``on_shed`` callback runs between lock sections, so a future
-        blocked on a shed request resolves without waiting for the next
-        dispatch).
+        Expired items are shed before dispatch (the ``on_shed``
+        callback runs between lock sections, so a future blocked on a
+        shed request resolves without waiting for the next dispatch).
         """
         while True:
             shed: list = []
@@ -145,21 +133,16 @@ class DynamicBatcher:
             closed_and_empty = False
             with self._cond:
                 while True:
-                    now = time.monotonic()
-                    shed = self._pop_expired_locked(now)
+                    shed = self._pop_expired_locked(time.monotonic())
                     if shed:
                         break  # resolve outside the lock, then retry
                     if self._items:
-                        ready_key, wait = self._dispatch_policy_locked(now)
-                        if ready_key is not None:
-                            batch = self._take_batch_locked(ready_key)
-                            break
-                        self._cond.wait(wait)
-                    elif self._closed:
+                        batch = self._take_batch_locked(self._items[0].key)
+                        break
+                    if self._closed:
                         closed_and_empty = True
                         break
-                    else:
-                        self._cond.wait()
+                    self._cond.wait()
             for item in shed:
                 if self._on_shed is not None:
                     self._on_shed(item)
@@ -197,36 +180,6 @@ class DynamicBatcher:
         self._items = alive
         obs.set_gauge("serve_queue_depth", len(self._items))
         return shed
-
-    def _dispatch_policy_locked(self, now: float) -> tuple[object | None, float]:
-        """(ready_key | None, wait_s): the earliest dispatchable key group.
-
-        One O(n) scan builds per-key counts and oldest arrivals; keys
-        are then considered in order of their oldest item (insertion
-        order of the dict), so the FIFO head has first claim and the
-        single-key case degenerates to the classic head policy.
-        """
-        if self._closed:
-            return self._items[0].key, 0.0
-        counts: dict = {}
-        oldest: dict = {}
-        for item in self._items:
-            counts[item.key] = counts.get(item.key, 0) + 1
-            if item.key not in oldest:
-                oldest[item.key] = item.enqueued_at
-        for key, first_at in oldest.items():
-            if (
-                now - first_at >= self.max_wait_s
-                or counts[key] >= self.max_batch_size
-            ):
-                return key, 0.0
-        # Sleep until the earliest coalescing window closes or the
-        # nearest request deadline expires, whichever comes first.
-        wake = min(oldest.values()) + self.max_wait_s
-        for item in self._items:
-            if item.deadline is not None and item.deadline < wake:
-                wake = item.deadline
-        return None, max(wake - now, 1e-4)
 
     def _take_batch_locked(self, key) -> list:
         batch: list = []

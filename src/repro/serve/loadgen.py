@@ -2,8 +2,8 @@
 
 Backs ``python -m repro serve-bench``: measures what the dynamic
 micro-batcher actually buys over a sequential one-request-at-a-time
-loop on the same machine, and what idle-arrival requests pay for the
-coalescing window.  Workloads:
+loop on the same machine, and what an idle-arrival request pays on top
+of its own service time.  Workloads:
 
 * **sequential** — the baseline: one thread, ``system.verify`` per
   request, no batching.  This is what every caller had before the
@@ -16,7 +16,7 @@ coalescing window.  Workloads:
   per-request deadline, regardless of completions.  The schedule can
   be a constant rate, a seeded **Poisson** process (exponential
   inter-arrivals — the honest model of independent callers, whose
-  bursts are what actually stress a coalescing window), or a
+  bursts are what actually build a backlog to batch), or a
   **diurnal-burst** trace alternating quiet and peak phases (the
   day/night shape the paper's wearable scenario implies).
 * **worker sweep** — closed-loop throughput as a function of
@@ -60,6 +60,9 @@ from repro.errors import AdmissionRejectedError, DeadlineExpiredError
 from repro.obs import runtime as obs
 from repro.serve.server import AuthServer
 
+#: Queueing allowance (ms) in the overload and arrival-trace request
+#: deadlines, on top of their multiples of the single-service time.
+DEADLINE_SLACK_MS = 4.0
 
 @dataclasses.dataclass
 class LoadResult:
@@ -219,7 +222,7 @@ def poisson_arrivals(
 
     Exponential inter-arrivals at rate ``offered_rps`` — the honest
     model of independent callers.  Its bursts (several arrivals inside
-    one coalescing window) and gaps are exactly what a constant-rate
+    one service time) and gaps are exactly what a constant-rate
     schedule hides from the batcher.
     """
     rng = np.random.default_rng(seed)
@@ -344,25 +347,21 @@ def run_worker_sweep(
     num_clients: int = 8,
     requests_per_client: int = 8,
     max_batch_size: int = 4,
-    max_wait_ms: float = 1.0,
 ) -> dict:
     """Closed-loop throughput vs worker-process count, plus thread row.
 
     Uses a deliberately *pipeline-bound* configuration — small batches
-    and a short coalescing window — so per-request pipeline compute,
-    not batch amortisation, dominates; that is the regime where
-    GIL-free worker processes can scale and GIL-bound worker threads
-    cannot.  Each row re-runs the same closed-loop workload against a
-    fresh server; the ``"threads"`` row is the PR-6 in-process pool at
-    ``num_workers=1`` for reference.
+    — so per-request pipeline compute, not batch amortisation,
+    dominates; that is the regime where GIL-free worker processes can
+    scale and a GIL-bound thread cannot.  Each row re-runs the same
+    closed-loop workload against a fresh server; the ``"threads"`` row
+    is the single in-process dispatcher, for reference.
     """
     rows: list[dict] = []
     for processes in [0, *process_counts]:
         serving = ServingConfig(
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             queue_capacity=max(4 * num_clients, 64),
-            num_workers=1,
             num_worker_processes=processes,
         )
         system, user_id, probes = build_bench_system(
@@ -391,7 +390,6 @@ def run_worker_sweep(
     return {
         "config": {
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "num_clients": num_clients,
             "requests_per_client": requests_per_client,
         },
@@ -403,7 +401,6 @@ def serving_benchmark(
     quick: bool = False,
     dtype: str = "float32",
     max_batch_size: int = 64,
-    max_wait_ms: float = 4.0,
     num_clients: int | None = None,
     requests_per_client: int | None = None,
     process_counts: list[int] | None = None,
@@ -429,9 +426,7 @@ def serving_benchmark(
 
     serving = ServingConfig(
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         queue_capacity=max(4 * num_clients, 64),
-        num_workers=1,
     )
     system, user_id, probes = build_bench_system(dtype=dtype, serving=serving)
 
@@ -452,7 +447,7 @@ def serving_benchmark(
                 server, user_id, probes, num_clients, requests_per_client
             )
             # Idle arrivals: one at a time against the otherwise-idle
-            # server; each pays the coalescing window + one service.
+            # server; each pays one service plus the thread handoffs.
             idle_latencies: list[float] = []
             for i in range(idle_requests):
                 t0 = time.perf_counter()
@@ -474,10 +469,7 @@ def serving_benchmark(
     # deadlines on a small queue; sheds and rejects instead of melting
     # down.
     overload_serving = ServingConfig(
-        max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-        queue_capacity=8,
-        num_workers=1,
+        max_batch_size=max_batch_size, queue_capacity=8
     )
     overload_rate = max(2.0 * closed.throughput_rps, 50.0)
     with AuthServer(system, config=overload_serving) as server:
@@ -487,7 +479,7 @@ def serving_benchmark(
             probes,
             num_requests=open_requests,
             offered_rps=overload_rate,
-            timeout_ms=2 * max_wait_ms + 2 * single_service_ms,
+            timeout_ms=2 * DEADLINE_SLACK_MS + 2 * single_service_ms,
         )
 
     speedup = (
@@ -495,26 +487,25 @@ def serving_benchmark(
         if sequential.throughput_rps
         else float("nan")
     )
-    # An idle request additionally crosses two GIL handoffs the direct
-    # call never pays (client -> worker when the window expires, worker
-    # -> client on resolve); each is worth up to one interpreter switch
-    # interval, so the bound carries that slack explicitly.
+    # Dispatch is work-conserving, so an idle request pays no queueing
+    # wait — only two GIL handoffs the direct call never pays (client ->
+    # worker on submit, worker -> client on resolve); each is worth up
+    # to one interpreter switch interval, so the bound carries that
+    # slack explicitly.
     wakeup_slack_ms = 2.0 * sys.getswitchinterval() * 1e3
-    idle_bound_ms = max_wait_ms + service_tail_ms + wakeup_slack_ms
+    idle_bound_ms = service_tail_ms + wakeup_slack_ms
 
     # Arrival-process traces against a 2-process pool: a sustainable
-    # Poisson rate (bursts stress the coalescing window but the server
-    # keeps up) and a diurnal trace whose peaks overrun capacity (the
+    # Poisson rate (bursts build short backlogs but the server keeps
+    # up) and a diurnal trace whose peaks overrun capacity (the
     # bursts shed, the quiet phases recover — that is the whole story).
     sustainable_rps = 0.5 * closed.throughput_rps
     arrival_serving = ServingConfig(
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         queue_capacity=max(4 * num_clients, 64),
-        num_workers=1,
         num_worker_processes=2,
     )
-    arrival_deadline_ms = 4 * max_wait_ms + 8 * single_service_ms
+    arrival_deadline_ms = 4 * DEADLINE_SLACK_MS + 8 * single_service_ms
     with AuthServer(system, config=arrival_serving) as server:
         server.verify(user_id, probes[0]).result(timeout=120)  # warm spawn
         poisson = run_open_loop(
@@ -549,14 +540,12 @@ def serving_benchmark(
 
     report = {
         "quick": quick,
-        "machine": machine_info(arrival_serving.mp_start_method),
+        "machine": machine_info("spawn"),
         "config": {
             "dtype": dtype,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "num_clients": num_clients,
             "requests_per_client": requests_per_client,
-            "num_workers": serving.num_workers,
         },
         "baseline": {
             "sequential": {
@@ -572,7 +561,7 @@ def serving_benchmark(
                 "bound_ms": idle_bound_ms,
                 "within_bound": bool(idle.percentile_ms(99) <= idle_bound_ms),
                 "policy": (
-                    "p99 <= max_wait_ms + one batch service time (p99 tail)"
+                    "p99 <= one batch service time (p99 tail)"
                     " + 2 GIL switch intervals"
                 ),
             },

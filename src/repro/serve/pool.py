@@ -1,8 +1,8 @@
 """The multi-process worker pool behind :class:`~repro.serve.server.AuthServer`.
 
 Thread workers only overlap inside BLAS: preprocessing, onset
-detection, the batcher and gallery sync all contend on the GIL, so
-``num_workers`` beyond 1 buys almost nothing on CPU-bound traffic.
+detection, the batcher and gallery sync all contend on the GIL, so a
+second dispatcher thread buys almost nothing on CPU-bound traffic.
 This module escapes the interpreter instead (DESIGN.md §4i):
 
 * **Topology.**  ``num_worker_processes`` spawned worker processes,
@@ -53,7 +53,6 @@ import itertools
 import os
 import pickle
 import threading
-import time
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import TYPE_CHECKING
@@ -336,9 +335,8 @@ class WorkerPool:
 
     def __init__(self, system: "MandiPass", config: "ServingConfig") -> None:
         self._system = system
-        self.config = config
         self.num_processes = config.num_worker_processes
-        self._ctx = get_context(config.mp_start_method)
+        self._ctx = get_context("spawn")
         self._publish_lock = threading.Lock()
         self._batch_ids = itertools.count(1)
         self._workers: list[_Worker | None] = [None] * self.num_processes
@@ -355,7 +353,6 @@ class WorkerPool:
         self._epoch_manifest: dict | None = None
         self._epoch_generation = 0
         self._published_version: int | None = None
-        self._last_publish_at = float("-inf")
         self._retired: list[tuple[int, object]] = []
         self._stopped = False
         self.metrics = WorkerMetricsAggregator()
@@ -489,13 +486,6 @@ class WorkerPool:
         with self._publish_lock:
             if self._stopped:
                 return
-            now = time.monotonic()
-            if (
-                self._epoch_generation > 0
-                and (now - self._last_publish_at)
-                < self.config.epoch_min_publish_interval_ms / 1000.0
-            ):
-                return  # coalesce bursts: serve the previous epoch
             version, arrays, meta = self._system.export_epoch()
             if self._published_version == version:
                 return
@@ -511,7 +501,6 @@ class WorkerPool:
             self._epoch_segment = segment
             self._epoch_manifest = manifest
             self._published_version = version
-            self._last_publish_at = now
             obs.inc("serve_epoch_publishes_total")
             obs.set_gauge("serve_worker_epoch_generation", self._epoch_generation)
             obs.set_gauge("serve_epoch_bytes", manifest["nbytes"])

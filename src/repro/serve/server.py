@@ -8,12 +8,13 @@ layer:
 
 * callers submit one recording at a time (:meth:`verify` /
   :meth:`identify`) and get an :class:`AuthFuture` back immediately;
-* a :class:`~repro.serve.batcher.DynamicBatcher` coalesces queued
-  requests into key-homogeneous micro-batches under the configured
-  ``(max_batch_size, max_wait_ms)`` policy, shedding requests whose
-  per-request deadline expired while queued;
-* worker threads drain batches into the underlying
-  :class:`~repro.core.system.MandiPass` batch APIs and fan the results
+* a :class:`~repro.serve.batcher.DynamicBatcher` hands the oldest
+  queued key group, up to ``max_batch_size`` requests, to an idle
+  worker at once (work-conserving: no coalescing timer), shedding
+  requests whose per-request deadline expired while queued — batches
+  form from the backlog that builds while a worker is busy;
+* a worker drains batches into the underlying
+  :class:`~repro.core.system.MandiPass` batch APIs and fans the results
   back out, one per future, in submission order within the batch.
 
 Admission control is explicit: a full bounded queue (or a stopped
@@ -190,8 +191,8 @@ class AuthServer:
     Two execution modes share every submission/batching/settlement code
     path (DESIGN.md §4i):
 
-    * ``num_worker_processes == 0`` (default): ``num_workers`` threads
-      drain batches into the facade's batch APIs in-process.
+    * ``num_worker_processes == 0`` (default): one dispatcher thread
+      drains batches into the facade's batch APIs in-process.
     * ``num_worker_processes == N > 0``: a
       :class:`~repro.serve.pool.WorkerPool` of N spawned processes runs
       the pipeline against shared-memory epochs, with one dispatcher
@@ -234,7 +235,6 @@ class AuthServer:
         )
         self._batcher = DynamicBatcher(
             max_batch_size=self.config.max_batch_size,
-            max_wait_s=self.config.max_wait_ms / 1000.0,
             capacity=self.config.queue_capacity,
             on_shed=self._shed,
         )
@@ -248,12 +248,12 @@ class AuthServer:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "AuthServer":
-        """Spawn the worker threads (idempotent until stopped).
+        """Start the dispatcher thread(s) (idempotent until stopped).
 
-        Also pre-builds the 1:N gallery (``warm_gallery_on_start``), so
-        the first identify request pays scoring cost only; a transient
-        build fault is swallowed here — identification lazily retries
-        and degrades to per-user scoring until the build succeeds.
+        Also pre-builds the 1:N gallery, so the first identify request
+        pays scoring cost only; a transient build fault is swallowed
+        here — identification lazily retries and degrades to per-user
+        scoring until the build succeeds.
         """
         with self._state_lock:
             if self._stopped:
@@ -261,22 +261,19 @@ class AuthServer:
             if self._started:
                 return self
             self._started = True
-            if self.config.warm_gallery_on_start:
-                try:
-                    self.system.warm_gallery()
-                except TransientError:
-                    obs.inc("degraded_total", path="gallery_warmup")
+            try:
+                self.system.warm_gallery()
+            except TransientError:
+                obs.inc("degraded_total", path="gallery_warmup")
             if self.config.num_worker_processes > 0:
                 from repro.serve.pool import WorkerPool
 
                 self._pool = WorkerPool(self.system, self.config)
                 self._pool.start()  # unlinks its segments if boot fails
             # Pool mode pairs one dispatcher thread with each worker
-            # process; thread mode keeps the in-process pool.
-            num_workers = (
-                self.config.num_worker_processes or self.config.num_workers
-            )
-            for index in range(num_workers):
+            # process; thread mode runs exactly one dispatcher, since a
+            # second thread only contends on the GIL.
+            for index in range(max(self.config.num_worker_processes, 1)):
                 worker = threading.Thread(
                     target=self._worker_loop,
                     args=(index,),

@@ -558,7 +558,7 @@ class TestGalleryShardFaults:
 
 
 def _quiet_serving() -> ServingConfig:
-    return ServingConfig(num_workers=1, max_batch_size=4, max_wait_ms=2.0)
+    return ServingConfig(max_batch_size=4)
 
 
 class TestServerResilience:

@@ -206,7 +206,7 @@ class TestRWLock:
 
 class TestDynamicBatcher:
     def test_offer_bounded_and_closed(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_s=10.0, capacity=2)
+        batcher = DynamicBatcher(max_batch_size=4, capacity=2)
         assert batcher.offer(_item())
         assert batcher.offer(_item())
         assert not batcher.offer(_item())  # full
@@ -217,7 +217,7 @@ class TestDynamicBatcher:
 
     @watchdog()
     def test_coalesces_by_key_in_fifo_order(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_s=0.0, capacity=16)
+        batcher = DynamicBatcher(max_batch_size=8, capacity=16)
         a1, a2, b1, a3 = _item("a"), _item("a"), _item("b"), _item("a")
         for item in (a1, a2, b1, a3):
             assert batcher.offer(item)
@@ -228,20 +228,30 @@ class TestDynamicBatcher:
 
     @watchdog()
     def test_full_batch_dispatches_before_wait_window(self):
-        batcher = DynamicBatcher(max_batch_size=2, max_wait_s=30.0, capacity=16)
-        items = [_item() for _ in range(5)]
-        for item in items:
-            batcher.offer(item)
-        t0 = time.monotonic()
-        assert batcher.next_batch() == items[:2]
-        assert batcher.next_batch() == items[2:4]
-        assert time.monotonic() - t0 < 5.0  # did not wait out 30s windows
+        batcher = DynamicBatcher(max_batch_size=2, capacity=16)
+        # Dispatch is work-conserving: there is no coalescing window at
+        # all, so a lone item comes straight back on the offering thread
+        # (a hang trips the watchdog).
+        lone = _item("a")
+        assert batcher.offer(lone)
+        assert batcher.next_batch() == [lone]
+        assert batcher.depth == 0
+        # A backlog offered with no consumer running ships as batches of
+        # at most max_batch_size, the oldest queued key first.
+        b1, a1, b2, a2, a3, b3 = (_item(key) for key in "babaab")
+        for item in (b1, a1, b2, a2, a3, b3):
+            assert batcher.offer(item)
+        assert batcher.next_batch() == [b1, b2]
+        assert batcher.next_batch() == [a1, a2]
+        assert batcher.next_batch() == [a3]
+        assert batcher.next_batch() == [b3]
+        assert batcher.depth == 0
 
     @watchdog()
     def test_expired_items_are_shed_not_served(self):
         shed: list = []
         batcher = DynamicBatcher(
-            max_batch_size=8, max_wait_s=0.0, capacity=16, on_shed=shed.append
+            max_batch_size=8, capacity=16, on_shed=shed.append
         )
         expired = _item(deadline=time.monotonic() - 1.0)
         alive = _item()
@@ -253,21 +263,19 @@ class TestDynamicBatcher:
 
     @watchdog()
     def test_close_drains_then_returns_none(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_s=60.0, capacity=16)
+        batcher = DynamicBatcher(max_batch_size=8, capacity=16)
         item = _item()
         batcher.offer(item)
         batcher.close()
-        # Closing short-circuits the 60s coalescing window.
+        # Closing stops admission; the queued item still drains.
         assert batcher.next_batch() == [item]
         assert batcher.next_batch() is None
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            DynamicBatcher(max_batch_size=0, max_wait_s=1.0, capacity=4)
+            DynamicBatcher(max_batch_size=0, capacity=4)
         with pytest.raises(ConfigError):
-            DynamicBatcher(max_batch_size=4, max_wait_s=-1.0, capacity=4)
-        with pytest.raises(ConfigError):
-            DynamicBatcher(max_batch_size=4, max_wait_s=1.0, capacity=0)
+            DynamicBatcher(max_batch_size=4, capacity=0)
 
 
 class TestServingConfig:
@@ -279,9 +287,7 @@ class TestServingConfig:
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
             {"queue_capacity": 0},
-            {"num_workers": 0},
             {"drain_timeout_s": 0.0},
         ],
     )
@@ -297,9 +303,7 @@ class TestAuthServer:
     @watchdog()
     def test_pre_start_coalescing_reaches_max_batch_size(self, serve_system):
         system, user_id, probes = serve_system
-        config = ServingConfig(
-            max_batch_size=4, max_wait_ms=5000.0, queue_capacity=64
-        )
+        config = ServingConfig(max_batch_size=4, queue_capacity=64)
         server = AuthServer(system, config=config)
         with obs.collecting() as registry:
             futures = [
@@ -311,15 +315,15 @@ class TestAuthServer:
             server.stop()
             snapshot = registry.to_dict()
         occupancy = snapshot["histograms"]["serve_batch_occupancy"]
-        # Size, not the (huge) wait window, triggered dispatch: 8
-        # same-key requests became exactly two full batches of 4.
+        # The backlog queued before start shipped as full batches: 8
+        # same-key requests became exactly two batches of 4.
         assert occupancy["count"] == 2
         assert occupancy["sum"] == 8.0
 
     @watchdog()
     def test_wait_window_bounds_idle_latency(self, serve_system):
         system, user_id, probes = serve_system
-        config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
+        config = ServingConfig(max_batch_size=64)
         with obs.collecting() as registry:
             with AuthServer(system, config=config) as server:
                 t0 = time.perf_counter()
@@ -327,9 +331,8 @@ class TestAuthServer:
                 elapsed = time.perf_counter() - t0
             snapshot = registry.to_dict()
         assert result is not None
-        # The lone request waited out (roughly) the 50 ms window, then
-        # was served without needing 63 co-riders.
-        assert elapsed >= 0.04
+        # With no coalescing window the lone request is served at once,
+        # in a batch of its own, without waiting for 63 co-riders.
         assert elapsed < 10.0
         occupancy = snapshot["histograms"]["serve_batch_occupancy"]
         assert occupancy["count"] == 1 and occupancy["sum"] == 1.0
@@ -337,7 +340,7 @@ class TestAuthServer:
     @watchdog()
     def test_deadline_shedding(self, serve_system):
         system, user_id, probes = serve_system
-        config = ServingConfig(max_batch_size=8, max_wait_ms=1.0)
+        config = ServingConfig(max_batch_size=8)
         server = AuthServer(system, config=config)
         with obs.collecting() as registry:
             # Submitted before start: the deadline expires while queued.
@@ -356,7 +359,7 @@ class TestAuthServer:
     @watchdog()
     def test_bounded_queue_rejects_then_serves_accepted(self, serve_system):
         system, user_id, probes = serve_system
-        config = ServingConfig(max_batch_size=8, max_wait_ms=1.0, queue_capacity=4)
+        config = ServingConfig(max_batch_size=8, queue_capacity=4)
         server = AuthServer(system, config=config)
         futures = [server.verify(user_id, probes[i]) for i in range(5)]
         # The fifth submission overflowed the bounded queue: rejected
@@ -373,9 +376,7 @@ class TestAuthServer:
     @watchdog()
     def test_drain_on_shutdown_completes_accepted(self, serve_system):
         system, user_id, probes = serve_system
-        # A window long enough that only the drain can explain the
-        # requests resolving promptly.
-        config = ServingConfig(max_batch_size=64, max_wait_ms=20000.0)
+        config = ServingConfig(max_batch_size=64)
         server = AuthServer(system, config=config).start()
         futures = [
             server.verify(user_id, probes[i % len(probes)]) for i in range(6)
@@ -444,7 +445,7 @@ class TestParity:
         direct = system.verify_many(user_id, probes)
         # All requests queued before start -> one micro-batch with the
         # exact composition of the direct call -> bitwise equality.
-        config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
+        config = ServingConfig(max_batch_size=64)
         server = AuthServer(system, config=config)
         futures = [server.verify(user_id, probe) for probe in probes]
         server.start()
@@ -459,7 +460,7 @@ class TestParity:
         direct = system.verify_many(user_id, probes)
         # max_batch_size=5 forces uneven micro-batches (5 + 5 + 2):
         # decisions must not depend on how the batcher split the queue.
-        config = ServingConfig(max_batch_size=5, max_wait_ms=50.0)
+        config = ServingConfig(max_batch_size=5)
         server = AuthServer(system, config=config)
         futures = [server.verify(user_id, probe) for probe in probes]
         server.start()
@@ -472,7 +473,7 @@ class TestParity:
     def test_identify_bitwise_equal_when_batch_matches(self, serve_system):
         system, user_id, probes = serve_system
         direct = system.identify_many(probes[:6])
-        config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
+        config = ServingConfig(max_batch_size=64)
         server = AuthServer(system, config=config)
         futures = [server.identify(probe) for probe in probes[:6]]
         server.start()
@@ -485,7 +486,8 @@ class TestParity:
     def test_concurrent_submitters_match_direct(self, serve_system):
         system, user_id, probes = serve_system
         direct = system.verify_many(user_id, probes)
-        config = ServingConfig(max_batch_size=8, max_wait_ms=5.0)
+        lone = system.verify_many(user_id, probes[:1])[0]
+        config = ServingConfig(max_batch_size=8)
         results: list = [None] * len(probes)
         with AuthServer(system, config=config) as server:
             barrier = threading.Barrier(len(probes))
@@ -500,11 +502,24 @@ class TestParity:
                 threading.Thread(target=client, args=(i,), daemon=True)
                 for i in range(len(probes))
             ]
-            for thread in threads:
-                thread.start()
+            # The clients submit while the dispatcher is busy with a
+            # lone request held on the facade's read lock, so their
+            # burst becomes the backlog the next batches are cut from.
+            # A float32 batch of one re-associates the extractor gemms
+            # differently from every larger batch (about 1e-6 relative
+            # in distance), beyond the split tolerance checked below.
+            with system._rwlock.write_locked():
+                blocker = server.verify(user_id, probes[0])
+                while server.queue_depth:
+                    time.sleep(0.001)
+                for thread in threads:
+                    thread.start()
+                while server.queue_depth < len(probes):
+                    time.sleep(0.001)
             for thread in threads:
                 thread.join(30)
-        # Batch composition under concurrency is nondeterministic, so
+        _assert_same_result(blocker.result(timeout=30), lone, strict=True)
+        # How the backlog splits into batches depends on scheduling, so
         # this is the split-tolerant comparison.
         for got, want in zip(results, direct):
             _assert_same_result(got, want, strict=False)
@@ -513,7 +528,7 @@ class TestParity:
     def test_mutations_serialize_against_scoring(self, serve_system):
         system, user_id, probes = serve_system
         reference = system.verify(user_id, probes[0])
-        config = ServingConfig(max_batch_size=8, max_wait_ms=2.0)
+        config = ServingConfig(max_batch_size=8)
         enroll_recordings = probes[:4]
         stop_mutating = threading.Event()
 
@@ -628,7 +643,7 @@ class TestShutdownEdgeCases:
         PENDING.
         """
         system, user_id, probes = serve_system
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0)
+        config = ServingConfig(max_batch_size=4)
         server = AuthServer(system, config=config).start()
         futures: list = []
         submitting = threading.Event()
@@ -697,16 +712,15 @@ class TestShutdownEdgeCases:
             return settled
 
         monkeypatch.setattr(AuthFuture, "_settle", counting)
-        config = ServingConfig(
-            num_workers=1, max_batch_size=4, max_wait_ms=5000.0
-        )
+        config = ServingConfig(max_batch_size=4)
         server = AuthServer(system, config=config)
         plan = FaultPlan(
             [FaultRule("serve.worker", "kill", max_fires=1)], seed=0
         )
         with plan.active():
+            # Queued before start, so the one killed batch holds all 4.
+            doomed = [server.verify(user_id, probes[i]) for i in range(4)]
             with server:
-                doomed = [server.verify(user_id, probes[i]) for i in range(4)]
                 for future in doomed:
                     assert future.wait(30)
                     assert future.status is RequestStatus.FAILED

@@ -252,13 +252,9 @@ class TestAdoptState:
 
 class TestPoolConfig:
     def test_new_knobs_validate(self):
-        ServingConfig(num_worker_processes=2, mp_start_method="spawn")
+        ServingConfig(num_worker_processes=2)
         with pytest.raises(ConfigError):
             ServingConfig(num_worker_processes=-1)
-        with pytest.raises(ConfigError):
-            ServingConfig(mp_start_method="teleport")
-        with pytest.raises(ConfigError):
-            ServingConfig(epoch_min_publish_interval_ms=-1.0)
 
 
     def test_pool_mode_refuses_a_cascade_system(self):
@@ -384,9 +380,7 @@ class TestWorkerPool:
         system, user_id, probes = pool_system
         direct_verify = system.verify_many(user_id, probes)
         direct_identify = system.identify_many(probes[:6])
-        config = ServingConfig(
-            num_worker_processes=2, max_batch_size=64, max_wait_ms=50.0
-        )
+        config = ServingConfig(num_worker_processes=2, max_batch_size=64)
         server = AuthServer(system, config=config)
         # Queue everything before start: one micro-batch per kind with
         # the direct call's exact composition -> bitwise equality even
@@ -421,9 +415,7 @@ class TestWorkerPool:
         system, user_id, probes = pool_system
         probe = probes[1]
         pre = system.identify_many([probe])[0]
-        config = ServingConfig(
-            num_worker_processes=1, max_batch_size=1, max_wait_ms=0.5
-        )
+        config = ServingConfig(num_worker_processes=1, max_batch_size=1)
         population = sample_population(4, 1, seed=0)
         recorder = Recorder(seed=33)
         enrollment = [
@@ -481,14 +473,13 @@ class TestWorkerPool:
             return settled
 
         monkeypatch.setattr(AuthFuture, "_settle", counting)
-        config = ServingConfig(
-            num_worker_processes=1, max_batch_size=4, max_wait_ms=5000.0
-        )
+        config = ServingConfig(num_worker_processes=1, max_batch_size=4)
         server = AuthServer(system, config=config)
         plan = FaultPlan([FaultRule("serve.worker", "kill", max_fires=1)], seed=0)
         with plan.active():
+            # Queued before start, so the one killed batch holds all 4.
+            doomed = [server.verify(user_id, probes[i]) for i in range(4)]
             with server:
-                doomed = [server.verify(user_id, probes[i]) for i in range(4)]
                 for future in doomed:
                     assert future.wait(60)
                     assert future.status is RequestStatus.FAILED
