@@ -25,9 +25,9 @@ from repro.ml import (
     KNNClassifier,
     LinearSVMClassifier,
     MLPClassifier,
-    statistical_features_batch,
     train_test_split,
 )
+from repro.cascade.features import statistical_features_batch
 
 from conftest import once
 

@@ -15,8 +15,8 @@ from repro.errors import SignalError
 from repro.eval.reporting import render_table
 from repro.imu import Recorder
 from repro.physio import sample_population
-from repro.security import (
-    CancelableTransform,
+from repro.security import CancelableTransform
+from repro.security.attacks import (
     ImpersonationAttacker,
     ReplayAttacker,
     ZeroEffortAttacker,

@@ -12,7 +12,9 @@ import numpy as np
 
 from repro import Recorder, sample_population
 from repro.config import PreprocessConfig
-from repro.dsp import Preprocessor, envelope, estimate_f0, spectrogram
+from repro.dsp import Preprocessor
+from repro.dsp.analysis import envelope, estimate_f0
+from repro.dsp.stft import spectrogram
 from repro.dsp.detection import detect_onset
 
 FS = 350.0

@@ -13,7 +13,7 @@ from repro.config import ExtractorConfig, MandiPassConfig, SecurityConfig
 from repro.core.similarity import cosine_distance
 from repro.datasets.cache import DatasetCache
 from repro.datasets.standard import generate_hired_corpus
-from repro.security import ReplayAttacker
+from repro.security.attacks import ReplayAttacker
 
 
 def main() -> None:

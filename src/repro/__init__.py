@@ -17,113 +17,75 @@ Quickstart::
     model, _ = train_extractor(hired.features, hired.labels)
     system = MandiPass(model)
     # record / enroll / verify -- see examples/quickstart.py
+
+Every name below is loaded from its module on first access (PEP 562),
+so ``import repro`` loads nothing, and a serving process that never
+touches the simulator, the trainer or the evaluation harness never
+imports them.
 """
 
-from repro.config import (
-    CascadeConfig,
-    DEFAULT_CONFIG,
-    DecisionConfig,
-    ExtractorConfig,
-    FusionConfig,
-    InferenceConfig,
-    MandiPassConfig,
-    PreprocessConfig,
-    SamplingConfig,
-    SecurityConfig,
-    ServingConfig,
-    StreamConfig,
-    TrainingConfig,
-)
-# repro.core must load before repro.cascade: core.system finishes the
-# cascade package's initialization itself (it imports repro.cascade while
-# cascade's modules only reach back into repro.core *submodules*).
-from repro.core import (
-    BatchItemFailure,
-    BatchOutcome,
-    InferenceEngine,
-    MandiPass,
-    TwoBranchExtractor,
-    cosine_distance,
-    extract_embeddings,
-    train_extractor,
-)
-from repro.cascade import (
-    ExitPolicy,
-    Stage1Gate,
-    calibrate_cascade,
-)
-from repro import obs
-from repro.datasets import DatasetCache, DatasetSpec, SynthDataset, generate_dataset
-from repro.dsp import Preprocessor
-from repro.errors import ReproError
-from repro.obs import MetricsRegistry
-from repro.imu import IDEAL_IMU, MPU6050, MPU9250, Recorder
-from repro.physio import (
-    HeartbeatVerifier,
-    PersonProfile,
-    RecordingCondition,
-    sample_population,
-)
-from repro.security import CancelableTransform, SecureEnclave
-from repro.serve import AuthFuture, AuthServer, RequestStatus
-from repro.stream import SessionDecision, SessionState, StreamSession
-from repro.types import Activity, EarSide, Gender, Mouthful, Tone, VerificationResult
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Activity",
-    "AuthFuture",
-    "AuthServer",
-    "BatchItemFailure",
-    "BatchOutcome",
-    "CancelableTransform",
-    "CascadeConfig",
-    "DEFAULT_CONFIG",
-    "DatasetCache",
-    "DatasetSpec",
-    "DecisionConfig",
-    "EarSide",
-    "ExitPolicy",
-    "ExtractorConfig",
-    "FusionConfig",
-    "Gender",
-    "HeartbeatVerifier",
-    "IDEAL_IMU",
-    "InferenceConfig",
-    "InferenceEngine",
-    "MPU6050",
-    "MPU9250",
-    "MandiPass",
-    "MandiPassConfig",
-    "MetricsRegistry",
-    "Mouthful",
-    "PersonProfile",
-    "PreprocessConfig",
-    "Preprocessor",
-    "Recorder",
-    "RecordingCondition",
-    "ReproError",
-    "RequestStatus",
-    "SamplingConfig",
-    "SecureEnclave",
-    "SecurityConfig",
-    "ServingConfig",
-    "SessionDecision",
-    "SessionState",
-    "Stage1Gate",
-    "StreamConfig",
-    "StreamSession",
-    "SynthDataset",
-    "Tone",
-    "TrainingConfig",
-    "TwoBranchExtractor",
-    "VerificationResult",
-    "calibrate_cascade",
-    "cosine_distance",
-    "extract_embeddings",
-    "generate_dataset",
-    "obs",
-    "sample_population",
-    "train_extractor",
-]
+_EXPORTS = {
+    "repro.cascade.calibrate": ("calibrate_cascade",),
+    "repro.cascade.policy": ("ExitPolicy",),
+    "repro.cascade.stage1": ("Stage1Gate",),
+    "repro.config": (
+        "CascadeConfig",
+        "DEFAULT_CONFIG",
+        "DecisionConfig",
+        "ExtractorConfig",
+        "InferenceConfig",
+        "MandiPassConfig",
+        "PreprocessConfig",
+        "SamplingConfig",
+        "SecurityConfig",
+        "ServingConfig",
+        "StreamConfig",
+        "TrainingConfig",
+    ),
+    "repro.core.engine": ("BatchItemFailure", "BatchOutcome", "InferenceEngine"),
+    "repro.core.extractor": ("TwoBranchExtractor",),
+    "repro.core.mandibleprint": ("extract_embeddings",),
+    "repro.core.similarity": ("cosine_distance",),
+    "repro.core.system": ("MandiPass",),
+    "repro.core.training": ("train_extractor",),
+    "repro.datasets.cache": ("DatasetCache",),
+    "repro.datasets.synth": ("DatasetSpec", "SynthDataset", "generate_dataset"),
+    "repro.dsp.pipeline": ("Preprocessor",),
+    "repro.errors": ("ReproError",),
+    "repro.imu.device": ("IDEAL_IMU", "MPU6050", "MPU9250"),
+    "repro.imu.recorder": ("Recorder",),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.physio.conditions": ("RecordingCondition",),
+    "repro.physio.heartbeat": ("HeartbeatVerifier",),
+    "repro.physio.person": ("PersonProfile",),
+    "repro.physio.population": ("sample_population",),
+    "repro.security.cancelable": ("CancelableTransform",),
+    "repro.security.enclave": ("SecureEnclave",),
+    "repro.serve.server": ("AuthFuture", "AuthServer", "RequestStatus"),
+    "repro.stream.session": ("SessionDecision", "SessionState", "StreamSession"),
+    "repro.types": (
+        "Activity",
+        "EarSide",
+        "Gender",
+        "Mouthful",
+        "Tone",
+        "VerificationResult",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# ``obs`` is a subpackage: ``from repro import obs`` imports it directly.
+__all__ = sorted([*_MODULE_OF, "obs"])
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

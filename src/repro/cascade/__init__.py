@@ -5,14 +5,18 @@ the full extractor.  The routing itself lives in
 :func:`repro.core.verification.verify_batch`; this package holds its
 parts:
 
-* :mod:`repro.cascade.stage1` — the per-user gate producing scores;
+* :mod:`repro.cascade.stage1` — the per-user gate producing scores
+  from the Section V-A statistical features
+  (:mod:`repro.cascade.features`);
 * :mod:`repro.cascade.policy` — the ``(t_accept, t_reject)`` exit band
-  plus deterministic audit sampling;
+  plus deterministic audit sampling.
+
+Outside the serving path, and so not imported here:
+
 * :mod:`repro.cascade.calibrate` — held-out threshold sweeps with
   pinned FAR/FRR deltas versus the full pipeline;
 * :mod:`repro.cascade.bench` — the speed-vs-quality benchmark behind
-  ``python -m repro cascade-bench`` (imported lazily; it pulls in the
-  serving stack).
+  ``python -m repro cascade-bench``.
 """
 
 from repro.cascade.policy import (
@@ -23,10 +27,8 @@ from repro.cascade.policy import (
     ExitPolicy,
 )
 from repro.cascade.stage1 import Stage1Gate, Stage1Reference
-from repro.cascade.calibrate import CascadeCalibration, SweepPoint, calibrate_cascade
 
 __all__ = [
-    "CascadeCalibration",
     "ExitPolicy",
     "ROUTE_ACCEPT",
     "ROUTE_BORDERLINE",
@@ -34,6 +36,4 @@ __all__ = [
     "ROUTE_REJECT",
     "Stage1Gate",
     "Stage1Reference",
-    "SweepPoint",
-    "calibrate_cascade",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import VerificationError
 from repro.faults import runtime as faults
-from repro.ml.features import statistical_features_batch
+from repro.cascade.features import statistical_features_batch
 from repro.obs import runtime as obs
 
 #: Relative + absolute floor applied to the per-dimension SFS scale so

@@ -218,38 +218,24 @@ class GalleryConfig:
             ``sqrt(out_dim / rank)``, which sets the rerank-pool size —
             32 against the 64-dim projected templates keeps the pool
             in the tens at U=100k while still halving the gemm.
-        prescreen_dtype: dtype of the prescreen pass.  ``"float32"``
-            halves memory traffic; rounding is absorbed by the bound's
-            slack terms, so decisions never move.
         compact_tombstone_ratio: tombstoned fraction of a shard's
             occupied slots above which the next sync compacts it
             (build-then-swap, O(shard_size) — never O(U)).
-        score_threads: shards scored concurrently during the prescreen
-            pass.  1 (default) scores inline; more overlaps the
-            per-shard gemms on multi-core hosts (numpy releases the
-            GIL inside BLAS).
     """
 
     shard_size: int = 1024
     top_k: int = 16
     prescreen_rank: int = 32
-    prescreen_dtype: str = "float32"
     compact_tombstone_ratio: float = 0.25
-    score_threads: int = 1
 
     def __post_init__(self) -> None:
         _require(self.shard_size > 0, "shard_size must be positive")
         _require(self.top_k > 0, "top_k must be positive")
         _require(self.prescreen_rank > 0, "prescreen_rank must be positive")
         _require(
-            self.prescreen_dtype in ("float32", "float64"),
-            "prescreen_dtype must be 'float32' or 'float64'",
-        )
-        _require(
             0.0 < self.compact_tombstone_ratio <= 1.0,
             "compact_tombstone_ratio must lie in (0, 1]",
         )
-        _require(self.score_threads >= 1, "score_threads must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -452,18 +438,14 @@ class StreamConfig:
             sessions; ``None`` submits without a deadline.
         drain_timeout_s: default wait for in-flight verifications in
             :meth:`~repro.stream.StreamSession.drain`.
-        local_gate: run the pipeline's sustained-vibration quality gate
-            in-session (on the assembled segment) and refuse locally —
-            emitting the same maximal-distance result the engine would —
-            instead of spending a server round-trip on near-silence.
-        local_stage1: when the backend's early-exit cascade is enabled
-            (:class:`CascadeConfig`), score stage 1 in-session on the
-            assembled segment: clear-cut windows emit their decision
-            locally without any backend round-trip, and borderline
-            windows are submitted flagged ``full_pipeline`` so the
-            backend skips the (already paid) stage-1 re-score and the
-            server batches them apart from cascade-eligible traffic.
-            A no-op while the cascade is disabled.
+
+    When the backend's early-exit cascade is enabled
+    (:class:`CascadeConfig`), sessions always score stage 1 in-session
+    on the assembled segment: clear-cut windows emit their decision
+    locally, and borderline windows are submitted flagged
+    ``full_pipeline`` so the backend skips the stage-1 re-score.
+    Windows without a usable vibration are submitted like any other and
+    come back from the engine as refusals.
     """
 
     chunk_size: int = 35
@@ -471,8 +453,6 @@ class StreamConfig:
     rearm_after_samples: int = 4096
     verify_timeout_ms: float | None = None
     drain_timeout_s: float = 30.0
-    local_gate: bool = False
-    local_stage1: bool = True
 
     def __post_init__(self) -> None:
         _require(self.chunk_size > 0, "chunk_size must be positive")
@@ -485,69 +465,6 @@ class StreamConfig:
             "verify_timeout_ms must be positive when given",
         )
         _require(self.drain_timeout_s > 0, "drain_timeout_s must be positive")
-
-
-@dataclasses.dataclass(frozen=True)
-class FusionConfig:
-    """Multi-modal fusion policy (:mod:`repro.core.fusion`, DESIGN.md §4l).
-
-    The same in-ear accelerometer that captures the 'EMM' mandible
-    vibration also carries the wearer's cardiac micro-vibration
-    (:mod:`repro.physio.heartbeat`).  With fusion enabled *and* a
-    heartbeat template enrolled, :meth:`MandiPass.verify_fused
-    <repro.core.system.MandiPass.verify_fused>` combines the two
-    modalities; disabled (the default), or without a heartbeat
-    template, ``verify_fused`` returns the plain :meth:`verify` result
-    object unchanged -- bitwise parity, the same pattern as the
-    cascade.
-
-    Attributes:
-        enabled: turn multi-modal fusion on for ``verify_fused``.
-        mode: ``"score"`` fuses threshold-normalised distances with a
-            weighted sum (accept iff the fused score clears 1.0);
-            ``"decision"`` fuses the per-modality accept/reject
-            decisions with ``rule``.
-        rule: decision-level combination -- ``"and"`` (every modality
-            must accept), ``"or"`` (one acceptance suffices) or
-            ``"vote"`` (weighted majority).
-        imu_weight / heartbeat_weight: relative modality weights for
-            the score-level sum and the weighted vote.  Calibrate with
-            :func:`repro.core.fusion.calibrated_fusion_weights`.
-        heartbeat_threshold: decision threshold of the heartbeat
-            verifier (same accept-iff-at-most convention as the IMU
-            threshold; calibrate via :mod:`repro.eval.calibration`).
-        heartbeat_scoring: ``"cosine"`` scores beat-morphology cosine
-            distance against the template; ``"z"`` scores the mean
-            per-dimension z-distance using the enrollment spread.
-    """
-
-    enabled: bool = False
-    mode: str = "score"
-    rule: str = "and"
-    imu_weight: float = 1.0
-    heartbeat_weight: float = 1.0
-    heartbeat_threshold: float = 0.32
-    heartbeat_scoring: str = "cosine"
-
-    def __post_init__(self) -> None:
-        _require(
-            self.mode in ("score", "decision"),
-            "mode must be 'score' or 'decision'",
-        )
-        _require(
-            self.rule in ("and", "or", "vote"),
-            "rule must be 'and', 'or' or 'vote'",
-        )
-        _require(self.imu_weight > 0, "imu_weight must be positive")
-        _require(self.heartbeat_weight > 0, "heartbeat_weight must be positive")
-        _require(
-            0.0 < self.heartbeat_threshold < 2.0,
-            "heartbeat_threshold is a cosine-like distance in (0, 2)",
-        )
-        _require(
-            self.heartbeat_scoring in ("cosine", "z"),
-            "heartbeat_scoring must be 'cosine' or 'z'",
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -595,7 +512,6 @@ class MandiPassConfig:
     gallery: GalleryConfig = dataclasses.field(default_factory=GalleryConfig)
     stream: StreamConfig = dataclasses.field(default_factory=StreamConfig)
     cascade: CascadeConfig = dataclasses.field(default_factory=CascadeConfig)
-    fusion: FusionConfig = dataclasses.field(default_factory=FusionConfig)
 
     def __post_init__(self) -> None:
         _require(

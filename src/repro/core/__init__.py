@@ -2,7 +2,6 @@
 MandiPass authentication system.
 
 * :mod:`repro.core.extractor` -- the two-branch CNN of Fig. 8,
-* :mod:`repro.core.training` -- VSP-side training (Section V-C),
 * :mod:`repro.core.mandibleprint` -- embedding extraction,
 * :mod:`repro.core.similarity` -- cosine distance and decisions,
 * :mod:`repro.core.enrollment` / :mod:`repro.core.verification` -- the
@@ -10,6 +9,11 @@ MandiPass authentication system.
 * :mod:`repro.core.engine` -- the batch-first inference engine,
 * :mod:`repro.core.gallery` -- one-matmul 1:N template scoring,
 * :mod:`repro.core.system` -- the ``MandiPass`` facade.
+
+Two modules sit outside the serving path and are not imported here:
+:mod:`repro.core.training` (VSP-side training, Section V-C) and
+:mod:`repro.core.fusion` (multi-probe and multi-modal fusion rules,
+used by the evaluation harness).
 """
 
 from repro.core.engine import BatchItemFailure, BatchOutcome, InferenceEngine
@@ -21,19 +25,9 @@ from repro.core.frontend import (
     RectifiedSpectralFrontEnd,
     make_frontend,
 )
-from repro.core.fusion import (
-    calibrated_fusion_weights,
-    fuse_decision_level,
-    fuse_majority,
-    fuse_mean_distance,
-    fuse_min_distance,
-    fuse_score_level,
-    fused_error_rates,
-)
 from repro.core.mandibleprint import extract_embeddings
 from repro.core.similarity import cosine_distance, pairwise_cosine_distance
 from repro.core.system import MandiPass
-from repro.core.training import TrainingHistory, train_extractor
 
 __all__ = [
     "BatchItemFailure",
@@ -44,18 +38,9 @@ __all__ = [
     "MandiPass",
     "RectifiedSpectralFrontEnd",
     "TemplateGallery",
-    "calibrated_fusion_weights",
-    "fuse_decision_level",
-    "fuse_majority",
-    "fuse_mean_distance",
-    "fuse_min_distance",
-    "fuse_score_level",
-    "fused_error_rates",
     "make_frontend",
-    "TrainingHistory",
     "TwoBranchExtractor",
     "cosine_distance",
     "extract_embeddings",
     "pairwise_cosine_distance",
-    "train_extractor",
 ]

@@ -130,7 +130,7 @@ def gallery_benchmark(
         gallery, build_s = _build_sharded(num_users, config, matrices, templates)
 
         # -- identification: cascade vs dense gemm vs per-user loop ----
-        gallery.best_match(timing_probes)  # warm (thread pool, caches)
+        gallery.best_match(timing_probes)  # warm caches
         with obs.collecting() as registry:
             cascade_s = _median_of(
                 repeats, lambda: gallery.best_match(timing_probes)
@@ -230,7 +230,6 @@ def gallery_benchmark(
                 "gallery": gallery.stats(),
             }
         )
-        gallery.close()
         del gallery, dense
 
     first, last = sweep[0], sweep[-1]
@@ -259,9 +258,7 @@ def gallery_benchmark(
             "shard_size": config.shard_size,
             "top_k": config.top_k,
             "prescreen_rank": config.prescreen_rank,
-            "prescreen_dtype": config.prescreen_dtype,
             "compact_tombstone_ratio": config.compact_tombstone_ratio,
-            "score_threads": config.score_threads,
         },
         "sweep": sweep,
         "update_flatness_ratio": flatness,

@@ -4,7 +4,7 @@ A shard owns up to ``capacity`` user rows.  Per occupied slot it keeps
 exactly what the two cascade stages need:
 
 * **prescreen** — the first ``rank`` columns of the user's Gaussian
-  matrix (``prescreen_dtype``), the numerator vector
+  matrix (float32, :data:`PRESCREEN_DTYPE`), the numerator vector
   ``w = G @ t_hat`` (float64) and the tail energy
   ``R = sum_{j >= rank} ||G[:, j]||^2``.  Together these yield a sound
   lower bound on the user's cosine distance from one thin gemm — see
@@ -34,6 +34,11 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.core.gallery.log import MatrixSource, resolve_matrix
 
+#: dtype of the prescreen block and pass: float32 halves memory traffic,
+#: and its rounding is absorbed by the bound's slack terms, so decisions
+#: never move.
+PRESCREEN_DTYPE = np.float32
+
 
 class GalleryShard:
     """A fixed-capacity block of user rows scored as one unit."""
@@ -44,7 +49,6 @@ class GalleryShard:
         in_dim: int,
         out_dim: int,
         rank: int,
-        prescreen_dtype: str = "float32",
     ) -> None:
         if capacity <= 0:
             raise ShapeError("shard capacity must be positive")
@@ -52,10 +56,9 @@ class GalleryShard:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.rank = min(rank, out_dim)
-        self.prescreen_dtype = np.dtype(prescreen_dtype)
         # (in, capacity * rank): slot u owns columns [u*rank, (u+1)*rank).
         self._prescreen = np.zeros(
-            (in_dim, capacity * self.rank), dtype=self.prescreen_dtype
+            (in_dim, capacity * self.rank), dtype=PRESCREEN_DTYPE
         )
         # (in, capacity): slot u's numerator vector w_u = G_u @ t_hat_u.
         self._numer = np.zeros((in_dim, capacity))
@@ -97,7 +100,6 @@ class GalleryShard:
         shard.in_dim = in_dim
         shard.out_dim = out_dim
         shard.rank = min(rank, out_dim)
-        shard.prescreen_dtype = prescreen.dtype
         if prescreen.shape != (in_dim, count * shard.rank):
             raise ShapeError(
                 f"adopted prescreen must be ({in_dim}, {count * shard.rank}),"
@@ -203,7 +205,6 @@ class GalleryShard:
             in_dim=self.in_dim,
             out_dim=self.out_dim,
             rank=self.rank,
-            prescreen_dtype=str(self.prescreen_dtype),
         )
         for slot in range(self.count):
             if not self.alive[slot]:

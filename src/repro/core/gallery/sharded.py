@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.config import GalleryConfig
 from repro.core.gallery.log import GalleryMutation, MatrixSource, MutationLog
-from repro.core.gallery.shard import GalleryShard
+from repro.core.gallery.shard import PRESCREEN_DTYPE, GalleryShard
 from repro.core.similarity import cosine_distance
 from repro.errors import ShapeError
 from repro.faults import runtime as faults
@@ -111,7 +111,6 @@ class ShardedGallery:
         self._score_table: tuple | None = None
         self.in_dim: int | None = None
         self.out_dim: int | None = None
-        self._screen_pool = None
 
     # -- mutation side (O(1) in U; callers may hold any outer lock) -----
 
@@ -210,7 +209,6 @@ class ShardedGallery:
                     in_dim=self.in_dim,
                     out_dim=self.out_dim,
                     rank=self.config.prescreen_rank,
-                    prescreen_dtype=self.config.prescreen_dtype,
                 )
             )
             shard_index = len(self._shards) - 1
@@ -451,25 +449,8 @@ class ShardedGallery:
     def _screen(
         self, probes: np.ndarray, shards: list[GalleryShard]
     ) -> tuple[np.ndarray, np.ndarray]:
-        probes_ps = probes.astype(self.config.prescreen_dtype, copy=False)
-        if self.config.score_threads > 1 and len(shards) > 1:
-            if self._screen_pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._screen_pool = ThreadPoolExecutor(
-                    max_workers=self.config.score_threads,
-                    thread_name_prefix="gallery-screen",
-                )
-            blocks = list(
-                self._screen_pool.map(
-                    lambda shard: self._screen_shard(shard, probes, probes_ps),
-                    shards,
-                )
-            )
-        else:
-            blocks = [
-                self._screen_shard(shard, probes, probes_ps) for shard in shards
-            ]
+        probes_ps = probes.astype(PRESCREEN_DTYPE, copy=False)
+        blocks = [self._screen_shard(shard, probes, probes_ps) for shard in shards]
         numerators = np.concatenate([block[0] for block in blocks], axis=1)
         partials = np.concatenate([block[1] for block in blocks], axis=1)
         return numerators, partials
@@ -655,9 +636,3 @@ class ShardedGallery:
                         probes[batch_row] @ matrix, template
                     )
             return [shard.user_ids[slot] for _, shard, slot in rows], distances
-
-    def close(self) -> None:
-        """Release the optional prescreen thread pool."""
-        if self._screen_pool is not None:
-            self._screen_pool.shutdown(wait=False)
-            self._screen_pool = None

@@ -7,19 +7,18 @@ API of Fig. 3.  One instance models one earphone.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Sequence
 
 import numpy as np
 
-from repro.cascade import ExitPolicy, Stage1Gate
+from repro.cascade.policy import ExitPolicy
+from repro.cascade.stage1 import Stage1Gate
 from repro.config import MandiPassConfig, DEFAULT_CONFIG
 from repro.core.engine import InferenceEngine
 from repro.core.enrollment import enroll_user
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import make_frontend
-from repro.core.fusion import fuse_decision_level, fuse_score_level
 from repro.core.gallery import ShardedGallery
 from repro.core.similarity import accept, cosine_distance, distances_to_template
 from repro.core.verification import (
@@ -37,7 +36,6 @@ from repro.errors import (
     VerificationError,
 )
 from repro.obs import runtime as obs
-from repro.physio.heartbeat import HeartbeatVerifier
 from repro.security.cancelable import CancelableTransform
 from repro.serve.locks import RWLock
 from repro.security.enclave import SecureEnclave
@@ -89,17 +87,6 @@ class MandiPass:
         else:
             self._cascade_gate = None
             self._cascade_policy = None
-        # Cross-modal fusion (DESIGN.md §4l): like the cascade, the
-        # heartbeat verifier exists only when enabled, so the disabled
-        # default cannot perturb the verify path in any way.
-        if config.fusion.enabled:
-            self._heartbeat: HeartbeatVerifier | None = HeartbeatVerifier(
-                rate_hz=config.sampling.rate_hz,
-                threshold=config.fusion.heartbeat_threshold,
-                scoring=config.fusion.heartbeat_scoring,
-            )
-        else:
-            self._heartbeat = None
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}
@@ -239,99 +226,6 @@ class MandiPass:
                     gate=gate,
                     policy=self._cascade_policy,
                 )
-
-    # ------------------------------------------------------------------
-    # cross-modal fusion (DESIGN.md §4l)
-    # ------------------------------------------------------------------
-
-    @property
-    def heartbeat_verifier(self) -> HeartbeatVerifier | None:
-        """The cardiac verifier, or ``None`` while fusion is disabled."""
-        return self._heartbeat
-
-    def enroll_heartbeat(
-        self, user_id: str, recordings: list[RawRecording]
-    ) -> int:
-        """Build the user's cardiac template from enrollment recordings.
-
-        The recordings must come from a heartbeat-carrying capture
-        (``Recorder(heartbeat=True)``) with a silent tail
-        (``SamplingConfig.utterance_s`` shorter than the trial).
-        Returns the number of recordings with a usable heartbeat;
-        raises :class:`~repro.errors.EnrollmentError` when none had one
-        and :class:`~repro.errors.ConfigError` when fusion is disabled.
-        """
-        if self._heartbeat is None:
-            raise ConfigError("fusion is not enabled on this device")
-        with self._rwlock.write_locked():
-            used = self._heartbeat.fit(user_id, recordings)
-            return used
-
-    def has_heartbeat_template(self, user_id: str) -> bool:
-        if self._heartbeat is None:
-            return False
-        with self._rwlock.read_locked():
-            return self._heartbeat.has_user(user_id)
-
-    def verify_fused(
-        self,
-        user_id: str,
-        recording: RawRecording,
-        full_pipeline: bool = False,
-    ) -> VerificationResult:
-        """Decide one request with IMU + heartbeat fusion.
-
-        Parity contract (the cascade's pattern): when fusion is
-        disabled, or the user has no cardiac template, the returned
-        result is the :meth:`verify` result object itself -- bitwise
-        identical decisions, distances and exit stages.
-
-        A modality that *refuses* (no usable signal) is treated as
-        absent, not as impostor evidence: the other modality decides
-        alone and the result is flagged ``degraded``.  Otherwise the
-        two results combine per ``config.fusion`` -- weighted
-        score-level by default, or an AND / OR / weighted-vote
-        decision rule.
-        """
-        imu = self.verify(user_id, recording, full_pipeline=full_pipeline)
-        verifier = self._heartbeat
-        if verifier is None:
-            return imu
-        with self._rwlock.read_locked():
-            if not verifier.has_user(user_id):
-                return imu
-            heart = verifier.verify(user_id, recording)
-        cfg = self.config.fusion
-        imu_refused = imu.exit_stage == "refused"
-        heart_refused = heart.exit_stage == "refused"
-        if imu_refused and not heart_refused:
-            fused = dataclasses.replace(heart, degraded=True)
-        elif heart_refused and not imu_refused:
-            fused = dataclasses.replace(imu, degraded=True)
-        elif imu_refused and heart_refused:
-            fused = imu
-        elif cfg.mode == "score":
-            fused = fuse_score_level(
-                [imu, heart], [cfg.imu_weight, cfg.heartbeat_weight]
-            )
-        else:
-            fused = fuse_decision_level(
-                [imu, heart],
-                rule=cfg.rule,
-                weights=[cfg.imu_weight, cfg.heartbeat_weight],
-            )
-        if obs.get_registry().enabled:
-            outcome = (
-                "refusal"
-                if fused.exit_stage == "refused"
-                else ("accept" if fused.accepted else "reject")
-            )
-            obs.inc(
-                "fusion_decisions_total",
-                mode=cfg.mode if not (imu_refused or heart_refused) else "fallback",
-                decision=outcome,
-            )
-        return fused
 
     def verify_presented(
         self, user_id: str, presented: np.ndarray
@@ -607,8 +501,6 @@ class MandiPass:
             self._gallery_mutation("remove", user_id)
             if self._cascade_gate is not None:
                 self._cascade_gate.drop_user(user_id)
-            if self._heartbeat is not None:
-                self._heartbeat.drop_user(user_id)
             obs.set_gauge("enrolled_users", len(self._transforms))
 
     # ------------------------------------------------------------------

@@ -16,7 +16,9 @@ from repro.config import ExtractorConfig, TrainingConfig
 from repro.core.extractor import TwoBranchExtractor
 from repro.errors import ShapeError
 from repro.ml.base import accuracy
-from repro.nn import Adam, ArrayDataset, CrossEntropyLoss, DataLoader
+from repro.nn.data import ArrayDataset, DataLoader
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.optim import Adam
 
 
 @dataclasses.dataclass

@@ -70,22 +70,26 @@ def probe_embedding(
     return InferenceEngine(model, preprocessor, frontend).embed_one(recording)
 
 
+def decision_label(result: VerificationResult | None) -> str:
+    """``"accept"``, ``"reject"`` or ``"refusal"``: the one refusal rule.
+
+    ``None`` (identify with nothing usable, or a streamed request that
+    never produced a result) and ``exit_stage == "refused"`` (no
+    embedding was produced) are refusals -- failures to acquire, never
+    biometric rejects.
+    """
+    if result is None or result.exit_stage == "refused":
+        return "refusal"
+    return "accept" if result.accepted else "reject"
+
+
 def count_decisions(
     results: Sequence[VerificationResult | None],
 ) -> Sequence[VerificationResult | None]:
-    """Count every result once under ``decisions_total``; returns ``results``.
-
-    ``None`` (identify with nothing usable) and ``exit_stage ==
-    "refused"`` (no embedding was produced) are refusals -- failures to
-    acquire, never biometric rejects.
-    """
+    """Count every result once under ``decisions_total``; returns ``results``."""
     if obs.get_registry().enabled:
         for result in results:
-            if result is None or result.exit_stage == "refused":
-                decision = "refusal"
-            else:
-                decision = "accept" if result.accepted else "reject"
-            obs.inc("decisions_total", decision=decision)
+            obs.inc("decisions_total", decision=decision_label(result))
     return results
 
 

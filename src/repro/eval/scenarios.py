@@ -214,10 +214,12 @@ def _fused_score(
     heart_threshold: float,
     weights: tuple[float, float],
 ) -> float:
-    """Normalised fused score, mirroring ``MandiPass.verify_fused``.
+    """Normalised fused score: the one fused-decision rule (DESIGN.md §4l).
 
-    A refused modality is absent, not impostor evidence: the other
-    modality's normalised score stands alone.  Both refused -> maximal.
+    Each modality's distance is divided by its own threshold, so the
+    fused score accepts iff it is at most 1.0.  A refused modality is
+    absent, not impostor evidence: the other modality's normalised
+    score stands alone.  Both refused -> maximal.
     """
     imu_norm = imu_d / imu_threshold
     heart_norm = heart_d / heart_threshold

@@ -3,8 +3,9 @@
 Fig. 7(b) and Fig. 10(a) compare the biometric extractor against SVM,
 KNN, decision tree, naive Bayes and a plain neural network.  This
 package implements each from scratch on numpy, behind a common
-fit/predict protocol (:mod:`repro.ml.base`), plus the 36 statistical
-features of Section V-A (:mod:`repro.ml.features`).
+fit/predict protocol (:mod:`repro.ml.base`).  The 36 statistical
+features of Section V-A they classify live beside their serving
+caller, the cascade's stage-1 gate (:mod:`repro.cascade.features`).
 """
 
 from repro.ml.base import Estimator, accuracy, train_test_split
@@ -17,7 +18,6 @@ from repro.ml.evaluation import (
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegressionClassifier
-from repro.ml.features import statistical_features, statistical_features_batch
 from repro.ml.knn import KNNClassifier
 from repro.ml.mlp import MLPClassifier
 from repro.ml.naive_bayes import GaussianNBClassifier
@@ -39,7 +39,5 @@ __all__ = [
     "precision_recall_f1",
     "stratified_k_fold",
     "accuracy",
-    "statistical_features",
-    "statistical_features_batch",
     "train_test_split",
 ]

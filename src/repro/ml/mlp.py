@@ -12,7 +12,9 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.ml.base import Estimator
-from repro.nn import Adam, ArrayDataset, CrossEntropyLoss, DataLoader
+from repro.nn.data import ArrayDataset, DataLoader
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.optim import Adam
 from repro.nn.layers import Linear, ReLU, Sequential
 
 

@@ -127,8 +127,6 @@ stream_rearms_total              counter    --  (detector restarts:
                                                 refractory expiry and
                                                 onset-free rearm windows)
 stream_dropped_chunks_total      counter    --  (``stream.push`` faults)
-stream_local_refusals_total      counter    --  (pre-submit gate failures
-                                                when ``local_gate`` is on)
 stream_stage1_exits_total        counter    ``decision``: accept, reject
                                             (windows decided on-session
                                             by local stage 1),
@@ -159,16 +157,12 @@ gallery_bytes                gauge      --  (derived 1:N scoring state,
                                             all shards)
 ===========================  =========  =================================
 
-The multi-modal fusion layer and the adversarial scenario matrix
-(:mod:`repro.core.fusion`, :mod:`repro.eval.scenarios`, DESIGN.md §4l)
-add:
+The adversarial scenario matrix, which alone fuses the IMU and
+heartbeat channels (:mod:`repro.eval.scenarios`, DESIGN.md §4l), adds:
 
 ===========================  =========  =================================
 name                         kind       labels
 ===========================  =========  =================================
-fusion_decisions_total       counter    ``mode``: score, decision,
-                                        fallback (one modality refused);
-                                        ``decision``: accept, reject
 scenario_cells_total         counter    --  (matrix cells evaluated)
 scenario_eer                 gauge      ``scenario`` (motion+degradation
                                         cell), ``modality``: imu,

@@ -162,18 +162,13 @@ class StreamSession:
         self.user_id = user_id
         self.config = config if config is not None else backend.config.stream
         self.preprocess: PreprocessConfig = backend.config.preprocess
-        self._threshold = backend.config.decision.threshold
         # Local stage-1 gating (DESIGN.md §4k): clear-cut windows are
         # decided on-session from the backend's fitted gate; borderline
         # windows are submitted flagged ``full_pipeline`` so the backend
         # does not re-score stage 1.  Both halves are None while the
         # cascade is disabled, making this a no-op.
-        if self.config.local_stage1:
-            self._cascade_gate = backend.cascade_gate
-            self._cascade_policy = backend.cascade_policy
-        else:
-            self._cascade_gate = None
-            self._cascade_policy = None
+        self._cascade_gate = backend.cascade_gate
+        self._cascade_policy = backend.cascade_policy
         self._sos = _detection_sos(self.preprocess)
         self._on_decision = on_decision
         self.session_id = session_id if session_id is not None else f"s{id(self):x}"
@@ -376,20 +371,6 @@ class StreamSession:
         self._transition(SessionState.VERIFYING)
         submitted = time.perf_counter()
         meta = (self._onset_abs, self._window_start, self._window_start + self._needed)
-        if self.config.local_gate and not self._segment_passes_gate(window):
-            # Same terminal the engine reaches for a gate failure: the
-            # maximal sentinel distance, never an accept.
-            from repro.core.verification import REJECTED_DISTANCE
-
-            obs.inc("stream_local_refusals_total")
-            result = VerificationResult(
-                accepted=False,
-                distance=REJECTED_DISTANCE,
-                threshold=self._threshold,
-                user_id=self.user_id,
-            )
-            self._finish(decisions, result, None, "ok", submitted, meta)
-            return
         full_pipeline = False
         if self._cascade_gate is not None and self._cascade_gate.has_user(
             self.user_id
@@ -457,12 +438,6 @@ class StreamSession:
         obs.inc("stream_stage1_exits_total", decision="borderline")
         return None, True
 
-    def _segment_passes_gate(self, window: np.ndarray) -> bool:
-        onset_rel = self._onset_abs - self._window_start
-        assembler = SegmentAssembler(self.preprocess)
-        assembler.push(window[onset_rel:])
-        return assembler.passes_gate()
-
     def _poll_pending(
         self, decisions: list[SessionDecision], wait_s: float | None = None
     ) -> None:
@@ -495,7 +470,7 @@ class StreamSession:
         submitted: float,
         meta: tuple[int, int, int],
     ) -> None:
-        from repro.core.verification import REJECTED_DISTANCE
+        from repro.core.verification import decision_label
 
         onset, start, end = meta
         latency = time.perf_counter() - submitted
@@ -511,15 +486,7 @@ class StreamSession:
             latency_s=latency,
         )
         self.decisions += 1
-        if result is None:
-            label = "refusal"
-        elif result.distance == REJECTED_DISTANCE:
-            label = "refusal"
-        elif result.accepted:
-            label = "accept"
-        else:
-            label = "reject"
-        obs.inc("stream_decisions_total", decision=label)
+        obs.inc("stream_decisions_total", decision=decision_label(result))
         obs.observe("stream_decision_latency_seconds", latency)
         decisions.append(decision)
         if self._on_decision is not None:

@@ -25,8 +25,8 @@ from repro.cascade import (
     ROUTE_FORCED,
     ROUTE_REJECT,
     ExitPolicy,
-    calibrate_cascade,
 )
+from repro.cascade.calibrate import calibrate_cascade
 from repro.config import (
     CascadeConfig,
     ExtractorConfig,
@@ -481,7 +481,7 @@ class TestStreamStage1:
         system = build_system(**TIGHT_BAND)
         system.enroll("alice", enroll)
         stream = np.concatenate(genuine[:3], axis=0)
-        config = StreamConfig(cooldown_samples=105, local_stage1=True)
+        config = StreamConfig(cooldown_samples=105)
         with obs.collecting() as registry:
             session = StreamSession("alice", system=system, config=config)
             decisions = []
@@ -502,26 +502,3 @@ class TestStreamStage1:
             if decision.result is not None:
                 assert decision.result.accepted
                 assert decision.result.exit_stage in ("stage1", "stage2")
-
-    def test_local_stage1_off_uses_backend_path(self, probes):
-        from repro.stream import StreamSession
-
-        enroll, genuine, _ = probes
-        system = build_system(**TIGHT_BAND)
-        system.enroll("alice", enroll)
-        stream = np.concatenate(genuine[:2], axis=0)
-        config = StreamConfig(cooldown_samples=105, local_stage1=False)
-        with obs.collecting() as registry:
-            session = StreamSession("alice", system=system, config=config)
-            decisions = []
-            for pos in range(0, stream.shape[0], config.chunk_size):
-                decisions += session.push(
-                    stream[pos : pos + config.chunk_size]
-                )
-            decisions += session.close()
-            snapshot = registry.to_dict()
-        assert decisions
-        assert not any(
-            key.startswith("stream_stage1_exits_total")
-            for key in snapshot["counters"]
-        )

@@ -1,9 +1,8 @@
-"""Negative paths of the fusion layer: guards and config validation.
+"""Negative paths of the fusion layer: guards.
 
 Complements the hypothesis suite in ``test_fusion_properties.py`` (the
 happy-path invariants) by pinning every rejection branch: mixed users,
-mismatched thresholds, empty inputs, malformed weights, and every
-``FusionConfig`` validation rule.
+mismatched thresholds, empty inputs and malformed weights.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import math
 
 import pytest
 
-from repro.config import FusionConfig
 from repro.core.fusion import (
     calibrated_fusion_weights,
     fuse_decision_level,
@@ -113,26 +111,3 @@ class TestAnalyticalGuards:
         with pytest.raises(ConfigError, match="lie in"):
             calibrated_fusion_weights([(0.1, 1.2)])
 
-
-class TestFusionConfigValidation:
-    def test_defaults_are_disabled_parity(self):
-        cfg = FusionConfig()
-        assert not cfg.enabled
-        assert cfg.mode == "score"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mode": "average"},
-            {"rule": "xor"},
-            {"imu_weight": 0.0},
-            {"imu_weight": -2.0},
-            {"heartbeat_weight": 0.0},
-            {"heartbeat_threshold": 0.0},
-            {"heartbeat_threshold": 2.0},
-            {"heartbeat_scoring": "euclidean"},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
-            FusionConfig(**kwargs)

@@ -7,11 +7,11 @@ and the multi-modal rules (``fuse_score_level`` /
 analytical :func:`fused_error_rates` helper against a brute-force
 empirical simulation.
 
-The invariants here are the contracts the scenario matrix and
-``MandiPass.verify_fused`` lean on: permutation invariance (no rule may
-care about probe order), monotonicity (worsening any component score
-must never improve the fused score), idempotence (fusing N copies of
-one result changes nothing), and bounds.
+The invariants here are the contracts the scenario matrix leans on:
+permutation invariance (no rule may care about probe order),
+monotonicity (worsening any component score must never improve the
+fused score), idempotence (fusing N copies of one result changes
+nothing), and bounds.
 """
 
 from __future__ import annotations

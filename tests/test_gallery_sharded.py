@@ -277,18 +277,6 @@ class TestCascadeExactness:
         with pytest.raises(ShapeError):
             populated.best_match(np.zeros((1, IN + 1)))
 
-    def test_score_threads_path_matches_inline(self):
-        threaded, users = _populated(
-            10,
-            GalleryConfig(
-                shard_size=3, top_k=2, prescreen_rank=3, score_threads=2
-            ),
-        )
-        probes = np.random.default_rng(10).normal(size=(4, IN))
-        _assert_parity(threaded, users, probes)
-        threaded.close()
-        threaded.close()  # idempotent
-
     def test_exact_distances_batch_matches_loop(self):
         gallery, users = _populated(7, self.CONFIG)
         probes = np.random.default_rng(11).normal(size=(3, IN))
@@ -543,10 +531,10 @@ class TestGalleryConfigValidation:
             {"shard_size": 0},
             {"top_k": 0},
             {"prescreen_rank": 0},
-            {"prescreen_dtype": "float16"},
+            {"shard_size": -1},
             {"compact_tombstone_ratio": 0.0},
             {"compact_tombstone_ratio": 1.5},
-            {"score_threads": 0},
+            {"compact_tombstone_ratio": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Recorder, sample_population
-from repro.config import (
-    FusionConfig,
-    MandiPassConfig,
-    SamplingConfig,
-    SecurityConfig,
-)
+from repro.config import MandiPassConfig, SamplingConfig, SecurityConfig
 from repro.errors import (
     ConfigError,
     EnrollmentError,
@@ -251,8 +246,12 @@ class TestRecorderHeartbeatChannel:
 
 
 class TestFusedSystem:
+    """The IMU decision of a plain ``MandiPass`` fused with the cardiac
+    channel by the scenario matrix's score, the one fused-decision rule
+    (refused modality = absent, DESIGN.md §4l)."""
+
     @pytest.fixture(scope="class")
-    def fused_system(self, trained_model, people, hb_recorder):
+    def imu_system(self, trained_model, people, hb_recorder):
         from repro.core.system import MandiPass
 
         config = MandiPassConfig(
@@ -263,7 +262,6 @@ class TestFusedSystem:
                 projected_dim=trained_model.config.embedding_dim,
                 matrix_seed=7,
             ),
-            fusion=FusionConfig(enabled=True),
         )
         system = MandiPass(trained_model, config=config)
         for person in people:
@@ -273,83 +271,49 @@ class TestFusedSystem:
             system.enroll(person.person_id, recordings)
         return system
 
-    def test_no_template_parity_with_verify(
-        self, fused_system, people, hb_recorder
-    ):
-        """Without a heartbeat template, verify_fused IS verify."""
-        probe = hb_recorder.record(people[0], trial_index=60)
-        fused = fused_system.verify_fused(people[0].person_id, probe)
-        plain = fused_system.verify(people[0].person_id, probe)
-        assert fused == plain
+    @staticmethod
+    def _fused(system, verifier, user, probe):
+        from repro.eval.scenarios import _fused_score
+
+        imu = system.verify(user, probe)
+        heart = verifier.verify(user, probe)
+        score = _fused_score(
+            imu.distance,
+            imu.exit_stage == "refused",
+            heart.distance,
+            heart.exit_stage == "refused",
+            imu.threshold,
+            heart.threshold,
+            (1.0, 1.0),
+        )
+        return imu, heart, score
 
     def test_fused_verification_round_trip(
-        self, fused_system, people, hb_recorder
+        self, imu_system, fitted_verifier, people, hb_recorder
     ):
         user = people[0].person_id
-        enrolled = fused_system.enroll_heartbeat(
-            user,
-            [hb_recorder.record(people[0], trial_index=i) for i in range(4)],
-        )
-        assert enrolled >= 1
-        assert fused_system.has_heartbeat_template(user)
-        probe = _acquired_probe(
-            fused_system.heartbeat_verifier, hb_recorder, people[0], 61
-        )
-        fused = fused_system.verify_fused(user, probe)
-        assert fused.threshold == 1.0
-        assert fused.accepted
+        probe = _acquired_probe(fitted_verifier, hb_recorder, people[0], 61)
+        _, heart, score = self._fused(imu_system, fitted_verifier, user, probe)
+        assert heart.exit_stage == "full"
+        assert score <= 1.0
         impostor_probe = hb_recorder.record(people[1], trial_index=61)
-        assert not fused_system.verify_fused(user, impostor_probe).accepted
+        _, _, impostor = self._fused(
+            imu_system, fitted_verifier, user, impostor_probe
+        )
+        assert impostor > 1.0
 
     def test_refused_heartbeat_falls_back_to_imu(
-        self, fused_system, people, hb_recorder, rng
+        self, imu_system, fitted_verifier, people, hb_recorder
     ):
-        """A probe with cardiac signal destroyed still gets an IMU-only
-        decision, flagged degraded (DESIGN.md §4l refusal semantics)."""
+        """A probe with cardiac signal destroyed is scored by the IMU
+        alone: the heartbeat refusal is absent, not impostor evidence."""
         user = people[0].person_id
-        if not fused_system.has_heartbeat_template(user):
-            fused_system.enroll_heartbeat(
-                user,
-                [hb_recorder.record(people[0], trial_index=i) for i in range(4)],
-            )
         probe = hb_recorder.record(people[0], trial_index=62).copy()
         # Crush the quiet tail the cardiac verifier needs; the 'EMM'
         # burst near the onset stays intact for the IMU pipeline.
         probe[SAMPLING.num_samples // 2 :] = 0.0
-        fused = fused_system.verify_fused(user, probe)
-        imu = fused_system.verify(user, probe)
-        assert fused.degraded
-        assert fused.distance == imu.distance
-
-    def test_revoke_drops_heartbeat_template(
-        self, fused_system, people, hb_recorder
-    ):
-        user = people[2].person_id
-        fused_system.enroll_heartbeat(
-            user,
-            [hb_recorder.record(people[2], trial_index=i) for i in range(4)],
-        )
-        assert fused_system.has_heartbeat_template(user)
-        fused_system.revoke(user)
-        assert not fused_system.has_heartbeat_template(user)
-
-    def test_enroll_heartbeat_requires_fusion_enabled(
-        self, trained_model, people, hb_recorder
-    ):
-        from repro.core.system import MandiPass
-
-        config = MandiPassConfig(
-            sampling=SAMPLING,
-            extractor=trained_model.config,
-            security=SecurityConfig(
-                template_dim=trained_model.config.embedding_dim,
-                projected_dim=trained_model.config.embedding_dim,
-                matrix_seed=7,
-            ),
-        )
-        system = MandiPass(trained_model, config=config)
-        with pytest.raises(ConfigError):
-            system.enroll_heartbeat(
-                people[0].person_id,
-                [hb_recorder.record(people[0], trial_index=0)],
-            )
+        imu, heart, score = self._fused(imu_system, fitted_verifier, user, probe)
+        assert heart.exit_stage == "refused"
+        assert imu.exit_stage == "full"
+        assert score == imu.distance / imu.threshold
+        assert (score <= 1.0) == imu.accepted

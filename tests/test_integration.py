@@ -8,7 +8,7 @@ from repro.config import MandiPassConfig, SecurityConfig
 from repro.core.similarity import cosine_distance
 from repro.physio import sample_population
 from repro.physio.conditions import RecordingCondition
-from repro.security import (
+from repro.security.attacks import (
     ImpersonationAttacker,
     ReplayAttacker,
     VibrationAwareAttacker,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.features import (
+from repro.cascade.features import (
     FEATURE_NAMES,
     axis_statistics,
     statistical_features,

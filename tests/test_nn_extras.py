@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.nn import GELU, LeakyReLU, RMSProp, Softmax, Tanh
+from repro.nn.activations import GELU, LeakyReLU, Softmax, Tanh
+from repro.nn.optim import RMSProp
 from repro.nn.gradcheck import check_layer_input_grad
 from repro.nn.tensor import Parameter
 

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SerializationError, ShapeError
-from repro.nn import (
-    Adam,
-    ArrayDataset,
-    CrossEntropyLoss,
-    DataLoader,
-    Linear,
-    MSELoss,
-    SGD,
-    load_state_dict,
-    save_state_dict,
-)
+from repro.nn import Linear, load_state_dict, save_state_dict
+from repro.nn.data import ArrayDataset, DataLoader
+from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.optim import SGD, Adam
 from repro.nn.gradcheck import numerical_gradient
 from repro.nn.serialize import state_dict_nbytes
 from repro.nn.tensor import Parameter

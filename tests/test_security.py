@@ -11,11 +11,10 @@ from repro.errors import (
     TemplateRevokedError,
 )
 from repro.imu import Recorder
-from repro.security import (
-    CancelableTransform,
+from repro.security import CancelableTransform, SecureEnclave
+from repro.security.attacks import (
     ImpersonationAttacker,
     ReplayAttacker,
-    SecureEnclave,
     VibrationAwareAttacker,
     ZeroEffortAttacker,
 )

@@ -178,21 +178,28 @@ class TestSessionStateMachine:
         assert seen == returned and len(seen) == 1
 
     @watchdog()
-    def test_local_gate_refuses_before_submit(self, stream_system):
+    def test_glitch_burst_window_is_refused(self, stream_system):
         system, user_id, _ = stream_system
         from repro.core.verification import REJECTED_DISTANCE
 
-        config = StreamConfig(cooldown_samples=105, local_gate=True)
-        session = StreamSession(user_id, system=system, config=config)
         # A glitch burst triggers detection but despikes to nothing:
-        # the gate must refuse locally, with the engine's sentinel.
+        # the engine refuses the window with its sentinel distance, and
+        # the refusal is counted once, as a refusal, like any other.
         rng = np.random.default_rng(0)
         recording = rng.normal(scale=10.0, size=(300, 6))
         recording[100:104] += 50000.0
-        decisions = feed(session, recording) + session.close()
+        with obs.collecting() as registry:
+            session = StreamSession(user_id, system=system, config=CFG)
+            decisions = feed(session, recording) + session.close()
         assert len(decisions) == 1
-        assert decisions[0].result.distance == REJECTED_DISTANCE
-        assert not decisions[0].result.accepted
+        result = decisions[0].result
+        assert result.exit_stage == "refused"
+        assert result.distance == REJECTED_DISTANCE
+        assert not result.accepted
+        for name in ("decisions_total", "stream_decisions_total"):
+            assert registry.counter(name, decision="refusal").value == 1
+            assert registry.counter(name, decision="accept").value == 0
+            assert registry.counter(name, decision="reject").value == 0
 
     @watchdog()
     def test_metrics_families_populated(self, stream_system):
