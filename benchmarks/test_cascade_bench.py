@@ -13,9 +13,11 @@ per-probe budget:
   only: the quick smoke keeps probe pools too small for a stable
   timing bar).
 
-Results land in ``BENCH_cascade.json`` at the repo root.  Set
-``CASCADE_QUICK=1`` (CI smoke) for small probe pools; the full run
-uses the pools the committed report was produced with.
+Results land in ``BENCH_cascade.json`` at the repo root; quick mode
+writes ``BENCH_cascade.quick.json`` instead, so a smoke never
+overwrites the full-mode file.  Set ``CASCADE_QUICK=1`` (CI smoke) for
+small probe pools; the full run uses the pools the committed report
+was produced with.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import pytest
 from repro.cascade.bench import BENCH_EPSILON, run_cascade_bench
 
 QUICK = os.environ.get("CASCADE_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_cascade.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_cascade.quick.json" if QUICK else "BENCH_cascade.json"
+)
 
 
 @pytest.fixture(scope="module")

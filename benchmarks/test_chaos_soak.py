@@ -14,7 +14,8 @@ asserts the resilience invariants on every one (DESIGN.md §4g):
 
 ``FAULTS_QUICK=1`` runs a 25-seed smoke (the CI job); the full soak
 covers 200 seeds.  Results land in ``BENCH_chaos.json`` at the repo
-root.
+root; quick mode writes ``BENCH_chaos.quick.json`` instead, so a smoke
+never overwrites the full-mode file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from repro.faults.chaos import run_campaign
 from conftest import once
 
 QUICK = os.environ.get("FAULTS_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_chaos.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_chaos.quick.json" if QUICK else "BENCH_chaos.json"
+)
 NUM_SEEDS = 25 if QUICK else 200
 
 

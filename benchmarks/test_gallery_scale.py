@@ -14,9 +14,10 @@ population size:
 * **the cascade wins at scale** — identify through the cascade beats
   the dense full-gallery gemm from U=10 000 up.
 
-Results land in ``BENCH_gallery.json`` at the repo root.  Set
-``GALLERY_QUICK=1`` (CI smoke) to sweep U=1k/10k; the full run adds
-U=100k.
+Results land in ``BENCH_gallery.json`` at the repo root; quick mode
+writes ``BENCH_gallery.quick.json`` instead, so a smoke never
+overwrites the full-mode file.  Set ``GALLERY_QUICK=1`` (CI smoke) to
+sweep U=1k/10k; the full run adds U=100k.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import pytest
 from repro.core.gallery.bench import gallery_benchmark, write_results
 
 QUICK = os.environ.get("GALLERY_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_gallery.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_gallery.quick.json" if QUICK else "BENCH_gallery.json"
+)
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,11 @@ baseline timing):
   project, cosine) versus one ``TemplateGallery`` pass.  Bar: >= 5x at
   100 enrolled users.
 
-Results land in ``BENCH_hotpath.json`` at the repo root.  Set
-``HOTPATH_QUICK=1`` (CI smoke) to shrink the gallery to 100 users and
-halve the timing repeats; the full run also measures U=1000.
+Results land in ``BENCH_hotpath.json`` at the repo root; quick mode
+writes ``BENCH_hotpath.quick.json`` instead, so a smoke never
+overwrites the full-mode file.  Set ``HOTPATH_QUICK=1`` (CI smoke) to
+shrink the gallery to 100 users and halve the timing repeats; the full
+run also measures U=1000.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ QUICK = os.environ.get("HOTPATH_QUICK", "") == "1"
 BATCH = 64
 REPEATS = 3 if QUICK else 5
 GALLERY_SIZES = (100,) if QUICK else (100, 1000)
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_hotpath.quick.json" if QUICK else "BENCH_hotpath.json"
+)
 
 
 def _record(section: str, payload: dict) -> None:

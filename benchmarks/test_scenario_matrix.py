@@ -15,9 +15,11 @@ motion x degradation grid plus the attack families:
 * **accounting** — the refusal (failure-to-acquire) rate is reported
   separately per cell, never folded into the error rates.
 
-Results land in ``BENCH_scenarios.json`` at the repo root.  Set
-``SCENARIO_QUICK=1`` (CI smoke) for the small grid; the full run uses
-the pools the committed report was produced with.
+Results land in ``BENCH_scenarios.json`` at the repo root; quick mode
+writes ``BENCH_scenarios.quick.json`` instead, so a smoke never
+overwrites the full-mode file.  Set ``SCENARIO_QUICK=1`` (CI smoke) for
+the small grid; the full run uses the pools the committed report was
+produced with.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import pytest
 from repro.eval.scenarios import MODALITIES, run_scenario_bench
 
 QUICK = os.environ.get("SCENARIO_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_scenarios.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_scenarios.quick.json" if QUICK else "BENCH_scenarios.json"
+)
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,9 @@ correctly* (every request served, no leaked segments) and the report
 must record the core count that explains the flat curve.  Faking a
 speedup bar the hardware cannot express would make the bench dishonest.
 
-Results land in ``BENCH_serving.json`` at the repo root.
+Results land in ``BENCH_serving.json`` at the repo root; quick mode
+writes ``BENCH_serving.quick.json`` instead, so a smoke never
+overwrites the full-mode file.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from repro.serve.loadgen import serving_benchmark
 from conftest import once
 
 QUICK = os.environ.get("SERVE_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_serving.quick.json" if QUICK else "BENCH_serving.json"
+)
 SPEEDUP_BAR = 2.0 if QUICK else 5.0
 #: Required 4-process-vs-1 scaling when the host actually has the cores.
 PROCESS_SCALING_BAR = 2.5

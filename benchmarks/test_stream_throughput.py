@@ -12,9 +12,10 @@ bars asserted:
   dynamic batcher amortises windows across sessions, so concurrency
   should win, not merely break even).
 
-Results land in ``BENCH_stream.json`` at the repo root.  Set
-``STREAM_QUICK=1`` (CI smoke) to sweep N=1/4 with fewer repeats; the
-full run sweeps N=1/2/4/8.
+Results land in ``BENCH_stream.json`` at the repo root; quick mode
+writes ``BENCH_stream.quick.json`` instead, so a smoke never
+overwrites the full-mode file.  Set ``STREAM_QUICK=1`` (CI smoke) to
+sweep N=1/4 with fewer repeats; the full run sweeps N=1/2/4/8.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import pytest
 from repro.stream.bench import stream_benchmark
 
 QUICK = os.environ.get("STREAM_QUICK", "") == "1"
-RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_stream.json"
+RESULTS_PATH = Path(__file__).resolve().parents[1] / (
+    "BENCH_stream.quick.json" if QUICK else "BENCH_stream.json"
+)
 
 
 @pytest.fixture(scope="module")

@@ -216,13 +216,24 @@ class InferenceEngine:
             )
         return self.preprocessor, self.frontend
 
-    def preprocess(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
-        """Batched Section IV pipeline; values are ``(K, 6, n)`` signals."""
+    def preprocess(
+        self,
+        recordings: Sequence[RawRecording],
+        onsets: Sequence[int | None] | None = None,
+    ) -> BatchOutcome:
+        """Batched Section IV pipeline; values are ``(K, 6, n)`` signals.
+
+        ``onsets`` are optional per-recording onset hints: a hinted
+        recording skips detection (see
+        :meth:`~repro.dsp.pipeline.Preprocessor.process_batch_detailed`).
+        """
         preprocessor, _ = self._require_signal_stages()
         faults.maybe_delay("engine.preprocess")
         faults.maybe_fail("engine.preprocess")
         signals, indices, failures, degraded = preprocessor.process_batch_detailed(
-            recordings, min_usable_axes=self.resilience.min_usable_axes
+            recordings,
+            min_usable_axes=self.resilience.min_usable_axes,
+            onsets=onsets,
         )
         return BatchOutcome(
             values=signals,
@@ -261,19 +272,24 @@ class InferenceEngine:
 
     # -- end-to-end -----------------------------------------------------
 
-    def preprocessed(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
+    def preprocessed(
+        self,
+        recordings: Sequence[RawRecording],
+        onsets: Sequence[int | None] | None = None,
+    ) -> BatchOutcome:
         """The signal-level front half of :meth:`embed`.
 
         Applies payload corruption once, runs the retried preprocess
         stage, and records per-item failure / degraded-mode metrics.
         :func:`~repro.core.verification.verify_batch` stops here so a
         stage-1 gate can score signals before deciding which rows pay
-        :meth:`embed_signal_values`.
+        :meth:`embed_signal_values`.  Corruption keeps each recording's
+        length, so ``onsets`` hints stay in range.
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)
         outcome = self._with_retry(
-            lambda: self.preprocess(recordings), "preprocess"
+            lambda: self.preprocess(recordings, onsets), "preprocess"
         )
         for failure in outcome.failures:
             obs.inc("failures_total", error=failure.error)

@@ -42,8 +42,11 @@ def extract_embeddings(
         raise ShapeError("feature_arrays must be (B, 2, 6, W)")
     if batch_size <= 0:
         raise ShapeError("batch_size must be positive")
+    # An eval-mode model (the serving steady state) skips the walk over
+    # its module tree; eval() on it would change nothing.
     was_training = model.training
-    model.eval()
+    if was_training:
+        model.eval()
     try:
         chunks = []
         for start in range(0, feature_arrays.shape[0], batch_size):

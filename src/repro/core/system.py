@@ -188,6 +188,7 @@ class MandiPass:
         user_id: str,
         recordings: Sequence[RawRecording],
         full_pipeline: bool = False,
+        onsets: Sequence[int | None] | None = None,
     ) -> list[VerificationResult]:
         """Decide a batch of requests against one sealed template.
 
@@ -205,6 +206,12 @@ class MandiPass:
         extractor.  ``full_pipeline=True`` bypasses the cascade for
         this batch — the calibration/audit escape hatch, also used by
         streaming clients that already ran stage 1 locally.
+
+        ``onsets`` optionally gives each recording's known onset sample
+        (a streaming session passes the one its detector confirmed), so
+        that recording is cut there instead of being detected again;
+        ``None`` entries are detected.  A hint that is not an integer,
+        is negative or leaves too few samples refuses that request.
         """
         with self._rwlock.read_locked():
             transform = self._transforms.get(user_id)
@@ -225,6 +232,7 @@ class MandiPass:
                     threshold=self.config.decision.threshold,
                     gate=gate,
                     policy=self._cascade_policy,
+                    onsets=onsets,
                 )
 
     def verify_presented(

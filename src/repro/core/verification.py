@@ -102,6 +102,7 @@ def verify_batch(
     threshold: float,
     gate=None,
     policy=None,
+    onsets: Sequence[int | None] | None = None,
 ) -> list[VerificationResult]:
     """Decide a batch of verification requests in one vectorised pass.
 
@@ -124,8 +125,11 @@ def verify_batch(
     ``exit_stage == "full"`` and the ``fallback_full`` exit label.
     Under a gate, ``cascade_exits_total`` summed over its ``stage``
     labels equals the batch size.
+
+    ``onsets`` optionally gives each recording's known onset (``None``
+    entries are detected); a bad hint refuses only its own request.
     """
-    outcome = engine.preprocessed(recordings)
+    outcome = engine.preprocessed(recordings, onsets)
     distances = np.full(outcome.batch_size, REJECTED_DISTANCE)
     thresholds = np.full(outcome.batch_size, threshold)
     stages = ["refused"] * outcome.batch_size

@@ -11,6 +11,7 @@ Order of operations, exactly as the paper lists them:
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -27,9 +28,28 @@ from repro.dsp.detection import (
 from repro.dsp.filters import design_highpass, sosfilt
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import replace_outliers, replace_outliers_batch
-from repro.errors import InsufficientAxesError, OnsetNotFoundError, SignalError
+from repro.errors import (
+    InsufficientAxesError,
+    OnsetHintError,
+    OnsetNotFoundError,
+    ShapeError,
+    SignalError,
+)
 from repro.obs import runtime as obs
 from repro.types import NUM_AXES, RawRecording, SignalArray
+
+
+def _hinted_onset(hint) -> int:
+    """A caller-supplied onset as a sample index, or the item's refusal."""
+    try:
+        onset = operator.index(hint)
+    except TypeError:
+        raise OnsetHintError(
+            f"onset hint must be an integer, got {type(hint).__name__}"
+        ) from None
+    if onset < 0:
+        raise OnsetHintError(f"onset hint must be non-negative, got {onset}")
+    return onset
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,6 +142,7 @@ class Preprocessor:
         self,
         recordings: Sequence[RawRecording],
         min_usable_axes: int = 1,
+        onsets: Sequence[int | None] | None = None,
     ) -> tuple[
         np.ndarray, np.ndarray, list[tuple[int, SignalError]], tuple[int, ...]
     ]:
@@ -132,6 +153,18 @@ class Preprocessor:
         onset window scan, outlier replacement, segment filtering and
         normalisation — runs once over the stacked ``(B, 6, n)`` array.
         Per item the output is numerically identical to :meth:`process`.
+
+        A recording whose onset is already known (``onsets[i]`` is an
+        int, e.g. the one a :class:`~repro.stream.StreamSession`'s
+        streaming detector confirmed) skips detection and is cut at that
+        sample; the ``None`` items are still detected together in one
+        batched pass.  Every stage after the cut is shared, so a hint
+        equal to the detected onset gives bitwise the same signal.  A
+        hint that is not an integer, is negative, or leaves fewer than
+        ``segment_length`` samples is that item's failure
+        (:class:`~repro.errors.OnsetHintError` or
+        :class:`~repro.errors.SegmentTooShortError`), never an
+        exception out of the batch.
 
         An axis is *usable* when it is finite end-to-end after filtering
         and carries any signal at all; dead channels (sensor dropout)
@@ -149,6 +182,8 @@ class Preprocessor:
                 gate; the engine threads
                 :attr:`repro.config.ResilienceConfig.min_usable_axes`
                 through here.
+            onsets: optional per-recording onset hints, aligned with
+                ``recordings``; ``None`` (or a ``None`` entry) detects.
 
         Returns:
             ``(signals, indices, failures, degraded)``: signals is the
@@ -164,22 +199,39 @@ class Preprocessor:
         segments: list[np.ndarray] = []
         indices: list[int] = []
 
+        if onsets is None:
+            onsets = [None] * len(items)
+        elif len(onsets) != len(items):
+            raise ShapeError(
+                f"{len(onsets)} onset hints for {len(items)} recordings"
+            )
+
         with obs.span("onset"):
+            # Only the items without a hint are detected, stacked into
+            # one pass when they share a shape.
+            detect = [idx for idx, hint in enumerate(onsets) if hint is None]
             rectangular = (
-                len(items) > 0
-                and all(it.ndim == 2 and it.shape[1] == NUM_AXES for it in items)
-                and len({it.shape[0] for it in items}) == 1
+                len(detect) > 0
+                and all(
+                    items[i].ndim == 2 and items[i].shape[1] == NUM_AXES
+                    for i in detect
+                )
+                and len({items[i].shape[0] for i in detect}) == 1
             )
             if rectangular:
                 detections = detection_signals_batch(
-                    np.stack(items), cfg, sos=self._sos
+                    np.stack([items[i] for i in detect]), cfg, sos=self._sos
                 )
                 coarse = coarse_onsets(detections, cfg)
+                row = {idx: r for r, idx in enumerate(detect)}
             for idx, item in enumerate(items):
                 try:
-                    if rectangular:
+                    if onsets[idx] is not None:
+                        onset = _hinted_onset(onsets[idx])
+                    elif rectangular:
+                        r = row[idx]
                         onset = detect_onset_from_signal(
-                            detections[idx], cfg, coarse_start=int(coarse[idx])
+                            detections[r], cfg, coarse_start=int(coarse[r])
                         )
                     else:
                         onset = detect_onset(item, cfg, sos=self._sos)

@@ -33,6 +33,10 @@ class SegmentTooShortError(SignalError):
     """A recording does not contain ``n`` samples after the onset."""
 
 
+class OnsetHintError(SignalError):
+    """A caller-supplied onset hint is not a usable sample index."""
+
+
 class ShapeError(SignalError, ValueError):
     """An array had the wrong shape for the requested operation."""
 
@@ -144,6 +148,5 @@ class InsufficientAxesError(SignalError):
 class StreamStateError(ReproError, RuntimeError):
     """A streaming primitive or session was used out of order.
 
-    Raised e.g. when a :class:`repro.stream.SegmentAssembler` is asked
-    to finalise before its segment is complete, or a closed
-    :class:`repro.stream.StreamSession` receives further samples."""
+    Raised e.g. when a closed :class:`repro.stream.StreamSession`
+    receives further samples."""

@@ -167,7 +167,9 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
 
     # -- request handlers (the facade's decision routines) -------------
 
-    def verify_many(self, user_id: str, recordings: list) -> list:
+    def verify_many(
+        self, user_id: str, recordings: list, onsets: list | None
+    ) -> list:
         from repro.core.verification import verify_batch
 
         row = self._gallery.row(user_id) if self._gallery is not None else None
@@ -183,6 +185,7 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
                 template=template,
                 transform=_EpochTransform(matrix),
                 threshold=self.threshold,
+                onsets=onsets,
             )
 
     def identify_many(self, recordings: list) -> list:
@@ -231,12 +234,14 @@ def _worker_main(  # pragma: no cover - worker process entry point
             _exit_worker(conn)  # parent is gone
         if message[0] == "stop":
             _exit_worker(conn)
-        _, batch_id, kind, user_id, recordings, generation, manifest = message
+        _, batch_id, kind, user_id, recordings, onsets, generation, manifest = (
+            message
+        )
         try:
             if manifest is not None and generation != replica.generation:
                 replica.adopt_epoch(generation, manifest)
             if kind == "verify":
-                results = replica.verify_many(user_id, recordings)
+                results = replica.verify_many(user_id, recordings, onsets)
             else:
                 results = replica.identify_many(recordings)
         except BaseException as exc:
@@ -528,8 +533,13 @@ class WorkerPool:
 
     # -- dispatch -------------------------------------------------------
 
-    def execute(self, index: int, kind, user_id, recordings: list) -> list:
+    def execute(
+        self, index: int, kind, user_id, recordings: list, onsets: list | None = None
+    ) -> list:
         """Run one batch on worker ``index``; blocks until its reply.
+
+        ``onsets`` are the verify batch's per-recording onset hints
+        (``None`` entries, or ``None`` for all, are detected).
 
         Raises :class:`~repro.errors.WorkerKilledError` when the
         process dies mid-batch (after respawning a replacement), or
@@ -541,7 +551,9 @@ class WorkerPool:
             if worker is None or not worker.process.is_alive():
                 self._respawn(index)
                 worker = self._workers[index]
-            return self._execute_on(worker, index, kind, user_id, recordings)
+            return self._execute_on(
+                worker, index, kind, user_id, recordings, onsets
+            )
 
     def _respawn(self, index: int) -> None:
         with self._publish_lock:
@@ -557,7 +569,13 @@ class WorkerPool:
         obs.inc("serve_worker_restarts_total")
 
     def _execute_on(
-        self, worker: _Worker, index: int, kind, user_id, recordings: list
+        self,
+        worker: _Worker,
+        index: int,
+        kind,
+        user_id,
+        recordings: list,
+        onsets: list | None,
     ) -> list:
         with self._publish_lock:
             generation = self._epoch_generation
@@ -574,6 +592,7 @@ class WorkerPool:
                     kind.value,
                     user_id,
                     recordings,
+                    onsets,
                     generation,
                     manifest,
                 )

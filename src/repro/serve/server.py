@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -164,6 +165,7 @@ class ServeRequest:
     submitted_at: float     # time.perf_counter(), for e2e latency
     enqueued_at: float = 0.0  # stamped by the batcher
     full_pipeline: bool = False  # bypass the cascade for this request
+    onset: int | None = None  # known onset sample; None = detect
 
     @property
     def key(self) -> tuple:
@@ -372,6 +374,7 @@ class AuthServer:
         recording: "RawRecording",
         timeout_ms: float | None = None,
         full_pipeline: bool = False,
+        onset: int | None = None,
     ) -> AuthFuture:
         """Submit one 1:1 verification request; never blocks.
 
@@ -384,10 +387,21 @@ class AuthServer:
                 request (DESIGN.md §4k); such requests batch separately
                 from cascading ones.  A no-op while the cascade is
                 disabled.
+            onset: the recording's known onset sample (a stream
+                session's confirmed onset), which skips detection for
+                this request; ``None`` detects.  Hinted and unhinted
+                requests share batches.  A hint that is not an integer,
+                is negative or leaves too few samples is refused like
+                an unusable recording, never raised.
         """
+        if onset is not None:
+            try:
+                onset = operator.index(onset)  # numpy ints travel as int
+            except TypeError:
+                pass  # the preprocessor refuses it for this request only
         return self._submit(
             RequestKind.VERIFY, user_id, recording, timeout_ms,
-            full_pipeline=full_pipeline,
+            full_pipeline=full_pipeline, onset=onset,
         )
 
     def identify(
@@ -451,6 +465,7 @@ class AuthServer:
         recording: "RawRecording",
         timeout_ms: float | None,
         full_pipeline: bool = False,
+        onset: int | None = None,
     ) -> AuthFuture:
         if timeout_ms is not None and timeout_ms <= 0:
             raise ConfigError("timeout_ms must be positive when given")
@@ -466,6 +481,7 @@ class AuthServer:
             deadline=deadline,
             submitted_at=time.perf_counter(),
             full_pipeline=full_pipeline,
+            onset=onset,
         )
         obs.inc("serve_requests_total", kind=kind.value)
         if self._stopped:
@@ -515,7 +531,7 @@ class AuthServer:
         obs.inc("serve_worker_restarts_total")
 
     def _call_batch(
-        self, head: ServeRequest, recordings: list, index: int
+        self, head: ServeRequest, recordings: list, onsets: list, index: int
     ) -> list:
         def invoke():
             faults.maybe_delay("serve.worker")
@@ -531,11 +547,14 @@ class AuthServer:
             if self._pool is not None:
                 self._pool.ensure_current_epoch()
                 return self._pool.execute(
-                    index, head.kind, head.user_id, recordings
+                    index, head.kind, head.user_id, recordings, onsets
                 )
             if head.kind is RequestKind.VERIFY:
                 return self.system.verify_many(
-                    head.user_id, recordings, full_pipeline=head.full_pipeline
+                    head.user_id,
+                    recordings,
+                    full_pipeline=head.full_pipeline,
+                    onsets=onsets,
                 )
             return self.system.identify_many(recordings)
 
@@ -571,11 +590,12 @@ class AuthServer:
             )
             return
         recordings = [request.recording for request in batch]
+        onsets = [request.onset for request in batch]
         policy = self.resilience
         attempt = 0
         while True:
             try:
-                results = self._call_batch(head, recordings, index)
+                results = self._call_batch(head, recordings, onsets, index)
                 break
             except WorkerKilledError as exc:
                 # Terminal for this worker: answer the batch, then let

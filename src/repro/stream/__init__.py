@@ -8,15 +8,10 @@ input into chunks — the property ``tests/test_stream_equivalence.py``
 enforces.
 """
 
-from repro.stream.dsp import (
-    SegmentAssembler,
-    StreamingOnsetDetector,
-    StreamingSOSFilter,
-)
+from repro.stream.dsp import StreamingOnsetDetector, StreamingSOSFilter
 from repro.stream.session import SessionDecision, SessionState, StreamSession
 
 __all__ = [
-    "SegmentAssembler",
     "SessionDecision",
     "SessionState",
     "StreamSession",

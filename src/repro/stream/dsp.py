@@ -29,13 +29,11 @@ The equivalence arguments (verified by ``tests/test_stream_equivalence.py``):
   :func:`~repro.dsp.detection.first_confirmed` decides candidates in
   the same order as :func:`repro.dsp.detection.detect_onset`.
 
-* :class:`SegmentAssembler` — MAD outlier replacement is median-based
-  and therefore irreducibly segment-level: there is no exact streaming
-  form of a median over a window you have not finished reading.  The
-  assembler is honest about this: it accumulates the post-onset
-  segment across arbitrary chunk boundaries and runs the *exact* batch
-  ops (despike → zero-state high-pass → quality gate → Eq. 7) once the
-  segment is complete — 60 samples, microseconds of work.
+The segment stages after the onset have no streaming twin.  MAD
+outlier replacement is median-based, so it has no exact streaming form
+anyway; a session hands its captured window and confirmed onset to the
+batch preprocessor, which cuts the segment there and runs the one copy
+of despike → high-pass → usable-axis gate → Eq. 7.
 """
 
 from __future__ import annotations
@@ -53,10 +51,8 @@ from repro.dsp.detection import (
     refinement_bounds,
     window_metrics,
 )
-from repro.dsp.filters import cascade, normalized_sections, sosfilt, zero_state
-from repro.dsp.normalize import min_max_normalize
-from repro.dsp.outliers import replace_outliers
-from repro.errors import ShapeError, StreamStateError
+from repro.dsp.filters import cascade, normalized_sections, zero_state
+from repro.errors import ShapeError
 from repro.types import ACCEL_AXES, NUM_AXES
 
 
@@ -302,72 +298,3 @@ class StreamingOnsetDetector:
             return coarse
         region = self._gather(lo, hi + window - lo)
         return refine_from_region(region, lo, hi, window)
-
-
-class SegmentAssembler:
-    """Accumulate the post-onset segment across arbitrary chunk splits.
-
-    MAD outlier replacement is median-based, so the despike stage has
-    no exact streaming form — the assembler gathers the fixed
-    ``segment_length`` samples (in whatever chunk sizes the transport
-    delivers) and then runs the *exact* batch stages of
-    :meth:`repro.dsp.pipeline.Preprocessor.process_debug`: per-axis MAD
-    despike, the zero-initial-condition high-pass, the sustained-energy
-    quality gate, and Eq. 7 normalisation.  Output is bitwise identical
-    to the batch pipeline's stages on the same segment.
-    """
-
-    def __init__(self, config: PreprocessConfig | None = None) -> None:
-        self.config = config or PreprocessConfig()
-        from repro.dsp.filters import design_highpass
-
-        self._sos = design_highpass(
-            self.config.highpass_order,
-            self.config.highpass_cutoff_hz,
-            self.config.sample_rate_hz,
-        )
-        self._segment = np.empty((NUM_AXES, self.config.segment_length))
-        self._filled = 0
-
-    @property
-    def complete(self) -> bool:
-        return self._filled >= self.config.segment_length
-
-    @property
-    def remaining(self) -> int:
-        return self.config.segment_length - self._filled
-
-    def push(self, chunk: np.ndarray) -> int:
-        """Append raw ``(k, 6)`` samples; returns how many were taken."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim != 2 or chunk.shape[1] != NUM_AXES:
-            raise ShapeError(f"chunk must be (k, 6), got {chunk.shape}")
-        take = min(chunk.shape[0], self.remaining)
-        if take:
-            self._segment[:, self._filled : self._filled + take] = chunk[:take].T
-            self._filled += take
-        return take
-
-    def despiked(self) -> np.ndarray:
-        """Per-axis MAD despike of the completed ``(6, n)`` segment."""
-        if not self.complete:
-            raise StreamStateError(f"segment needs {self.remaining} more samples")
-        out = np.empty_like(self._segment)
-        for axis in range(NUM_AXES):
-            out[axis] = replace_outliers(
-                self._segment[axis], threshold=self.config.mad_threshold
-            )
-        return out
-
-    def filtered(self) -> np.ndarray:
-        """High-passed despiked segment (fresh zero-state filter)."""
-        return sosfilt(self._sos, self.despiked())
-
-    def passes_gate(self) -> bool:
-        """The pipeline's sustained-vibration quality gate."""
-        filtered = self.filtered()
-        return float(filtered.std(axis=1).max()) >= self.config.min_segment_std
-
-    def normalized(self) -> np.ndarray:
-        """The final ``(6, n)`` signal array (Eq. 7 applied)."""
-        return min_max_normalize(self.filtered(), axis=-1)

@@ -22,12 +22,17 @@ detectors padded with — to the backend:
   verifies coalesce into micro-batches.  Decisions are emitted on a
   later ``push`` or on :meth:`drain`.
 
-Because the submitted window reproduces the armed stream prefix
-bit-for-bit, the batch pipeline finds the identical onset (the
-streaming detector only confirms *final* onsets) and the emitted
+The window goes with its onset: the session hands the backend the
+onset its streaming detector confirmed (``onsets=`` / ``onset=``), so
+the verify path cuts the segment there and runs no detection of its
+own — one onset pass per streamed decision.  The streaming detector
+only confirms *final* onsets, and the window reproduces the armed
+stream prefix bit-for-bit, so batch detection on the same window would
+find the identical onset: the emitted
 :class:`~repro.types.VerificationResult` is bitwise identical to
-calling the batch pipeline on the concatenated signal — the property
-``tests/test_stream_equivalence.py`` proves for arbitrary chunkings.
+calling the batch pipeline, without a hint, on the concatenated signal
+— the property ``tests/test_stream_equivalence.py`` proves for
+arbitrary chunkings.
 
 Decision emission is exactly-once per confirmed onset: the state
 machine holds at most one in-flight verification, settles it under the
@@ -59,13 +64,12 @@ from repro.dsp.detection import _detection_sos
 from repro.errors import (
     InjectedFaultError,
     ShapeError,
-    SignalError,
     StreamStateError,
     TransientError,
 )
 from repro.faults import runtime as faults
 from repro.obs import runtime as obs
-from repro.stream.dsp import SegmentAssembler, StreamingOnsetDetector
+from repro.stream.dsp import StreamingOnsetDetector
 from repro.types import NUM_AXES, VerificationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,6 +173,7 @@ class StreamSession:
         # cascade is disabled, making this a no-op.
         self._cascade_gate = backend.cascade_gate
         self._cascade_policy = backend.cascade_policy
+        self._engine = backend.engine
         self._sos = _detection_sos(self.preprocess)
         self._on_decision = on_decision
         self.session_id = session_id if session_id is not None else f"s{id(self):x}"
@@ -338,8 +343,10 @@ class StreamSession:
                 # detector happened to fire on.
                 confirmed_at = self._window_start + self._detector.final_at
                 self._transition(SessionState.ONSET, at=confirmed_at)
-                # The submitted window must let the batch detector
-                # confirm the same candidate and cover the segment.
+                # The window covers the segment and reaches the point
+                # where batch detection on the window alone confirms
+                # this same onset, so the backend, handed the onset,
+                # decides it exactly as it would without the hint.
                 # Both bounds are pure stream arithmetic, so the window
                 # boundaries are invariant to how the feed was chunked.
                 self._needed = max(
@@ -371,11 +378,12 @@ class StreamSession:
         self._transition(SessionState.VERIFYING)
         submitted = time.perf_counter()
         meta = (self._onset_abs, self._window_start, self._window_start + self._needed)
+        onset = self._onset_abs - self._window_start
         full_pipeline = False
         if self._cascade_gate is not None and self._cascade_gate.has_user(
             self.user_id
         ):
-            result, full_pipeline = self._local_stage1(window)
+            result, full_pipeline = self._local_stage1(window, onset)
             if result is not None:
                 obs.inc(
                     "stream_stage1_exits_total",
@@ -390,37 +398,39 @@ class StreamSession:
                     window,
                     timeout_ms=self.config.verify_timeout_ms,
                     full_pipeline=full_pipeline,
+                    onset=onset,
                 )
                 self._pending = (future, submitted, *meta)
             else:
                 results = self._system.verify_many(
-                    self.user_id, [window], full_pipeline=full_pipeline
+                    self.user_id,
+                    [window],
+                    full_pipeline=full_pipeline,
+                    onsets=[onset],
                 )
                 self._finish(decisions, results[0], None, "ok", submitted, meta)
 
     def _local_stage1(
-        self, window: np.ndarray
+        self, window: np.ndarray, onset: int
     ) -> tuple[VerificationResult | None, bool]:
         """Try to decide the window locally; ``(result, full_pipeline)``.
+
+        The signal is the backend's own preprocess of the window cut at
+        the confirmed onset, so stage 1 scores exactly what the backend
+        would.
 
         ``(result, False)`` — a clear-cut stage-1 exit, decided here.
         ``(None, True)`` — borderline (or audit-forced): submit flagged
         ``full_pipeline`` so the backend skips its own stage-1 pass.
-        ``(None, False)`` — the local assembly could not produce the
-        canonical signal (gate failure, injected stage-1 fault): submit
+        ``(None, False)`` — no canonical signal here (the window is
+        refused, or an injected preprocess / stage-1 fault): submit
         unflagged and let the backend decide canonically.
         """
-        onset_rel = self._onset_abs - self._window_start
-        assembler = SegmentAssembler(self.preprocess)
-        assembler.push(window[onset_rel:])
         try:
-            if not assembler.passes_gate():
+            outcome = self._engine.preprocess([window], onsets=[onset])
+            if not outcome.num_ok:
                 return None, False
-            signal = assembler.normalized()
-        except SignalError:
-            return None, False
-        try:
-            scores = self._cascade_gate.scores(self.user_id, signal[None, ...])
+            scores = self._cascade_gate.scores(self.user_id, outcome.values)
         except TransientError:
             return None, False
         route = int(self._cascade_policy.route(scores)[0])

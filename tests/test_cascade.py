@@ -502,3 +502,35 @@ class TestStreamStage1:
             if decision.result is not None:
                 assert decision.result.accepted
                 assert decision.result.exit_stage in ("stage1", "stage2")
+
+    def test_local_stage1_applies_the_usable_axis_rule(self, probes):
+        """A window with fewer usable axes than the policy requires is
+        refused on the session exactly as the backend refuses it, never
+        scored by the local stage 1."""
+        from repro.stream import StreamSession
+
+        enroll, _, impostor = probes
+        system = build_system(**TIGHT_BAND)
+        system.enroll("alice", enroll)
+        damaged = [p.copy() for p in impostor[:3]]
+        for recording in damaged:
+            recording[:, [1, 2, 4]] = 0.0  # 3 of 6 axes usable; policy needs 4
+        stream = np.concatenate(damaged, axis=0)
+        config = StreamConfig(cooldown_samples=105)
+        with obs.collecting() as registry:
+            session = StreamSession("alice", system=system, config=config)
+            decisions = []
+            for pos in range(0, stream.shape[0], config.chunk_size):
+                decisions += session.push(stream[pos : pos + config.chunk_size])
+            decisions += session.close()
+            snapshot = registry.to_dict()
+        assert decisions
+        assert not any(
+            key.startswith("stream_stage1_exits_total")
+            for key in snapshot["counters"]
+        )
+        for decision in decisions:
+            window = stream[decision.window_start : decision.window_end]
+            backend = system.verify_many("alice", [window])[0]
+            assert decision.result.exit_stage == backend.exit_stage == "refused"
+            assert decision.result.distance == backend.distance

@@ -247,6 +247,27 @@ class TestEvalModeSatellites:
         assert trained_model.training is False
         trained_model.eval()
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_eval_model_embeddings_survive_mode_round_trips(
+        self, trained_model, hired_dataset, dtype
+    ):
+        # An eval-mode model is not re-walked by extract_embeddings, so
+        # its cached eval weights serve the call; a train()/eval()
+        # round trip drops and rebuilds them from the same parameters.
+        features = hired_dataset.features[:6]
+        trained_model.eval()
+        warm = extract_embeddings(trained_model, features, dtype=dtype)
+        again = extract_embeddings(trained_model, features, dtype=dtype)
+        trained_model.train()
+        trained_model.eval()
+        rebuilt = extract_embeddings(trained_model, features, dtype=dtype)
+        trained_model.train()
+        from_training = extract_embeddings(trained_model, features, dtype=dtype)
+        assert trained_model.training is True
+        trained_model.eval()
+        for other in (again, rebuilt, from_training):
+            assert other.tobytes() == warm.tobytes()
+
     def test_eval_forward_caches_nothing(self, rng):
         conv = Conv2d(1, 2, (3, 3), (1, 1), (1, 1), rng=rng)
         bn = BatchNorm2d(2)

@@ -17,15 +17,8 @@ from hypothesis import strategies as st
 from repro.config import PreprocessConfig, StreamConfig
 from repro.dsp.detection import detect_onset
 from repro.dsp.filters import design_highpass, normalized_sections, sosfilt
-from repro.dsp.normalize import min_max_normalize
-from repro.dsp.pipeline import Preprocessor
 from repro.errors import OnsetNotFoundError
-from repro.stream import (
-    SegmentAssembler,
-    StreamingOnsetDetector,
-    StreamingSOSFilter,
-    StreamSession,
-)
+from repro.stream import StreamingOnsetDetector, StreamingSOSFilter, StreamSession
 
 # Chunk-size lists; the stream is cut by cycling through them, so a
 # single-element list like [7] also exercises the uneven final tail.
@@ -174,28 +167,6 @@ class TestStreamingOnsetDetector:
         # Further pushes and finish() keep reporting the same onset.
         assert detector.push(recording[:5]) == onset
         assert detector.finish() == onset
-
-
-class TestSegmentAssembler:
-    @given(plan=chunk_plans, trial=st.integers(0, 30))
-    @settings(max_examples=20)
-    def test_stages_match_batch_pipeline(self, population, recorder, plan, trial):
-        recording = recorder.record(
-            population[trial % len(population)], trial_index=trial + 500
-        )
-        config = PreprocessConfig()
-        debug = Preprocessor(config).process_debug(recording)
-        tail = recording[debug.onset :]
-        assembler = SegmentAssembler(config)
-        for a, b in cuts(tail.shape[0], plan):
-            assembler.push(tail[a:b])
-            if assembler.complete:
-                break
-        assert assembler.complete
-        assert np.array_equal(assembler.despiked(), debug.despiked)
-        assert np.array_equal(assembler.filtered(), debug.filtered)
-        assert np.array_equal(assembler.normalized(), debug.normalized)
-        assert assembler.passes_gate()
 
 
 class TestEndToEndSession:
