@@ -27,7 +27,7 @@ from repro.ml import (
     MLPClassifier,
     train_test_split,
 )
-from repro.cascade.features import statistical_features_batch
+from repro.ml.features import statistical_features_batch
 
 from conftest import once
 

@@ -13,9 +13,10 @@ timings of the same ``verify_many`` at B=64:
 The contract asserted here (and in DESIGN.md §4e): the no-op path stays
 within 5% of the uninstrumented baseline, so leaving the
 instrumentation compiled-in costs nothing measurable.  The live run's
-snapshot is written to ``METRICS_snapshot.json`` (uploaded as a CI
-artifact next to ``BENCH_hotpath.json``); set ``OBS_QUICK=1`` for the
-CI smoke configuration.
+snapshot is written to ``METRICS_snapshot.json``; set ``OBS_QUICK=1``
+for the CI smoke configuration, which writes
+``METRICS_snapshot.quick.json`` (uploaded as a CI artifact) instead, so
+a smoke never overwrites the tracked snapshot.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from conftest import once
 QUICK = os.environ.get("OBS_QUICK", "") == "1"
 BATCH = 64
 REPEATS = 7 if QUICK else 11
-SNAPSHOT_PATH = Path(__file__).resolve().parents[1] / "METRICS_snapshot.json"
+SNAPSHOT_PATH = Path(__file__).resolve().parents[1] / (
+    "METRICS_snapshot.quick.json" if QUICK else "METRICS_snapshot.json"
+)
 
 #: The no-op path may cost at most this factor over uninstrumented.
 NOOP_BUDGET = 1.05

@@ -29,11 +29,7 @@ import importlib
 __version__ = "1.0.0"
 
 _EXPORTS = {
-    "repro.cascade.calibrate": ("calibrate_cascade",),
-    "repro.cascade.policy": ("ExitPolicy",),
-    "repro.cascade.stage1": ("Stage1Gate",),
     "repro.config": (
-        "CascadeConfig",
         "DEFAULT_CONFIG",
         "DecisionConfig",
         "ExtractorConfig",

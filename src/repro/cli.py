@@ -15,9 +15,6 @@ Commands:
 * ``chaos``       -- run randomized seeded fault-injection schedules
                      through the serving stack and write the
                      outcome-accounting report ``BENCH_chaos.json``.
-* ``cascade-bench`` -- calibrate and benchmark the early-exit cascade
-                     (stage-1 feature gate) against the full pipeline
-                     and write ``BENCH_cascade.json``.
 * ``scenario-bench`` -- run the adversarial scenario matrix (motion x
                      degradation x attacks; IMU vs heartbeat vs fused)
                      and write ``BENCH_scenarios.json``.
@@ -412,42 +409,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if unhealthy else 0
 
 
-def _cmd_cascade_bench(args: argparse.Namespace) -> int:
-    from repro.cascade.bench import run_cascade_bench
-
-    print(f"cascade benchmark ({'quick' if args.quick else 'full'} mode)")
-    report = run_cascade_bench(
-        quick=args.quick, output=args.output or None
-    )
-    mode = report["modes"]["features"]
-    cal = mode["calibration"]
-    ev = mode["eval"]
-    timing = mode["timing"]
-    print(f"  band       : ({cal['t_accept']:.3f}, {cal['t_reject']:.3f}) "
-          f"{'feasible' if cal['feasible'] else 'INFEASIBLE'}, "
-          f"exit fraction {cal['exit_fraction']:.2f}")
-    print(f"  eval       : FAR {ev['far']:.3f} (delta "
-          f"{ev['far_delta']:.3f}), FRR {ev['frr']:.3f} "
-          f"(delta {ev['frr_delta']:.3f}), "
-          f"exits {ev['exits']}")
-    print(f"  timing     : cascade "
-          f"{timing['cascade_ms_per_probe']:.3f} ms/probe vs full "
-          f"{timing['full_ms_per_probe']:.3f} ms/probe "
-          f"({timing['speedup']:.2f}x)")
-    claims = report["claims"]
-    for name in ("speedup_at_least_2x", "far_delta_within_epsilon",
-                 "frr_delta_within_epsilon", "exits_accounted"):
-        print(f"  {name:<26}: {'PASS' if claims[name] else 'FAIL'}")
-    if args.output:
-        print(f"# report written to {args.output}", file=sys.stderr)
-    ok = all(
-        claims[name]
-        for name in ("speedup_at_least_2x", "far_delta_within_epsilon",
-                     "frr_delta_within_epsilon", "exits_accounted")
-    )
-    return 0 if ok else 1
-
-
 _SCENARIO_CLAIMS = (
     "matrix_full",
     "fused_beats_imu_in_hostile_cell",
@@ -606,19 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here (empty string to skip)",
     )
     chaos.set_defaults(func=_cmd_chaos)
-
-    cascade_bench = sub.add_parser(
-        "cascade-bench",
-        help="early-exit cascade: calibrated thresholds, speedup, "
-             "exit accounting",
-    )
-    cascade_bench.add_argument("--quick", action="store_true",
-                               help="CI smoke: smaller probe pools")
-    cascade_bench.add_argument(
-        "--output", default="BENCH_cascade.json",
-        help="write the JSON report here (empty string to skip)",
-    )
-    cascade_bench.set_defaults(func=_cmd_cascade_bench)
 
     scenario_bench = sub.add_parser(
         "scenario-bench",

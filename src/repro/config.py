@@ -239,63 +239,6 @@ class GalleryConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class CascadeConfig:
-    """Early-exit cascade policy (:mod:`repro.cascade`, DESIGN.md §4k).
-
-    Every verify probe pays preprocess → front end → two-branch CNN.
-    With the cascade enabled, a cheap stage-1 scorer produces one
-    distance-like confidence score per probe from the preprocessed
-    signal, and the exit band ``(t_accept, t_reject)`` routes it:
-    ``score <= t_accept`` accepts immediately, ``score > t_reject``
-    rejects immediately, and only the borderline band in between pays
-    the full extractor (stage 2).  Disabled by default — and when
-    disabled every decision is bitwise identical to the plain pipeline.
-
-    Attributes:
-        enabled: turn the cascade on for :meth:`MandiPass.verify_many
-            <repro.core.system.MandiPass.verify_many>`.
-        t_accept: accept-band edge (inclusive).  Scores at or below it
-            exit as stage-1 accepts.
-        t_reject: reject-band edge (exclusive).  Scores above it exit
-            as stage-1 rejects, so ``t_accept == t_reject`` is a plain
-            threshold.  Must be >= ``t_accept`` — an inverted band is
-            rejected at construction.  Both edges are operating points
-            fitted by
-            :func:`repro.cascade.calibrate_cascade`; the defaults are
-            deliberately conservative (wide borderline band).
-        forced_full_fraction: audit-sampling rate — this deterministic
-            fraction of probes is forced through stage 2 regardless of
-            the stage-1 score (provenance ``"stage2_forced"``), so a
-            deployment continuously measures stage-1 agreement on live
-            traffic.
-        epsilon_far: decision-quality bound pinned by the bench: the
-            calibrated operating point must not raise FAR by more than
-            this over the full pipeline on held-out trials.
-        epsilon_frr: the matching bound on the FRR increase.
-    """
-
-    enabled: bool = False
-    t_accept: float = 0.05
-    t_reject: float = 1.60
-    forced_full_fraction: float = 0.0
-    epsilon_far: float = 0.02
-    epsilon_frr: float = 0.02
-
-    def __post_init__(self) -> None:
-        _require(self.t_accept >= 0.0, "t_accept must be >= 0")
-        _require(
-            self.t_reject >= self.t_accept,
-            "inverted exit band: t_reject must be >= t_accept",
-        )
-        _require(
-            0.0 <= self.forced_full_fraction <= 1.0,
-            "forced_full_fraction must lie in [0, 1]",
-        )
-        _require(self.epsilon_far >= 0.0, "epsilon_far must be >= 0")
-        _require(self.epsilon_frr >= 0.0, "epsilon_frr must be >= 0")
-
-
-@dataclasses.dataclass(frozen=True)
 class ServingConfig:
     """Concurrent-serving policy for :class:`repro.serve.AuthServer`.
 
@@ -439,11 +382,6 @@ class StreamConfig:
         drain_timeout_s: default wait for in-flight verifications in
             :meth:`~repro.stream.StreamSession.drain`.
 
-    When the backend's early-exit cascade is enabled
-    (:class:`CascadeConfig`), sessions always score stage 1 in-session
-    on the assembled segment: clear-cut windows emit their decision
-    locally, and borderline windows are submitted flagged
-    ``full_pipeline`` so the backend skips the stage-1 re-score.
     Windows without a usable vibration are submitted like any other and
     come back from the engine as refusals.
     """
@@ -511,7 +449,6 @@ class MandiPassConfig:
     resilience: ResilienceConfig = dataclasses.field(default_factory=ResilienceConfig)
     gallery: GalleryConfig = dataclasses.field(default_factory=GalleryConfig)
     stream: StreamConfig = dataclasses.field(default_factory=StreamConfig)
-    cascade: CascadeConfig = dataclasses.field(default_factory=CascadeConfig)
 
     def __post_init__(self) -> None:
         _require(

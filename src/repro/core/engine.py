@@ -272,19 +272,20 @@ class InferenceEngine:
 
     # -- end-to-end -----------------------------------------------------
 
-    def preprocessed(
+    def embed(
         self,
         recordings: Sequence[RawRecording],
         onsets: Sequence[int | None] | None = None,
     ) -> BatchOutcome:
-        """The signal-level front half of :meth:`embed`.
+        """Recordings to centred MandiblePrints, with per-item failures.
 
-        Applies payload corruption once, runs the retried preprocess
-        stage, and records per-item failure / degraded-mode metrics.
-        :func:`~repro.core.verification.verify_batch` stops here so a
-        stage-1 gate can score signals before deciding which rows pay
-        :meth:`embed_signal_values`.  Corruption keeps each recording's
-        length, so ``onsets`` hints stay in range.
+        Transient stage failures are retried per the engine's
+        :class:`~repro.config.ResilienceConfig`; payload corruption (the
+        ``"imu"`` fault point) is applied once, before the first
+        attempt, so a retry re-processes the same corrupted inputs
+        rather than rolling new ones.  Corruption keeps each
+        recording's length, so ``onsets`` hints (see :meth:`preprocess`)
+        stay in range.
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)
@@ -295,36 +296,16 @@ class InferenceEngine:
             obs.inc("failures_total", error=failure.error)
         if outcome.degraded:
             obs.inc("degraded_total", float(len(outcome.degraded)), path="axes")
-        return outcome
-
-    def embed_signal_values(self, signal_arrays: np.ndarray) -> np.ndarray:
-        """Centred MandiblePrints ``(K, d)`` for stacked ``(K, 6, n)``
-        signals — the retried front-end + extractor back half."""
-        features = self._with_retry(
-            lambda: self.features(signal_arrays), "frontend"
-        )
-        return self._with_retry(
-            lambda: self.embed_features(features), "extractor"
-        )
-
-    def embed_signals(self, outcome: BatchOutcome) -> BatchOutcome:
-        """Embed the successes of a :meth:`preprocessed` outcome."""
         if outcome.num_ok == 0:
             empty = np.empty((0, self.model.config.embedding_dim))
             return dataclasses.replace(outcome, values=empty)
-        embeddings = self.embed_signal_values(outcome.values)
+        features = self._with_retry(
+            lambda: self.features(outcome.values), "frontend"
+        )
+        embeddings = self._with_retry(
+            lambda: self.embed_features(features), "extractor"
+        )
         return dataclasses.replace(outcome, values=embeddings)
-
-    def embed(self, recordings: Sequence[RawRecording]) -> BatchOutcome:
-        """Recordings to centred MandiblePrints, with per-item failures.
-
-        Transient stage failures are retried per the engine's
-        :class:`~repro.config.ResilienceConfig`; payload corruption (the
-        ``"imu"`` fault point) is applied once, before the first
-        attempt, so a retry re-processes the same corrupted inputs
-        rather than rolling new ones.
-        """
-        return self.embed_signals(self.preprocessed(recordings))
 
     def embed_one(self, recording: RawRecording) -> np.ndarray:
         """Single-recording path; raises on unusable input.

@@ -12,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cascade.policy import ExitPolicy
-from repro.cascade.stage1 import Stage1Gate
 from repro.config import MandiPassConfig, DEFAULT_CONFIG
 from repro.core.engine import InferenceEngine
 from repro.core.enrollment import enroll_user
@@ -78,15 +76,6 @@ class MandiPass:
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
         )
-        # Early-exit cascade (DESIGN.md §4k): both halves exist only
-        # when enabled, so the disabled default cannot perturb the
-        # verify path in any way.
-        if config.cascade.enabled:
-            self._cascade_gate: Stage1Gate | None = Stage1Gate()
-            self._cascade_policy: ExitPolicy | None = ExitPolicy(config.cascade)
-        else:
-            self._cascade_gate = None
-            self._cascade_policy = None
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}
@@ -152,17 +141,6 @@ class MandiPass:
             self._gallery_mutation(
                 "upsert", user_id, transform, result.cancelable_template
             )
-            if self._cascade_gate is not None:
-                # Fit the stage-1 reference from the same enrollment
-                # recordings.  Preprocessing runs directly (not through
-                # the engine) so enrollment does not fire the
-                # engine.preprocess fault point a second time.
-                signals, _, _, _ = self.preprocessor.process_batch_detailed(
-                    recordings,
-                    min_usable_axes=self.config.resilience.min_usable_axes,
-                )
-                if len(signals):
-                    self._cascade_gate.fit_user(user_id, signals)
             obs.set_gauge("enrolled_users", len(self._transforms))
             return result.used_recordings
 
@@ -171,23 +149,17 @@ class MandiPass:
 
     # ------------------------------------------------------------------
 
-    def verify(
-        self,
-        user_id: str,
-        recording: RawRecording,
-        full_pipeline: bool = False,
-    ) -> VerificationResult:
+    def verify(self, user_id: str, recording: RawRecording) -> VerificationResult:
         """Decide one verification request against a sealed template.
 
         Thin wrapper over :meth:`verify_many` with a batch of one.
         """
-        return self.verify_many(user_id, [recording], full_pipeline=full_pipeline)[0]
+        return self.verify_many(user_id, [recording])[0]
 
     def verify_many(
         self,
         user_id: str,
         recordings: Sequence[RawRecording],
-        full_pipeline: bool = False,
         onsets: Sequence[int | None] | None = None,
     ) -> list[VerificationResult]:
         """Decide a batch of requests against one sealed template.
@@ -200,13 +172,6 @@ class MandiPass:
         the maximum distance, exactly as :meth:`verify` would reject
         them one at a time.
 
-        When the cascade is enabled (DESIGN.md §4k) and a stage-1
-        reference is fitted for the user, clear-cut probes exit on the
-        cheap stage-1 score and only borderline probes pay the
-        extractor.  ``full_pipeline=True`` bypasses the cascade for
-        this batch — the calibration/audit escape hatch, also used by
-        streaming clients that already ran stage 1 locally.
-
         ``onsets`` optionally gives each recording's known onset sample
         (a streaming session passes the one its detector confirmed), so
         that recording is cut there instead of being detected again;
@@ -218,9 +183,6 @@ class MandiPass:
             if transform is None:
                 raise VerificationError(f"user {user_id!r} is not enrolled")
             record = self.enclave.unseal(user_id)
-            gate = self._cascade_gate
-            if full_pipeline or gate is None or not gate.has_user(user_id):
-                gate = None
             with obs.span("verify"):
                 obs.observe_batch_size("verify_many", len(recordings))
                 return verify_batch(
@@ -230,8 +192,6 @@ class MandiPass:
                     template=np.asarray(record.template),
                     transform=transform,
                     threshold=self.config.decision.threshold,
-                    gate=gate,
-                    policy=self._cascade_policy,
                     onsets=onsets,
                 )
 
@@ -507,32 +467,7 @@ class MandiPass:
             self.enclave.revoke(user_id)
             self._transforms.pop(user_id, None)
             self._gallery_mutation("remove", user_id)
-            if self._cascade_gate is not None:
-                self._cascade_gate.drop_user(user_id)
             obs.set_gauge("enrolled_users", len(self._transforms))
-
-    # ------------------------------------------------------------------
-
-    @property
-    def cascade_gate(self) -> Stage1Gate | None:
-        """The stage-1 gate, or ``None`` while the cascade is disabled."""
-        return self._cascade_gate
-
-    @property
-    def cascade_policy(self) -> ExitPolicy | None:
-        """The exit policy, or ``None`` while the cascade is disabled."""
-        return self._cascade_policy
-
-    def retune_cascade(self, t_accept: float, t_reject: float) -> None:
-        """Install a freshly calibrated exit band (validated).
-
-        Takes the write lock so the swap can never race an in-flight
-        scoring batch reading the band.
-        """
-        if self._cascade_policy is None:
-            raise ConfigError("the cascade is not enabled on this device")
-        with self._rwlock.write_locked():
-            self._cascade_policy.retune(t_accept, t_reject)
 
     def renew(
         self, user_id: str, recordings: list[RawRecording]

@@ -57,10 +57,6 @@ RULE_TEMPLATES: tuple[FaultRule, ...] = (
     FaultRule(
         "stream.push", "delay", probability=0.3, max_fires=5, delay_s=0.002
     ),
-    FaultRule("cascade.stage1", "error", probability=0.4, max_fires=4),
-    FaultRule(
-        "cascade.stage1", "delay", probability=0.3, max_fires=4, delay_s=0.002
-    ),
 )
 
 

@@ -35,12 +35,6 @@ stream.push         error / delay         one pushed chunk of a
                                           (counted, session stays
                                           consistent), ``delay`` stalls
                                           ingest
-cascade.stage1      error / delay         stage-1 gate scoring:
-                                          ``error`` degrades the batch
-                                          (or stream window) to the
-                                          full pipeline — availability
-                                          over speed; ``delay`` stalls
-                                          the cheap path
 ==================  ====================  ===============================
 
 Fires are counted into the ``fault_injected_total{point,kind}`` metric

@@ -4,8 +4,7 @@ Fig. 7(b) and Fig. 10(a) compare the biometric extractor against SVM,
 KNN, decision tree, naive Bayes and a plain neural network.  This
 package implements each from scratch on numpy, behind a common
 fit/predict protocol (:mod:`repro.ml.base`).  The 36 statistical
-features of Section V-A they classify live beside their serving
-caller, the cascade's stage-1 gate (:mod:`repro.cascade.features`).
+features of Section V-A they classify are in :mod:`repro.ml.features`.
 """
 
 from repro.ml.base import Estimator, accuracy, train_test_split

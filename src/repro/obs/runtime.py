@@ -127,30 +127,13 @@ stream_rearms_total              counter    --  (detector restarts:
                                                 refractory expiry and
                                                 onset-free rearm windows)
 stream_dropped_chunks_total      counter    --  (``stream.push`` faults)
-stream_stage1_exits_total        counter    ``decision``: accept, reject
-                                            (windows decided on-session
-                                            by local stage 1),
-                                            borderline (submitted
-                                            ``full_pipeline``)
 ===============================  =========  ==============================
 
-The early-exit cascade (:mod:`repro.cascade`, DESIGN.md §4k) adds —
-plus a ``cascade_stage1`` stage in ``stage_latency_seconds`` — and the
-storage gauges:
+The storage gauges:
 
 ===========================  =========  =================================
 name                         kind       labels
 ===========================  =========  =================================
-cascade_exits_total          counter    ``stage``: stage1_accept,
-                                        stage1_reject, stage2,
-                                        stage2_forced (audit samples),
-                                        refused (no usable signal),
-                                        fallback_full (stage-1 fault →
-                                        whole batch on the full
-                                        pipeline).  Sums to the number
-                                        of cascade-routed probes.
-cascade_borderline_fraction  gauge      --  (borderline share of the
-                                            last scored batch)
 model_bytes                  gauge      ``dtype``: float32 (the live
                                         extractor)
 gallery_bytes                gauge      --  (derived 1:N scoring state,

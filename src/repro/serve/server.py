@@ -164,17 +164,14 @@ class ServeRequest:
     deadline: float | None  # absolute time.monotonic(), None = no deadline
     submitted_at: float     # time.perf_counter(), for e2e latency
     enqueued_at: float = 0.0  # stamped by the batcher
-    full_pipeline: bool = False  # bypass the cascade for this request
     onset: int | None = None  # known onset sample; None = detect
 
     @property
     def key(self) -> tuple:
         # verify batches share one sealed template, so they key by
         # user; identify batches score the whole gallery and coalesce
-        # globally.  Cascade-bypassing requests (streaming clients that
-        # already ran stage 1 locally, calibration traffic) batch
-        # separately so one flag decides a whole homogeneous batch.
-        return (self.kind, self.user_id, self.full_pipeline)
+        # globally.
+        return (self.kind, self.user_id)
 
 
 class AuthServer:
@@ -220,14 +217,6 @@ class AuthServer:
     ):
         self.system = system
         self.config = config if config is not None else system.config.serving
-        if self.config.num_worker_processes > 0 and system.config.cascade.enabled:
-            # Workers decide through verify_batch without a stage-1
-            # gate, so pool mode would silently disagree with thread
-            # mode on the same request.
-            raise ConfigError(
-                "the early-exit cascade is not supported with "
-                "num_worker_processes > 0"
-            )
         self.resilience = (
             resilience if resilience is not None else system.config.resilience
         )
@@ -373,7 +362,6 @@ class AuthServer:
         user_id: str,
         recording: "RawRecording",
         timeout_ms: float | None = None,
-        full_pipeline: bool = False,
         onset: int | None = None,
     ) -> AuthFuture:
         """Submit one 1:1 verification request; never blocks.
@@ -383,10 +371,6 @@ class AuthServer:
                 queued when it expires is shed (future resolves with
                 :class:`~repro.errors.DeadlineExpiredError`); a request
                 already dispatched to a worker is always answered.
-            full_pipeline: bypass the early-exit cascade for this
-                request (DESIGN.md §4k); such requests batch separately
-                from cascading ones.  A no-op while the cascade is
-                disabled.
             onset: the recording's known onset sample (a stream
                 session's confirmed onset), which skips detection for
                 this request; ``None`` detects.  Hinted and unhinted
@@ -400,8 +384,7 @@ class AuthServer:
             except TypeError:
                 pass  # the preprocessor refuses it for this request only
         return self._submit(
-            RequestKind.VERIFY, user_id, recording, timeout_ms,
-            full_pipeline=full_pipeline, onset=onset,
+            RequestKind.VERIFY, user_id, recording, timeout_ms, onset=onset
         )
 
     def identify(
@@ -464,7 +447,6 @@ class AuthServer:
         user_id: str | None,
         recording: "RawRecording",
         timeout_ms: float | None,
-        full_pipeline: bool = False,
         onset: int | None = None,
     ) -> AuthFuture:
         if timeout_ms is not None and timeout_ms <= 0:
@@ -480,7 +462,6 @@ class AuthServer:
             future=future,
             deadline=deadline,
             submitted_at=time.perf_counter(),
-            full_pipeline=full_pipeline,
             onset=onset,
         )
         obs.inc("serve_requests_total", kind=kind.value)
@@ -551,10 +532,7 @@ class AuthServer:
                 )
             if head.kind is RequestKind.VERIFY:
                 return self.system.verify_many(
-                    head.user_id,
-                    recordings,
-                    full_pipeline=head.full_pipeline,
-                    onsets=onsets,
+                    head.user_id, recordings, onsets=onsets
                 )
             return self.system.identify_many(recordings)
 

@@ -50,6 +50,7 @@ canonical table in :mod:`repro.faults.runtime`.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import threading
@@ -58,15 +59,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.cascade.policy import ROUTE_ACCEPT, ROUTE_REJECT
 from repro.config import PreprocessConfig, StreamConfig
 from repro.dsp.detection import _detection_sos
-from repro.errors import (
-    InjectedFaultError,
-    ShapeError,
-    StreamStateError,
-    TransientError,
-)
+from repro.errors import InjectedFaultError, ShapeError, StreamStateError
 from repro.faults import runtime as faults
 from repro.obs import runtime as obs
 from repro.stream.dsp import StreamingOnsetDetector
@@ -75,6 +70,12 @@ from repro.types import NUM_AXES, VerificationResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MandiPass
     from repro.serve.server import AuthServer
+
+
+#: Transitions :attr:`StreamSession.trace` keeps (the most recent ones).
+#: A session records five per decision, so this is the last ~200
+#: decisions; the bound keeps a long-lived session's memory flat.
+TRACE_CAPACITY = 1024
 
 
 class SessionState(enum.Enum):
@@ -166,20 +167,14 @@ class StreamSession:
         self.user_id = user_id
         self.config = config if config is not None else backend.config.stream
         self.preprocess: PreprocessConfig = backend.config.preprocess
-        # Local stage-1 gating (DESIGN.md §4k): clear-cut windows are
-        # decided on-session from the backend's fitted gate; borderline
-        # windows are submitted flagged ``full_pipeline`` so the backend
-        # does not re-score stage 1.  Both halves are None while the
-        # cascade is disabled, making this a no-op.
-        self._cascade_gate = backend.cascade_gate
-        self._cascade_policy = backend.cascade_policy
-        self._engine = backend.engine
         self._sos = _detection_sos(self.preprocess)
         self._on_decision = on_decision
         self.session_id = session_id if session_id is not None else f"s{id(self):x}"
         self._lock = threading.RLock()
         self._samples = 0
-        self._trace: list[tuple[str, int]] = []
+        self._trace: collections.deque[tuple[str, int]] = collections.deque(
+            maxlen=TRACE_CAPACITY
+        )
         self._chunks: list[np.ndarray] = []
         self._buffered = 0
         self._detector: StreamingOnsetDetector | None = None
@@ -206,7 +201,10 @@ class StreamSession:
 
     @property
     def trace(self) -> tuple[tuple[str, int], ...]:
-        """State transitions as ``(state_name, absolute_sample)`` pairs."""
+        """State transitions as ``(state_name, absolute_sample)`` pairs.
+
+        Only the most recent :data:`TRACE_CAPACITY` are kept.
+        """
         with self._lock:
             return tuple(self._trace)
 
@@ -379,74 +377,20 @@ class StreamSession:
         submitted = time.perf_counter()
         meta = (self._onset_abs, self._window_start, self._window_start + self._needed)
         onset = self._onset_abs - self._window_start
-        full_pipeline = False
-        if self._cascade_gate is not None and self._cascade_gate.has_user(
-            self.user_id
-        ):
-            result, full_pipeline = self._local_stage1(window, onset)
-            if result is not None:
-                obs.inc(
-                    "stream_stage1_exits_total",
-                    decision="accept" if result.accepted else "reject",
-                )
-                self._finish(decisions, result, None, "ok", submitted, meta)
-                return
         with obs.span("stream_submit"):
             if self._server is not None:
                 future = self._server.verify(
                     self.user_id,
                     window,
                     timeout_ms=self.config.verify_timeout_ms,
-                    full_pipeline=full_pipeline,
                     onset=onset,
                 )
                 self._pending = (future, submitted, *meta)
             else:
                 results = self._system.verify_many(
-                    self.user_id,
-                    [window],
-                    full_pipeline=full_pipeline,
-                    onsets=[onset],
+                    self.user_id, [window], onsets=[onset]
                 )
                 self._finish(decisions, results[0], None, "ok", submitted, meta)
-
-    def _local_stage1(
-        self, window: np.ndarray, onset: int
-    ) -> tuple[VerificationResult | None, bool]:
-        """Try to decide the window locally; ``(result, full_pipeline)``.
-
-        The signal is the backend's own preprocess of the window cut at
-        the confirmed onset, so stage 1 scores exactly what the backend
-        would.
-
-        ``(result, False)`` — a clear-cut stage-1 exit, decided here.
-        ``(None, True)`` — borderline (or audit-forced): submit flagged
-        ``full_pipeline`` so the backend skips its own stage-1 pass.
-        ``(None, False)`` — no canonical signal here (the window is
-        refused, or an injected preprocess / stage-1 fault): submit
-        unflagged and let the backend decide canonically.
-        """
-        try:
-            outcome = self._engine.preprocess([window], onsets=[onset])
-            if not outcome.num_ok:
-                return None, False
-            scores = self._cascade_gate.scores(self.user_id, outcome.values)
-        except TransientError:
-            return None, False
-        route = int(self._cascade_policy.route(scores)[0])
-        if route in (ROUTE_ACCEPT, ROUTE_REJECT):
-            return (
-                VerificationResult(
-                    accepted=route == ROUTE_ACCEPT,
-                    distance=float(scores[0]),
-                    threshold=self._cascade_policy.t_accept,
-                    user_id=self.user_id,
-                    exit_stage="stage1",
-                ),
-                False,
-            )
-        obs.inc("stream_stage1_exits_total", decision="borderline")
-        return None, True
 
     def _poll_pending(
         self, decisions: list[SessionDecision], wait_s: float | None = None

@@ -36,9 +36,7 @@ AXIS_NAMES: tuple[str, ...] = ("ax", "ay", "az", "gx", "gy", "gz")
 NUM_AXES: int = 6
 
 #: Valid ``VerificationResult.exit_stage`` provenance values.
-EXIT_STAGES: frozenset[str] = frozenset(
-    {"full", "stage1", "stage2", "stage2_forced", "refused"}
-)
+EXIT_STAGES: frozenset[str] = frozenset({"full", "refused"})
 ACCEL_AXES: tuple[int, int, int] = (0, 1, 2)
 GYRO_AXES: tuple[int, int, int] = (3, 4, 5)
 
@@ -103,16 +101,10 @@ class VerificationResult:
             fell back to the slow per-user path (DESIGN.md §4g).  A
             degraded accept is still an accept, but callers with strict
             security postures may treat it as a step-up trigger.
-        exit_stage: which stage of the early-exit cascade produced the
-            decision (DESIGN.md §4k).  ``"full"`` — the plain pipeline
-            (cascade disabled, bypassed, or fallen back to);
-            ``"stage1"`` — a clear-cut early exit, in which case
-            ``distance`` is the stage-1 confidence score and
-            ``threshold`` the accept-band edge it was held against;
-            ``"stage2"`` — a borderline probe that paid the full
-            extractor; ``"stage2_forced"`` — an audit sample forced
-            through stage 2; ``"refused"`` — the recording never
-            produced a signal, so no cascade stage ran.
+        exit_stage: how the decision was produced.  ``"full"`` — the
+            probe went through the whole pipeline and ``distance`` is
+            its cosine distance; ``"refused"`` — the recording never
+            produced a signal, so nothing was scored.
     """
 
     accepted: bool

@@ -682,7 +682,6 @@ class TestChaosSchedules:
             "serve.queue",
             "serve.worker",
             "stream.push",
-            "cascade.stage1",
         }
 
     @pytest.mark.parametrize("seed", range(12))

@@ -3,7 +3,7 @@
 The product is the paper's four serving stages -- Section IV
 preprocessing, the MandiblePrint CNN in inference mode, the Gaussian
 cancelable template with its enclave, the cosine decision -- plus the
-serving, streaming, early-exit, fault-hook and metrics layers around
+serving, streaming, fault-hook and metrics layers around
 them.  The recording simulator (``physio``, ``imu``, ``datasets``),
 training (``core.training``, the ``nn`` optimisers, losses and data
 loaders), the classical-ML baselines, fusion and the scenario matrix
@@ -79,11 +79,6 @@ PRODUCT = frozenset(
         "repro.security",
         "repro.security.cancelable",
         "repro.security.enclave",
-        # early exit
-        "repro.cascade",
-        "repro.cascade.features",
-        "repro.cascade.policy",
-        "repro.cascade.stage1",
         # serving, streaming, fault hooks, metrics
         "repro.serve",
         "repro.serve.batcher",

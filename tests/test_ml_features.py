@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cascade.features import (
+from repro.ml.features import (
     FEATURE_NAMES,
     axis_statistics,
     statistical_features,
@@ -59,8 +59,8 @@ class TestStatisticalFeatures:
         np.testing.assert_array_equal(first, second)
 
     def test_batch_is_bitwise_equal_to_single(self, rng):
-        # The cascade's stage-1 gate depends on the vectorized batch
-        # path matching the per-item reference bit for bit.
+        # The vectorized batch path must match the per-item reference
+        # bit for bit.
         arrays = rng.normal(size=(8, 6, 105))
         batch = statistical_features_batch(arrays)
         for i, array in enumerate(arrays):

@@ -257,16 +257,6 @@ class TestPoolConfig:
             ServingConfig(num_worker_processes=-1)
 
 
-    def test_pool_mode_refuses_a_cascade_system(self):
-        """Workers run no stage-1 gate, so pool mode would decide differently."""
-        from tests.test_cascade import build_system
-
-        system = build_system(enabled=True)
-        with pytest.raises(ConfigError, match="cascade"):
-            AuthServer(system, config=ServingConfig(num_worker_processes=1))
-        AuthServer(system)  # thread mode runs the cascade in-process
-
-
 class TestWorkerMetricsAggregator:
     SNAP_A = {
         "counters": {'decisions_total{decision="accept"}': 3.0},

@@ -24,6 +24,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.runtime import clear, install
 from repro.serve import AuthServer
 from repro.stream import SessionState, StreamSession
+from repro.stream import session as session_module
 
 WATCHDOG_S = 60.0
 
@@ -157,6 +158,31 @@ class TestSessionStateMachine:
         # Every rearm window is bounded, so memory use is too.
         assert session.stats()["rearms"] == 4096 // 512 - 1
         session.close()
+
+    @watchdog()
+    def test_trace_keeps_only_the_most_recent_transitions(
+        self, stream_system, monkeypatch
+    ):
+        # At rearm_after_samples=1 a quiet stream re-arms on every
+        # 1-sample push, so each push records one IDLE transition.
+        system, user_id, _ = stream_system
+        config = StreamConfig(rearm_after_samples=1)
+        capacity = session_module.TRACE_CAPACITY
+        pushes = capacity + 50
+
+        def run_trace():
+            session = StreamSession(user_id, system=system, config=config)
+            for _ in range(pushes):
+                session.push(np.zeros((1, 6)))
+            session.close()
+            return session.trace
+
+        capped = run_trace()
+        monkeypatch.setattr(session_module, "TRACE_CAPACITY", None)
+        uncapped = run_trace()
+        assert len(uncapped) == pushes + 1
+        assert len(capped) == capacity
+        assert capped == uncapped[-capacity:]
 
     @watchdog()
     def test_closed_session_rejects_pushes(self, stream_system):
