@@ -211,13 +211,18 @@ class GalleryConfig:
             by the soundness rule (every user whose distance lower
             bound beats the best exact distance joins), so ``top_k``
             tunes cost, never correctness.
-        prescreen_rank: columns of each user's Gaussian matrix the
-            prescreen pass projects through (capped at ``out_dim``).
-            The prescreen gemm costs ``rank / out_dim`` of the full
-            gemm; the bound it yields loosens as
-            ``sqrt(out_dim / rank)``, which sets the rerank-pool size —
-            32 against the 64-dim projected templates keeps the pool
-            in the tens at U=100k while still halving the gemm.
+        prescreen_rank: dimension of the subspace each user's Gaussian
+            matrix is projected onto for the prescreen pass (capped at
+            ``out_dim``): the shard stores ``G_u @ Q_u`` for an
+            orthonormal basis ``Q_u`` of ``G_u``'s dominant
+            ``rank``-dim right subspace.  The prescreen gemm costs
+            ``rank / out_dim`` of the full gemm; the bound loosens with
+            the residual energy ``||G_u - G_u Q_u Q_u^T||_F^2`` left
+            outside that subspace, which sets the rerank-pool size.  At
+            32 against the 64-dim projected templates the residual is
+            ~12 % of ``||G_u||_F^2`` (~50 % for the first 32 columns),
+            which keeps the pool near 17 users at U≈1000 on the
+            perfbench substrate while still halving the gemm.
         compact_tombstone_ratio: tombstoned fraction of a shard's
             occupied slots above which the next sync compacts it
             (build-then-swap, O(shard_size) — never O(U)).

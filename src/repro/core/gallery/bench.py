@@ -10,7 +10,8 @@ substrate cannot enroll 100 000 users in benchmark time):
 * **the cascade is sub-linear and exact** — identification through
   prescreen + rerank beats the dense full-gallery gemm from U=10 000
   up, while every decision (user *and* distance) stays bitwise
-  identical to per-user loop scoring.
+  identical to per-user loop scoring.  The two are timed in
+  alternation and compared by their medians over ``repeats`` rounds.
 
 Synthetic users mirror :class:`~repro.security.cancelable.CancelableTransform`
 exactly: matrix ``default_rng(seed).normal(0, 1/sqrt(in), (in, out))``.
@@ -74,6 +75,23 @@ def _median_of(repeats: int, func) -> float:
     return float(np.median(times))
 
 
+def _interleaved_medians(repeats: int, first, second) -> tuple[float, float]:
+    """Median wall times of two jobs timed in alternation.
+
+    Alternating the two per repeat exposes both to the same drift of a
+    shared machine, so their ratio compares like with like; timing one
+    block of repeats after the other lets a load spike land on one side
+    only and flip a speed bar either way.
+    """
+    times: tuple[list[float], list[float]] = ([], [])
+    for _ in range(repeats):
+        for func, samples in zip((first, second), times):
+            start = time.perf_counter()
+            func()
+            samples.append(time.perf_counter() - start)
+    return float(np.median(times[0])), float(np.median(times[1]))
+
+
 def _build_sharded(
     num_users: int,
     config: GalleryConfig,
@@ -107,7 +125,7 @@ def gallery_benchmark(
     config: GalleryConfig | None = None,
     num_timing_probes: int = 8,
     num_parity_probes: int = 4,
-    repeats: int = 3,
+    repeats: int = 7,
     update_repeats: int = 15,
     seed: int = 7,
 ) -> dict:
@@ -130,21 +148,21 @@ def gallery_benchmark(
         gallery, build_s = _build_sharded(num_users, config, matrices, templates)
 
         # -- identification: cascade vs dense gemm vs per-user loop ----
-        gallery.best_match(timing_probes)  # warm caches
-        with obs.collecting() as registry:
-            cascade_s = _median_of(
-                repeats, lambda: gallery.best_match(timing_probes)
-            )
-        pool = registry.histogram(
-            "gallery_rerank_pool", buckets=DEFAULT_SIZE_BUCKETS
-        )
         dense = TemplateGallery(
             user_ids=[f"u{i}" for i in range(num_users)],
             matrices=matrices[:num_users],
             templates=templates[:num_users],
         )
-        dense_s = _median_of(
-            repeats, lambda: dense.distances_batch(timing_probes)
+        gallery.best_match(timing_probes)  # warm caches
+        dense.distances_batch(timing_probes)
+        with obs.collecting() as registry:
+            cascade_s, dense_s = _interleaved_medians(
+                repeats,
+                lambda: gallery.best_match(timing_probes),
+                lambda: dense.distances_batch(timing_probes),
+            )
+        pool = registry.histogram(
+            "gallery_rerank_pool", buckets=DEFAULT_SIZE_BUCKETS
         )
         loop_start = time.perf_counter()
         oracle = [

@@ -3,23 +3,27 @@
 A shard owns up to ``capacity`` user rows.  Per occupied slot it keeps
 exactly what the two cascade stages need:
 
-* **prescreen** — the first ``rank`` columns of the user's Gaussian
-  matrix (float32, :data:`PRESCREEN_DTYPE`), the numerator vector
-  ``w = G @ t_hat`` (float64) and the tail energy
-  ``R = sum_{j >= rank} ||G[:, j]||^2``.  Together these yield a sound
-  lower bound on the user's cosine distance from one thin gemm — see
-  :mod:`repro.core.gallery.sharded` for the bound.
+* **prescreen** — the user's Gaussian matrix ``G`` (``in x out``)
+  projected onto its dominant ``rank``-dim right subspace: the block
+  ``G @ Q`` (float32, :data:`PRESCREEN_DTYPE`) for an orthonormal
+  ``(out, rank)`` basis ``Q`` (see :func:`subspace_basis`), the
+  numerator vector ``w = G @ t_hat`` (float64), the residual energy
+  ``R = ||G - G Q Q^T||_F^2`` and the matrix norm ``||G||_F`` (which
+  scales the float32 block's absolute rounding error).  Together these
+  yield a sound lower bound on the user's cosine distance from one thin
+  gemm — see :mod:`repro.core.gallery.sharded` for the bound.
 * **rerank** — the full matrix *source* (array reference or lazy
-  provider, never a copy) and the sealed template, so the exact stage
-  can replay the per-user loop's own operations bitwise.
+  provider, never a copy), the sealed template and its norm, so the
+  exact stage can replay the per-user loop's own operations bitwise.
 
 All mutations are row-local and O(in * out) — independent of both the
 shard population and the gallery population: ``write_slot`` appends or
 overwrites one row in place, ``kill_slot`` tombstones one row (the
 slot's scoring columns are zeroed so stale data never feeds a gemm),
-and ``compacted`` rebuilds the shard without its tombstones
-(build-then-swap: the replacement is constructed off to the side, so a
-fault mid-compaction leaves the original shard intact).
+and ``compacted`` rebuilds the shard without its tombstones by copying
+the surviving rows' stored state (build-then-swap: the replacement is
+constructed off to the side, so a fault mid-compaction leaves the
+original shard intact).
 
 Row order within a shard is free: every slot carries the global
 enrollment sequence number, and the cascade breaks distance ties on
@@ -28,6 +32,8 @@ per-user dict loop regardless of physical placement.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,6 +44,47 @@ from repro.core.gallery.log import MatrixSource, resolve_matrix
 #: and its rounding is absorbed by the bound's slack terms, so decisions
 #: never move.
 PRESCREEN_DTYPE = np.float32
+
+#: Seed of the range finder's fixed start block (:func:`subspace_basis`).
+#: Any value is sound; fixing it makes every row's basis reproducible.
+_RANGE_SEED = 0x5B5B1DE
+#: Slack added to each stored residual energy, relative to ``||G||_F^2``.
+#: The residual is stored as the subtraction ``||G||_F^2 - ||G Q||_F^2``
+#: (Pythagoras for an orthonormal ``Q``).  Each float64 sum of squares
+#: errs by at most ``in * out * 2^-53`` of ``||G||_F^2`` (~5e-13 at
+#: 64 x 64, far less in practice), and the computed ``Q`` is
+#: orthonormal to ~``out * 2^-53``; 1e-10 covers all three with room to
+#: spare, so the clamped tail never falls below the true residual of
+#: the orthogonal projector onto ``span(Q)`` — even where the
+#: subtraction cancels to (or below) zero.
+_TAIL_SLACK = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _range_start(out_dim: int, rank: int) -> np.ndarray:
+    """The fixed Gaussian start block Ω, ``(out, rank)``."""
+    start = np.random.default_rng(_RANGE_SEED).standard_normal((out_dim, rank))
+    start.setflags(write=False)
+    return start
+
+
+def subspace_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """An orthonormal ``(out, rank)`` basis of ``matrix``'s dominant right subspace.
+
+    A randomized range finder with one power iteration (Halko,
+    Martinsson & Tropp 2011): the fixed start block Ω is pushed
+    through the Gram matrix ``G^T G`` twice and orthonormalised by a
+    Householder QR.  The prescreen bound is sound for *any*
+    orthonormal basis — the first ``rank`` columns of the identity are
+    the special case — so the range finder only buys tightness: at
+    64 x 64 and rank 32 it leaves ~12 % of ``||G||_F^2`` in the
+    residual, against ~50 % for the identity columns and ~10 % for an
+    exact SVD costing several times more.
+    """
+    gram = matrix.T @ matrix
+    sketch = gram @ (gram @ _range_start(matrix.shape[1], rank))
+    basis, _ = np.linalg.qr(sketch)
+    return basis
 
 
 class GalleryShard:
@@ -63,6 +110,9 @@ class GalleryShard:
         # (in, capacity): slot u's numerator vector w_u = G_u @ t_hat_u.
         self._numer = np.zeros((in_dim, capacity))
         self._tail = np.zeros(capacity)
+        self._matrix_norms = np.zeros(capacity)  # ||G_u||_F
+        # The sealed templates' norms, exactly as cosine_distance takes them.
+        self._template_norms = np.zeros(capacity)
         self.user_ids: list[str | None] = [None] * capacity
         self.seq = np.zeros(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
@@ -117,6 +167,15 @@ class GalleryShard:
         shard._templates = [
             templates[slot] if alive[slot] else None for slot in range(count)
         ]
+        shard._matrix_norms = np.sqrt(
+            np.einsum("uij,uij->u", matrices, matrices)
+        )
+        shard._template_norms = np.array(
+            [
+                float(np.linalg.norm(template)) if template is not None else 0.0
+                for template in shard._templates
+            ]
+        )
         shard.count = count
         return shard
 
@@ -166,9 +225,13 @@ class GalleryShard:
         unit = flat / norm if norm else flat
         rank = self.rank
         self._numer[:, slot] = resolved @ unit
-        self._prescreen[:, slot * rank : (slot + 1) * rank] = resolved[:, :rank]
-        tail = resolved[:, rank:]
-        self._tail[slot] = float(np.einsum("ij,ij->", tail, tail))
+        block = resolved @ subspace_basis(resolved, rank)
+        energy = float(np.einsum("ij,ij->", resolved, resolved))
+        residual = energy - float(np.einsum("ij,ij->", block, block))
+        self._prescreen[:, slot * rank : (slot + 1) * rank] = block
+        self._tail[slot] = max(residual, 0.0) + _TAIL_SLACK * energy
+        self._matrix_norms[slot] = np.sqrt(energy)
+        self._template_norms[slot] = norm
         self.user_ids[slot] = user_id
         self.seq[slot] = seq
         self.alive[slot] = True
@@ -194,27 +257,42 @@ class GalleryShard:
         self._numer[:, slot] = 0.0
         self._prescreen[:, slot * rank : (slot + 1) * rank] = 0.0
         self._tail[slot] = 0.0
+        self._matrix_norms[slot] = 0.0
+        self._template_norms[slot] = 0.0
         self.user_ids[slot] = None
         self._matrices[slot] = None
         self._templates[slot] = None
 
     def compacted(self) -> "GalleryShard":
-        """A tombstone-free replacement shard (original left untouched)."""
+        """A tombstone-free replacement shard (original left untouched).
+
+        The surviving rows' stored state is copied, never derived
+        again: compaction costs O(shard_size * in * rank) array copies
+        and leaves every copied row bitwise what ``write_slot`` stored.
+        """
         fresh = GalleryShard(
             capacity=self.capacity,
             in_dim=self.in_dim,
             out_dim=self.out_dim,
             rank=self.rank,
         )
-        for slot in range(self.count):
-            if not self.alive[slot]:
-                continue
-            fresh.append(
-                self.user_ids[slot],
-                self._matrices[slot],
-                self._templates[slot],
-                int(self.seq[slot]),
-            )
+        rows = np.flatnonzero(self.alive[: self.count])
+        kept = rows.size
+        blocks = self._prescreen.reshape(self.in_dim, -1, self.rank)
+        fresh._prescreen.reshape(self.in_dim, -1, self.rank)[:, :kept] = (
+            blocks[:, rows]
+        )
+        fresh._numer[:, :kept] = self._numer[:, rows]
+        fresh._tail[:kept] = self._tail[rows]
+        fresh._matrix_norms[:kept] = self._matrix_norms[rows]
+        fresh._template_norms[:kept] = self._template_norms[rows]
+        fresh.seq[:kept] = self.seq[rows]
+        fresh.alive[:kept] = True
+        for new_slot, slot in enumerate(rows.tolist()):
+            fresh.user_ids[new_slot] = self.user_ids[slot]
+            fresh._matrices[new_slot] = self._matrices[slot]
+            fresh._templates[new_slot] = self._templates[slot]
+        fresh.count = kept
         return fresh
 
     # -- scoring views --------------------------------------------------
@@ -229,6 +307,9 @@ class GalleryShard:
 
     def tail_block(self) -> np.ndarray:
         return self._tail[: self.count]
+
+    def matrix_norm_block(self) -> np.ndarray:
+        return self._matrix_norms[: self.count]
 
     def alive_block(self) -> np.ndarray:
         return self.alive[: self.count]
@@ -249,12 +330,26 @@ class GalleryShard:
             raise ShapeError(f"slot {slot} is empty or tombstoned")
         return template
 
+    def rerank_row(self, slot: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(matrix, template, template_norm)`` for one rerank candidate.
+
+        The arguments :func:`~repro.core.similarity.projected_cosine_distance`
+        takes after the probe.
+        """
+        return (
+            self.matrix_for(slot),
+            self.template_for(slot),
+            float(self._template_norms[slot]),
+        )
+
     def nbytes(self) -> int:
         """Resident scoring-state footprint (matrix sources excluded)."""
         return (
             self._prescreen.nbytes
             + self._numer.nbytes
             + self._tail.nbytes
+            + self._matrix_norms.nbytes
+            + self._template_norms.nbytes
             + self.seq.nbytes
             + self.alive.nbytes
         )

@@ -15,28 +15,42 @@ enrollment change forced an O(U) rebuild (1.6 s at U=1000 in
 
 * **Coarse-prescreen + exact-rerank cascade.**  Scoring all users
   exactly costs one ``(B, in) @ (in, U * out)`` gemm.  The prescreen
-  pass instead bounds every user's cosine distance from below using
-  ``rank << out`` columns, seeds a top-K rerank pool, and the exact
-  stage replays the per-user loop's own operations (one dgemv + one
-  :func:`~repro.core.similarity.cosine_distance`) for pool members
+  pass instead bounds every user's cosine distance from below using a
+  ``rank << out`` projection per user, seeds a top-K rerank pool, and
+  the exact stage replays the per-user loop's own operations
+  (:func:`~repro.core.similarity.projected_cosine_distance`, bitwise
+  ``cosine_distance(probe @ matrix, template)``) for pool members
   only.
 
 **Soundness of the prescreen bound.**  For user ``u`` with Gaussian
 matrix ``G`` and unit template ``t_hat``, the loop scores
 ``d = 1 - clip(cos)`` with ``cos = (x G) . t_hat / ||x G||``.  The
 numerator equals ``x . w`` with ``w = G t_hat`` precomputed — exact
-from one thin gemm.  For the denominator, with ``p`` the norm of ``x``
-projected through the first ``rank`` columns and
-``R = sum_{j >= rank} ||G[:, j]||^2``:
+from one thin gemm.  For the denominator, let ``Q`` be any orthonormal
+``(out, rank)`` basis — the shard stores one spanning ``G``'s dominant
+right subspace, and the first ``rank`` identity columns are the
+special case ``Q = I[:, :rank]`` — with ``p = ||x G Q||`` the partial
+norm and ``R = ||G - G Q Q^T||_F^2`` the residual energy.  Splitting
+``x G`` with the orthogonal projector ``Q Q^T``:
 
-* ``||x G||^2 >= p^2`` (dropping the tail only shrinks the sum), and
-* ``||x G||^2 <= p^2 + ||x||^2 R`` (Cauchy-Schwarz per tail column).
+* ``||x G||^2 = p^2 + ||x G (I - Q Q^T)||^2 >= p^2`` (Pythagoras), and
+* ``||x G (I - Q Q^T)||^2 <= ||x||^2 R`` (Cauchy-Schwarz), so
+  ``||x G||^2 <= p^2 + ||x||^2 R``.
 
 So ``cos <= num / p`` when ``num >= 0`` and
 ``cos <= num / sqrt(p^2 + ||x||^2 R)`` when ``num < 0`` — an upper
-bound on the cosine, hence a lower bound on the distance.  Slack
-factors absorb float32 prescreen rounding and gemm re-association, so
-the bound survives finite precision.  Any user whose distance lower
+bound on the cosine, hence a lower bound on the distance.  The closer
+``span(Q)`` follows ``G``'s dominant subspace, the smaller ``R`` and
+the tighter the bracket.  Finite precision is covered by slack.  The
+float32 block's entries are the float64 product ``G Q`` rounded once
+(2^-24 relative, exactly as a float32 copy of ``G``'s own columns would
+be); together with the probe cast and the float32 dot products they
+move ``p`` by at most ``(in + 2) * 2^-24 * ||x|| * ||G||_F``, which
+``_F32_ABS_SLACK`` subtracts from the lower and adds to the upper
+denominator, while ``_DENOM_SLACK`` covers the float32 sum of squares.
+The shard clamps ``R`` above the true residual
+(``shard._TAIL_SLACK``), and ``_UB_*_SLACK`` absorb float64 gemm
+re-association in the numerator pass.  Any user whose distance lower
 bound beats the best exact distance found so far joins the rerank
 pool; one expansion round suffices (exact distances only shrink the
 qualifying set), so **the pool provably contains the argmin** — and
@@ -58,27 +72,57 @@ inner lock makes the gallery safe for direct multi-threaded use too.
 from __future__ import annotations
 
 import dataclasses
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.config import GalleryConfig
 from repro.core.gallery.log import GalleryMutation, MatrixSource, MutationLog
 from repro.core.gallery.shard import PRESCREEN_DTYPE, GalleryShard
-from repro.core.similarity import cosine_distance
+from repro.core.similarity import projected_cosine_distance
 from repro.errors import ShapeError
 from repro.faults import runtime as faults
 from repro.obs import runtime as obs
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 from repro.serve.locks import RWLock
 
-#: Relative slack on the prescreen denominators: float32 projection of
-#: one probe accumulates at most ~in * 2^-24 relative error, orders of
-#: magnitude under 1e-4; the bound stays sound with room to spare.
+#: Relative slack on the prescreen denominators: summing ``rank``
+#: float32 squares errs by ~rank * 2^-24 relative, orders of magnitude
+#: under 1e-4; the bound stays sound with room to spare.
 _DENOM_SLACK = 1e-4
+#: Absolute float32 error of one partial norm, per unit of
+#: ``||x|| * ||G||_F`` and per input dimension: casting the probe and
+#: the block to float32 (2^-24 each) and the ``in``-term float32 dot
+#: products (``in * 2^-24``) perturb ``x G Q`` by at most
+#: ``(in + 2) * 2^-24 * ||x|| * ||G Q||_F`` with ``||G Q||_F <= ||G||_F``.
+#: This error does not shrink with the partial norm, so it is added on
+#: top of the relative slack (doubled for margin); without it a probe
+#: nearly orthogonal to a user's stored subspace, with a small
+#: ``||x G||``, could read a partial norm above the true one.
+_F32_ABS_SLACK = 2.0 * 2.0**-24
 #: Relative + absolute slack on the cosine upper bound, absorbing
 #: float64 gemm re-association in the numerator pass.
 _UB_REL_SLACK = 1e-6
 _UB_ABS_SLACK = 1e-9
+
+
+class _ScoreTable(NamedTuple):
+    """The concatenated per-slot scoring state of all non-empty shards.
+
+    The alive flags and sequence numbers come twice: as arrays for the
+    vectorised bound and as lists for the rerank loop, which reads
+    them per candidate.
+    """
+
+    shards: list[GalleryShard]
+    slots: list[tuple[GalleryShard, int]]
+    alive: np.ndarray
+    seqs: np.ndarray
+    tails: np.ndarray
+    matrix_norms: np.ndarray
+    alive_flags: list[bool]
+    seq_list: list[int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,9 +150,9 @@ class ShardedGallery:
         # update latency must stay O(1) in U.
         self._alive_count = 0
         self._tombstone_count = 0
-        # Concatenated scoring table ((shard, slot) map, alive/seq/tail
-        # arrays), rebuilt lazily after any applied mutation.
-        self._score_table: tuple | None = None
+        # Concatenated scoring table (a _ScoreTable), rebuilt lazily
+        # after any applied mutation.
+        self._score_table: _ScoreTable | None = None
         self.in_dim: int | None = None
         self.out_dim: int | None = None
 
@@ -455,7 +499,7 @@ class ShardedGallery:
         partials = np.concatenate([block[1] for block in blocks], axis=1)
         return numerators, partials
 
-    def _score_state(self) -> tuple:
+    def _score_state(self) -> _ScoreTable:
         """The concatenated slot table, cached between mutations.
 
         Built under the read lock (mutations are excluded, so a
@@ -473,11 +517,24 @@ class ShardedGallery:
                 alive = np.concatenate([s.alive_block() for s in shards])
                 seqs = np.concatenate([s.seq_block() for s in shards])
                 tails = np.concatenate([s.tail_block() for s in shards])
+                matrix_norms = np.concatenate(
+                    [s.matrix_norm_block() for s in shards]
+                )
             else:
                 alive = np.zeros(0, dtype=bool)
                 seqs = np.zeros(0, dtype=np.int64)
                 tails = np.zeros(0)
-            table = (shards, slots, alive, seqs, tails)
+                matrix_norms = np.zeros(0)
+            table = _ScoreTable(
+                shards,
+                slots,
+                alive,
+                seqs,
+                tails,
+                matrix_norms,
+                alive.tolist(),
+                seqs.tolist(),
+            )
             self._score_table = table
         return table
 
@@ -489,15 +546,42 @@ class ShardedGallery:
             raise ShapeError(
                 f"expected (B, {self.in_dim}) embeddings, got {probes.shape}"
             )
-        shards, slots, alive, seqs, tails = self._score_state()
-        alive_total = self._alive_count
+        table = self._score_state()
+        lower_dist, norms = self._lower_distances(probes)
+        top_k = min(self.config.top_k, self._alive_count)
+        rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        results: list[GalleryMatch | None] = []
+        with obs.span("gallery_rerank"):
+            for row in range(probes.shape[0]):
+                results.append(
+                    self._rerank_probe(
+                        probes[row], norms[row], lower_dist[row], table,
+                        top_k, rows,
+                    )
+                )
+        return results
 
+    def _lower_distances(
+        self, probes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Prescreen lower bounds ``(B, slots)`` on every slot's distance.
+
+        Columns follow the score table's slot order; dead slots read
+        ``inf``.  Also returns the probe norms, ``(B,)``.
+        """
+        table = self._score_state()
         with obs.span("gallery_prescreen"):
-            numerators, partials = self._screen(probes, shards)
+            numerators, partials = self._screen(probes, table.shards)
         norms = np.linalg.norm(probes, axis=1)
-        denom_lb = partials * (1.0 - _DENOM_SLACK)
+        partial_err = ((self.in_dim + 2) * _F32_ABS_SLACK) * (
+            norms[:, None] * table.matrix_norms[None, :]
+        )
+        denom_lb = np.maximum(
+            partials * (1.0 - _DENOM_SLACK) - partial_err, 0.0
+        )
         denom_ub = np.sqrt(
-            np.square(partials) + np.square(norms)[:, None] * tails[None, :]
+            np.square(partials + partial_err)
+            + np.square(norms)[:, None] * table.tails[None, :]
         ) * (1.0 + _DENOM_SLACK)
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.where(
@@ -509,60 +593,25 @@ class ShardedGallery:
             upper + np.abs(upper) * _UB_REL_SLACK + _UB_ABS_SLACK, 1.0
         )
         lower_dist = 1.0 - upper
-        lower_dist[:, ~alive] = np.inf
-
-        top_k = min(self.config.top_k, alive_total)
-        matrix_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        results: list[GalleryMatch | None] = []
-        with obs.span("gallery_rerank"):
-            for row in range(probes.shape[0]):
-                results.append(
-                    self._rerank_probe(
-                        probes[row],
-                        norms[row],
-                        lower_dist[row],
-                        slots,
-                        seqs,
-                        alive,
-                        top_k,
-                        matrix_cache,
-                    )
-                )
-        return results
-
-    def _exact_distance(
-        self,
-        probe: np.ndarray,
-        column: int,
-        slots: list[tuple[GalleryShard, int]],
-        matrix_cache: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> float:
-        """Replay the per-user loop's own ops for one candidate (bitwise)."""
-        cached = matrix_cache.get(column)
-        if cached is None:
-            shard, slot = slots[column]
-            cached = (shard.matrix_for(slot), shard.template_for(slot))
-            matrix_cache[column] = cached
-        matrix, template = cached
-        return cosine_distance(probe @ matrix, template)
+        lower_dist[:, ~table.alive] = np.inf
+        return lower_dist, norms
 
     def _rerank_probe(
         self,
         probe: np.ndarray,
         norm: float,
         lower: np.ndarray,
-        slots: list[tuple[GalleryShard, int]],
-        seqs: np.ndarray,
-        alive: np.ndarray,
+        table: _ScoreTable,
         top_k: int,
-        matrix_cache: dict[int, tuple[np.ndarray, np.ndarray]],
+        rows: dict[int, tuple[np.ndarray, np.ndarray, float]],
     ) -> GalleryMatch:
+        slots = table.slots
         if norm == 0.0:
             # Zero probes are maximally distant (1.0) from every user;
             # the loop keeps the first enrolled — i.e. the minimum
             # sequence number.
-            alive_columns = np.flatnonzero(alive)
-            first = alive_columns[np.argmin(seqs[alive_columns])]
+            alive_columns = np.flatnonzero(table.alive)
+            first = alive_columns[np.argmin(table.seqs[alive_columns])]
             shard, slot = slots[int(first)]
             obs.observe(
                 "gallery_rerank_pool", 0.0, buckets=DEFAULT_SIZE_BUCKETS
@@ -571,42 +620,44 @@ class ShardedGallery:
         if top_k < lower.shape[0]:
             seed = np.argpartition(lower, top_k - 1)[:top_k]
         else:
-            seed = np.flatnonzero(alive)
+            seed = np.flatnonzero(table.alive)
         best_column = -1
-        best_distance = np.inf
-        best_seq = np.iinfo(np.int64).max
+        best_distance = math.inf
+        best_seq = math.inf
         done: set[int] = set()
 
-        def rerank(columns: np.ndarray) -> None:
+        def rerank(columns: list[int]) -> None:
             nonlocal best_column, best_distance, best_seq
             # Scan order is irrelevant: minimising (distance, seq) is
             # order-independent, so the result is deterministic.
             for column in columns:
-                column = int(column)
-                if not alive[column] or column in done:
+                if column in done or not table.alive_flags[column]:
                     continue
                 done.add(column)
-                distance = self._exact_distance(
-                    probe, column, slots, matrix_cache
-                )
+                row = rows.get(column)
+                if row is None:
+                    shard, slot = slots[column]
+                    row = rows[column] = shard.rerank_row(slot)
+                distance = projected_cosine_distance(probe, *row)
+                seq = table.seq_list[column]
                 if distance < best_distance or (
-                    distance == best_distance and seqs[column] < best_seq
+                    distance == best_distance and seq < best_seq
                 ):
                     best_column = column
                     best_distance = distance
-                    best_seq = int(seqs[column])
+                    best_seq = seq
 
-        rerank(seed)
+        rerank(seed.tolist())
         # Soundness expansion: every user whose distance lower bound
         # could still beat (or tie) the best exact distance must be
         # scored exactly.  Exact distances only shrink the qualifying
         # set, so one round converges.
-        rerank(np.flatnonzero(lower <= best_distance))
+        rerank(np.flatnonzero(lower <= best_distance).tolist())
         obs.observe(
             "gallery_rerank_pool", float(len(done)), buckets=DEFAULT_SIZE_BUCKETS
         )
         shard, slot = slots[best_column]
-        return GalleryMatch(shard.user_ids[slot], float(best_distance))
+        return GalleryMatch(shard.user_ids[slot], best_distance)
 
     def exact_distances_batch(
         self, embeddings: np.ndarray
@@ -629,10 +680,9 @@ class ShardedGallery:
             rows.sort(key=lambda row: row[0])
             distances = np.empty((probes.shape[0], len(rows)))
             for column, (_, shard, slot) in enumerate(rows):
-                matrix = shard.matrix_for(slot)
-                template = shard.template_for(slot)
+                row = shard.rerank_row(slot)
                 for batch_row in range(probes.shape[0]):
-                    distances[batch_row, column] = cosine_distance(
-                        probes[batch_row] @ matrix, template
+                    distances[batch_row, column] = projected_cosine_distance(
+                        probes[batch_row], *row
                     )
             return [shard.user_ids[slot] for _, shard, slot in rows], distances

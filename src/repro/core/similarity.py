@@ -9,6 +9,8 @@ as a cosine *distance*, lower = more alike.  We implement
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -25,6 +27,31 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         return 1.0
     cos = float(np.dot(u, v) / (norm_u * norm_v))
+    return 1.0 - max(-1.0, min(1.0, cos))
+
+
+def projected_cosine_distance(
+    probe: np.ndarray,
+    matrix: np.ndarray,
+    template: np.ndarray,
+    template_norm: float,
+) -> float:
+    """``cosine_distance(probe @ matrix, template)``, bitwise, without wrappers.
+
+    The 1:N exact stage's scorer: it repeats :func:`cosine_distance`'s
+    arithmetic operation for operation — ``u = probe @ matrix``,
+    ``sqrt(u . u)`` (what ``np.linalg.norm`` computes for a 1-D
+    vector), the dot product and the same clip — but skips the
+    conversions and shape checks, and takes the template norm
+    precomputed.  ``probe`` must be float64 1-D, ``matrix`` float64
+    ``(len(probe), len(template))``, ``template`` float64 1-D and
+    ``template_norm`` exactly ``float(np.linalg.norm(template))``.
+    """
+    projected = probe @ matrix
+    norm = math.sqrt(projected.dot(projected))
+    if norm == 0.0 or template_norm == 0.0:
+        return 1.0
+    cos = float(projected.dot(template)) / (norm * template_norm)
     return 1.0 - max(-1.0, min(1.0, cos))
 
 

@@ -7,6 +7,7 @@ API of Fig. 3.  One instance models one earphone.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Sequence
 
@@ -18,7 +19,11 @@ from repro.core.enrollment import enroll_user
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import make_frontend
 from repro.core.gallery import ShardedGallery
-from repro.core.similarity import accept, cosine_distance, distances_to_template
+from repro.core.similarity import (
+    accept,
+    cosine_distance,
+    projected_cosine_distance,
+)
 from repro.core.verification import (
     count_decisions,
     identify_batch,
@@ -334,8 +339,9 @@ class MandiPass:
 
         Extends the paper's 1:1 verification to the identification mode
         its classification experiments imply: extract one MandiblePrint
-        and score it against every sealed template (each under its own
-        user's Gaussian matrix) in one :class:`TemplateGallery` pass.
+        and find the sealed template (each under its own user's
+        Gaussian matrix) closest to it, through the sharded gallery's
+        prescreen + exact-rerank cascade (:meth:`identify_many`).
         Returns the best match as a :class:`VerificationResult`
         (``accepted`` reflects the decision threshold), or ``None`` when
         no user is enrolled or the recording has no usable vibration.
@@ -381,10 +387,16 @@ class MandiPass:
     ) -> list[VerificationResult | None]:
         """Per-user 1:N scoring used when the gallery build fails.
 
-        One projection per enrolled user instead of one stacked gallery
-        pass — linear in the enrolled set, but it needs no derived
-        state, so identification keeps answering while the gallery is
-        unbuildable.  Every returned result is flagged ``degraded``.
+        Scores every probe against every enrolled user in enrollment
+        order with the gallery's own exact scorer
+        (:func:`~repro.core.similarity.projected_cosine_distance`) and
+        keeps the first strict minimum — linear in the enrolled set, but
+        it needs no derived state, so identification keeps answering
+        while the gallery is unbuildable.  Each ``(user, distance)`` is
+        bitwise what the gallery cascade returns, ties included (the
+        earlier-enrolled user wins on both paths), so a decision never
+        depends on whether the gallery build faulted.  Every returned
+        result is flagged ``degraded``.
 
         Called under the read lock (from :meth:`identify_many`), so the
         transform/enclave snapshot it iterates is stable.
@@ -394,19 +406,23 @@ class MandiPass:
         if outcome.num_ok == 0:
             return count_decisions(results)
         obs.inc("degraded_total", float(outcome.num_ok), path="identify_fallback")
-        best_distance = np.full(outcome.num_ok, np.inf)
+        probes = np.atleast_2d(np.asarray(outcome.values, dtype=np.float64))
+        best_distance = [math.inf] * outcome.num_ok
         best_user = [""] * outcome.num_ok
         for uid, transform in self._transforms.items():
-            template = np.asarray(self.enclave.unseal(uid).template)
-            probes = transform.apply(outcome.values)
-            distances = distances_to_template(probes, template)
-            for row in np.flatnonzero(distances < best_distance):
-                best_user[int(row)] = uid
-            best_distance = np.minimum(best_distance, distances)
+            template = np.asarray(
+                self.enclave.unseal(uid).template, dtype=np.float64
+            ).reshape(-1)
+            scoring = (transform.matrix, template, float(np.linalg.norm(template)))
+            for index in range(outcome.num_ok):
+                distance = projected_cosine_distance(probes[index], *scoring)
+                if distance < best_distance[index]:
+                    best_distance[index] = distance
+                    best_user[index] = uid
         threshold = self.config.decision.threshold
-        for row, input_index in enumerate(np.asarray(outcome.indices)):
-            distance = float(best_distance[row])
-            results[int(input_index)] = VerificationResult(
+        for row, input_index in enumerate(np.asarray(outcome.indices).tolist()):
+            distance = best_distance[row]
+            results[input_index] = VerificationResult(
                 accepted=accept(distance, threshold),
                 distance=distance,
                 threshold=threshold,

@@ -1,10 +1,16 @@
 """The sharded gallery subsystem: shards, log, cascade, concurrency.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * **units** — :class:`MutationLog` FIFO/pop-after-apply semantics,
   :class:`GalleryShard` row mutations (append, overwrite-in-place,
-  tombstone, build-then-swap compaction) and shape validation;
+  tombstone, build-then-swap compaction that copies stored rows) and
+  shape validation, the subspace basis and its residual clamp, and the
+  lean exact scorer (bitwise ``cosine_distance``);
+* **bound soundness** — every prescreen lower distance is at most the
+  loop-exact distance, at ranks 1, out/2 and out, for resident and lazy
+  matrices, probes orthogonal to a user's stored subspace and zero
+  templates;
 * **cascade exactness** — identify through the prescreen + rerank
   cascade is *bitwise* identical to per-user loop scoring: random
   galleries, lazy matrix providers, adversarially loose bounds
@@ -25,6 +31,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import obs
 from repro.config import GalleryConfig
@@ -35,7 +44,9 @@ from repro.core.gallery import (
     ShardedGallery,
     TemplateGallery,
 )
-from repro.core.similarity import cosine_distance
+from repro.core.gallery import shard as shard_module
+from repro.core.gallery.shard import subspace_basis
+from repro.core.similarity import cosine_distance, projected_cosine_distance
 from repro.errors import ShapeError
 
 IN, OUT = 12, 10
@@ -163,6 +174,74 @@ class TestGalleryShard:
     def test_rank_capped_at_out_dim(self):
         shard = GalleryShard(capacity=2, in_dim=IN, out_dim=OUT, rank=99)
         assert shard.rank == OUT
+
+    def test_compaction_copies_stored_rows_bitwise(self, monkeypatch):
+        shard = GalleryShard(capacity=6, in_dim=IN, out_dim=OUT, rank=4)
+        for index in range(6):
+            template = np.zeros(OUT) if index == 3 else _template(index)
+            shard.append(f"u{index}", _matrix(index), template, seq=index)
+        for victim in (1, 4):
+            shard.kill_slot(victim)
+
+        def no_rederive(*args):
+            raise AssertionError("compaction must copy rows, not derive them")
+
+        monkeypatch.setattr(shard_module, "subspace_basis", no_rederive)
+        compacted = shard.compacted()
+        kept = [0, 2, 3, 5]
+        assert compacted.count == len(kept)
+        blocks = shard.prescreen_block().reshape(IN, shard.count, 4)
+        np.testing.assert_array_equal(
+            compacted.prescreen_block(),
+            blocks[:, kept].reshape(IN, len(kept) * 4),
+        )
+        np.testing.assert_array_equal(
+            compacted.numer_block(), shard.numer_block()[:, kept]
+        )
+        for name in ("tail_block", "matrix_norm_block", "seq_block"):
+            np.testing.assert_array_equal(
+                getattr(compacted, name)(), getattr(shard, name)()[kept]
+            )
+        for new_slot, slot in enumerate(kept):
+            fresh_row = compacted.rerank_row(new_slot)
+            source_row = shard.rerank_row(slot)
+            assert fresh_row[0] is source_row[0]
+            assert fresh_row[1] is source_row[1]
+            assert fresh_row[2] == source_row[2]
+        assert compacted.rerank_row(2)[2] == 0.0  # the zero template
+
+    def test_subspace_basis_is_orthonormal_and_reproducible(self):
+        for rank in (1, OUT // 2, OUT):
+            basis = subspace_basis(_matrix(rank), rank)
+            assert basis.shape == (OUT, rank)
+            np.testing.assert_allclose(
+                basis.T @ basis, np.eye(rank), atol=1e-12
+            )
+            np.testing.assert_array_equal(
+                basis, subspace_basis(_matrix(rank), rank)
+            )
+
+    def test_subspace_tail_is_tighter_than_leading_columns(self):
+        # The range finder's residual must undercut the first-r-columns
+        # layout's tail (the Q = I[:, :r] special case) on average.
+        rank = OUT // 2
+        subspace, leading = [], []
+        for index in range(20):
+            matrix = _matrix(index)
+            basis = subspace_basis(matrix, rank)
+            residual = matrix - (matrix @ basis) @ basis.T
+            subspace.append(np.sum(residual**2))
+            leading.append(np.sum(matrix[:, rank:] ** 2))
+        assert np.mean(subspace) < 0.75 * np.mean(leading)
+
+    def test_stored_tail_never_below_true_residual(self):
+        shard = GalleryShard(capacity=20, in_dim=IN, out_dim=OUT, rank=3)
+        for index in range(20):
+            shard.append(f"u{index}", _matrix(index), _template(index), seq=index)
+            basis = subspace_basis(_matrix(index), 3).astype(np.longdouble)
+            matrix = _matrix(index).astype(np.longdouble)
+            residual = matrix - (matrix @ basis) @ basis.T
+            assert shard.tail_block()[index] >= float(np.sum(residual**2))
 
 
 # -- cascade exactness -----------------------------------------------------
@@ -323,6 +402,116 @@ class TestCascadeExactness:
         assert dense.num_users == 3
 
 
+# -- prescreen bound soundness ---------------------------------------------
+
+
+def _lower_by_user(gallery, probes):
+    """The prescreen's lower distance per alive user, ``{user: (B,)}``."""
+    lower, _ = gallery._lower_distances(np.atleast_2d(probes))
+    table = gallery._score_state()
+    return {
+        shard.user_ids[slot]: lower[:, column]
+        for column, (shard, slot) in enumerate(table.slots)
+        if table.alive[column]
+    }
+
+
+def _orthogonal_probe(gallery, user_id):
+    """A probe with zero projection onto ``user_id``'s stored block."""
+    shard_index, slot = gallery._index[user_id]
+    shard = gallery._shards[shard_index]
+    rank = shard.rank
+    block = shard.prescreen_block()[:, slot * rank : (slot + 1) * rank]
+    left = np.linalg.svd(block.astype(np.float64))[0]
+    probe = 3.0 * left[:, rank]  # IN > rank: the block's left null space
+    assert np.linalg.norm(probe @ block.astype(np.float64)) < 1e-12
+    return probe
+
+
+class TestPrescreenBound:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["resident", "lazy"])
+    @pytest.mark.parametrize("rank", [1, OUT // 2, OUT])
+    def test_lower_bound_never_exceeds_loop_exact(self, rank, lazy):
+        config = GalleryConfig(shard_size=4, top_k=1, prescreen_rank=rank)
+        for trial in range(4):
+            gallery = ShardedGallery(config)
+            users: dict[str, tuple] = {}
+            for index in range(9):
+                seed = 100 * trial + index
+                matrix = _matrix(seed)
+                template = np.zeros(OUT) if index == 4 else _template(seed)
+                gallery.upsert(
+                    f"u{index}", (lambda m=matrix: m) if lazy else matrix,
+                    template,
+                )
+                users[f"u{index}"] = (matrix, template)
+            gallery.sync()
+            probes = np.vstack(
+                [np.random.default_rng(trial).normal(size=(5, IN))]
+                + [_orthogonal_probe(gallery, user) for user in users]
+            )
+            user_ids, exact = gallery.exact_distances_batch(probes)
+            lower = _lower_by_user(gallery, probes)
+            for column, user_id in enumerate(user_ids):
+                assert np.all(lower[user_id] <= exact[:, column]), (
+                    f"rank={rank} trial={trial} {user_id}: bound "
+                    f"{lower[user_id]} above exact {exact[:, column]}"
+                )
+            _assert_parity(gallery, users, probes)
+
+
+class TestProjectedCosineDistance:
+    """The lean exact scorer is ``cosine_distance(probe @ matrix, t)``, bitwise."""
+
+    @staticmethod
+    def _both(probe, matrix, template):
+        lean = projected_cosine_distance(
+            probe, matrix, template, float(np.linalg.norm(template))
+        )
+        return lean, cosine_distance(probe @ matrix, template)
+
+    @given(
+        arrays(
+            np.float64,
+            IN + IN * OUT + OUT,
+            elements=st.floats(-1e3, 1e3, allow_nan=False),
+        )
+    )
+    def test_bitwise_on_random_inputs(self, values):
+        probe = values[:IN]
+        matrix = values[IN : IN + IN * OUT].reshape(IN, OUT)
+        template = values[IN + IN * OUT :]
+        lean, reference = self._both(probe, matrix, template)
+        assert lean == reference or (np.isnan(lean) and np.isnan(reference))
+
+    def test_zero_vectors(self):
+        matrix, template = _matrix(0), _template(0)
+        assert self._both(np.zeros(IN), matrix, template) == (1.0, 1.0)
+        probe = np.random.default_rng(0).normal(size=IN)
+        assert self._both(probe, matrix, np.zeros(OUT)) == (1.0, 1.0)
+        assert self._both(probe, np.zeros((IN, OUT)), template) == (1.0, 1.0)
+
+    def test_clipped_cosines(self):
+        # Parallel and anti-parallel vectors whose raw cosine rounds past
+        # +-1 take the clip on both paths.
+        identity = np.eye(OUT)
+        rng = np.random.default_rng(3)
+        clipped = {1: 0, -1: 0}
+        for _ in range(200):
+            template = rng.normal(size=OUT)
+            scale = rng.uniform(0.1, 10.0)
+            for sign in (1, -1):
+                probe = sign * scale * template
+                raw = np.dot(probe, template) / (
+                    np.linalg.norm(probe) * np.linalg.norm(template)
+                )
+                clipped[sign] += bool(abs(raw) > 1.0)
+                lean, reference = self._both(probe, identity, template)
+                assert lean == reference
+                assert lean == (0.0 if sign == 1 else 2.0) or abs(raw) <= 1.0
+        assert clipped[1] and clipped[-1]
+
+
 # -- facade integration ----------------------------------------------------
 
 
@@ -335,6 +524,20 @@ def facade():
         num_probes=6,
         gallery=GalleryConfig(shard_size=2, top_k=1, prescreen_rank=4),
     )
+
+
+@pytest.fixture(scope="module")
+def crowd(facade):
+    """A separate facade system with several users to choose between."""
+    from repro.core.system import MandiPass
+
+    system, _, probes = facade
+    crowded = MandiPass(system.model, config=system.config)
+    for index in range(5):
+        crowded.enroll(
+            f"p{index}", [probes[index]], transform_seed=700 + index
+        )
+    return crowded, probes
 
 
 class TestFacadeIntegration:
@@ -369,18 +572,41 @@ class TestFacadeIntegration:
             sealed = system.stored_template(user_id)
             np.testing.assert_array_equal(stored, sealed)
 
-    def test_identify_matches_fallback_decisions(self, facade):
-        # The degraded fallback replays the per-user *verify* pipeline,
-        # whose dtype policy differs from the gallery's float64 scoring,
-        # so distances agree to rounding — decisions must agree exactly.
-        system, user_id, probes = facade
-        system.reset_gallery()
-        results = system.identify_many(list(probes[:4]))
-        fallback = system._identify_fallback(list(probes[:4]))
-        for fast, slow in zip(results, fallback):
-            assert fast.user_id == slow.user_id
-            assert fast.accepted == slow.accepted
-            assert fast.distance == pytest.approx(slow.distance, rel=1e-9)
+    def test_identify_matches_fallback_decisions(self, crowd):
+        # The degraded fallback scores with the cascade's own exact
+        # scorer, so a decision never depends on whether the gallery
+        # build faulted: user and distance agree bitwise, at B=1 and B=4.
+        system, probes = crowd
+        for batch in (1, 4):
+            system.reset_gallery()
+            recordings = list(probes[:batch])
+            results = system.identify_many(recordings)
+            fallback = system._identify_fallback(recordings)
+            assert len(results) == len(fallback) == batch
+            for fast, slow in zip(results, fallback):
+                assert fast.user_id == slow.user_id
+                assert fast.distance == slow.distance  # bitwise, not approx
+                assert fast.accepted == slow.accepted
+                assert slow.degraded and not fast.degraded
+
+    def test_forced_tie_goes_to_earlier_enrolled_on_both_paths(self, facade):
+        from repro.core.system import MandiPass
+
+        system, _, probes = facade
+        twins = MandiPass(system.model, config=system.config)
+        # Identical matrix and template; "zeta" is enrolled first, so a
+        # name-ordered tie break would pick the wrong twin.
+        for name in ("zeta", "alpha"):
+            twins.enroll(name, list(probes[:2]), transform_seed=404)
+        np.testing.assert_array_equal(
+            twins.stored_template("zeta"), twins.stored_template("alpha")
+        )
+        recordings = list(probes[2:5])
+        fast = twins.identify_many(recordings)
+        slow = twins._identify_fallback(recordings)
+        for a, b in zip(fast, slow):
+            assert a.user_id == b.user_id == "zeta"
+            assert a.distance == b.distance
 
     def test_warm_gallery_prebuilds(self, facade):
         system, _, _ = facade
