@@ -23,6 +23,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from repro import errors
 from repro.config import ResilienceConfig
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import FrontEnd
@@ -308,13 +309,15 @@ class InferenceEngine:
         return dataclasses.replace(outcome, values=embeddings)
 
     def embed_one(self, recording: RawRecording) -> np.ndarray:
-        """Single-recording path; raises on unusable input.
+        """The one-item :meth:`embed`; raises the item's failure.
 
-        Unlike :meth:`embed`, an undetectable vibration propagates as a
-        :class:`repro.errors.SignalError` subclass — the contract of the
-        historical ``probe_embedding`` helper this backs.
+        The recording is gated exactly as in a batch (usable axes,
+        degraded mode), but an unusable one raises its
+        :class:`repro.errors.SignalError` subclass instead of being
+        reported.
         """
-        preprocessor, frontend = self._require_signal_stages()
-        signal_array = preprocessor.process(recording)
-        features = frontend.transform(signal_array)
-        return self.embed_features(features[None, ...])[0]
+        outcome = self.embed([recording])
+        if outcome.failures:
+            (failure,) = outcome.failures
+            raise getattr(errors, failure.error)(failure.reason)
+        return outcome.values[0]

@@ -17,7 +17,13 @@ from repro.errors import ShapeError
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """``1 - cos(u, v)``; zero vectors are maximally distant (1.0)."""
+    """``1 - cos(u, v)``; zero vectors are maximally distant (1.0).
+
+    The clip takes ``max`` before ``min``, so a NaN cosine (a
+    non-finite vector) clips to ``-1`` and scores the maximal distance
+    2.0, which no threshold accepts.  Finite cosines clip as either
+    order would.
+    """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
@@ -27,7 +33,7 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         return 1.0
     cos = float(np.dot(u, v) / (norm_u * norm_v))
-    return 1.0 - max(-1.0, min(1.0, cos))
+    return 1.0 - min(1.0, max(-1.0, cos))
 
 
 def projected_cosine_distance(
@@ -52,7 +58,7 @@ def projected_cosine_distance(
     if norm == 0.0 or template_norm == 0.0:
         return 1.0
     cos = float(projected.dot(template)) / (norm * template_norm)
-    return 1.0 - max(-1.0, min(1.0, cos))
+    return 1.0 - min(1.0, max(-1.0, cos))
 
 
 def pairwise_cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

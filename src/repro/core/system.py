@@ -34,6 +34,7 @@ from repro.dsp.pipeline import Preprocessor
 from repro.errors import (
     ConfigError,
     EnrollmentError,
+    SecurityError,
     SignalError,
     TransientError,
     VerificationError,
@@ -442,13 +443,15 @@ class MandiPass:
         template with exponential weight ``rate``.  Rejected probes
         never adapt (otherwise an impostor could walk the template).
 
-        The probe runs the preprocess→forward pipeline exactly once:
-        the same embedding yields both the accept/reject decision and
-        the blended template.
+        The probe runs the preprocess→forward pipeline exactly once,
+        gated as a batch item of :meth:`verify_many` is: the same
+        embedding yields both the accept/reject decision and the
+        blended template.
 
         Returns:
             True if the template was updated, False if the probe was
-            rejected (or unusable) and nothing changed.
+            rejected (or unusable), or the blend was not finite and the
+            enclave refused it, and nothing changed.
         """
         if not 0.0 < rate < 1.0:
             raise ConfigError("rate must lie in (0, 1)")
@@ -468,7 +471,10 @@ class MandiPass:
             ):
                 return False
             updated = (1.0 - rate) * template + rate * probe
-            self.enclave.seal(user_id, updated, transform.seed)
+            try:
+                self.enclave.seal(user_id, updated, transform.seed)
+            except SecurityError:
+                return False
             self._gallery_mutation("upsert", user_id, transform, updated)
             return True
 

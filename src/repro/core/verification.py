@@ -30,24 +30,6 @@ from repro.types import RawRecording, VerificationResult
 REJECTED_DISTANCE = 2.0
 
 
-def probe_embedding(
-    model: TwoBranchExtractor,
-    preprocessor: Preprocessor,
-    frontend: FrontEnd,
-    recording: RawRecording,
-) -> np.ndarray:
-    """Extract one probe MandiblePrint.
-
-    Thin wrapper over :meth:`InferenceEngine.embed_one`.
-
-    Raises:
-        repro.errors.SignalError: (subclass) if the recording contains
-            no usable vibration -- the request must be rejected, which
-            :func:`verify_recording` translates into a refusal.
-    """
-    return InferenceEngine(model, preprocessor, frontend).embed_one(recording)
-
-
 def decision_label(result: VerificationResult | None) -> str:
     """``"accept"``, ``"reject"`` or ``"refusal"``: the one refusal rule.
 

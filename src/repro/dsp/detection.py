@@ -8,8 +8,8 @@ of that window.
 
 The paper illustrates the rule on the z accelerometer axis, but which
 axis carries the energy depends on how the earbud couples to the ear,
-so :func:`detect_onset` evaluates all three accelerometer axes and
-takes, per window, the maximum std across them.  This is equivalent for
+so the detector evaluates all three accelerometer axes and takes, per
+window, the maximum std across them.  This is equivalent for
 well-coupled axes and strictly more robust otherwise.
 
 Detection also runs on the *high-passed* accelerometer (the same 20 Hz
@@ -19,24 +19,44 @@ the std rule long before the user voices anything and anchor the
 segment on body motion instead of the vibration event.  Above 20 Hz
 only the mandible vibration remains, so the paper's thresholds keep
 their meaning under every activity condition.
+
+There is one implementation of the rule, :class:`OnsetDetector`: it
+consumes lanes of time-aligned feeds chunk by chunk and stops filtering
+a lane once its onset is final.  A batch of recordings is a fully
+pushed stream (:func:`detect_onsets`), one recording is a batch of one
+(:func:`detect_onset`), and a live feed is one lane pushed as it
+arrives (:class:`repro.stream.StreamingOnsetDetector`).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.config import PreprocessConfig
-from repro.errors import OnsetNotFoundError, ShapeError
+from repro.dsp.filters import cascade, design_highpass, normalized_sections, zero_state
+from repro.errors import OnsetNotFoundError, ShapeError, SignalError
 from repro.types import ACCEL_AXES, ensure_raw_recording
+
+#: How :func:`detect_onsets` pushes a stack: the first push covers
+#: ``DETECT_FIRST`` samples, later ones ``DETECT_STEP`` each, until every
+#: lane is decided.  A push costs a fixed set of numpy calls for the whole
+#: stack, about as much as filtering 80 samples of one lane, while a lane
+#: keeps filtering until the push that makes its onset final.  Onsets of
+#: the seeded 210-sample recordings turn final by sample 130 in nine cases
+#: of ten, so one lane mostly needs one push.  Against the whole-block
+#: detector this replaced, the stage measured 6% faster for one lane and
+#: 20% faster for 64 lanes (2-CPU Xeon, numpy 2, one BLAS thread).
+DETECT_FIRST = 130
+DETECT_STEP = 30
 
 
 def _detection_sos(
     config: PreprocessConfig, sos: np.ndarray | None = None
 ) -> np.ndarray:
     """The high-pass sections used for detection (design once, reuse)."""
-    from repro.dsp.filters import design_highpass
-
     if sos is not None:
         return sos
     return design_highpass(
@@ -50,54 +70,6 @@ def _detection_pad(config: PreprocessConfig) -> int:
     )
 
 
-def _detection_signal(
-    recording: np.ndarray,
-    config: PreprocessConfig,
-    sos: np.ndarray | None = None,
-) -> np.ndarray:
-    """High-passed accelerometer block ``(n, 3)`` used for detection.
-
-    The first-sample padding lets the filter settle on the gravity DC
-    level before the real samples arrive; without it the start-up
-    transient of the high-pass looks like a huge vibration at t = 0 and
-    the std rule triggers immediately.
-    """
-    from repro.dsp.filters import sosfilt
-
-    recording = ensure_raw_recording(recording)
-    block = recording[:, list(ACCEL_AXES)]
-    pad = _detection_pad(config)
-    padded = np.concatenate([np.repeat(block[:1], pad, axis=0), block])
-    return sosfilt(_detection_sos(config, sos), padded.T).T[pad:]
-
-
-def detection_signals_batch(
-    recordings: np.ndarray,
-    config: PreprocessConfig,
-    sos: np.ndarray | None = None,
-) -> np.ndarray:
-    """Detection signals for a rectangular ``(B, n, 6)`` batch at once.
-
-    One biquad pass filters every recording's accelerometer block
-    simultaneously; each slice ``[b]`` equals
-    ``_detection_signal(recordings[b], config)`` because the filter
-    recursion is elementwise over the batch dimension.
-    """
-    from repro.dsp.filters import sosfilt
-
-    recordings = np.asarray(recordings, dtype=np.float64)
-    if recordings.ndim != 3 or recordings.shape[2] != 6:
-        raise ShapeError(f"expected (B, n, 6), got {recordings.shape}")
-    block = recordings[:, :, list(ACCEL_AXES)]
-    pad = _detection_pad(config)
-    padded = np.concatenate(
-        [np.repeat(block[:, :1], pad, axis=1), block], axis=1
-    )
-    # (B, n + pad, 3) -> (B, 3, n + pad): filter along time, per item.
-    filtered = sosfilt(_detection_sos(config, sos), padded.transpose(0, 2, 1))
-    return filtered.transpose(0, 2, 1)[:, pad:]
-
-
 def window_metrics(axis_major: np.ndarray, window: int) -> np.ndarray:
     """Per-window detection metric of ``(..., 3, n)`` axis-major blocks.
 
@@ -107,7 +79,8 @@ def window_metrics(axis_major: np.ndarray, window: int) -> np.ndarray:
     copied into one C-contiguous ``(..., 3, frames, window)`` block and
     reduced along its last axis.  numpy picks its summation order by
     memory layout, so this gives every std the order of one contiguous
-    framed window, whatever the layout of the caller's array.
+    framed window, whatever the layout of the caller's array and however
+    the signal was chunked.
     """
     frames = axis_major.shape[-1] // window
     blocks = np.ascontiguousarray(axis_major[..., : frames * window])
@@ -129,121 +102,12 @@ def first_confirmed(metric: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     decidable = metric.shape[-1] - sustain
     if decidable <= 0:
         return np.full(metric.shape[:-1], -1)
-    starts = ~(metric[..., :decidable] <= config.onset_std_start)
-    # Sliding-window minimum of the sustain test; the run starting at
-    # window i + 1 confirms window i.
-    runs = sliding_window_view(metric >= config.onset_std_sustain, sustain, axis=-1)
-    fired = starts & runs[..., 1:, :].all(axis=-1)
+    fired = ~(metric[..., :decidable] <= config.onset_std_start)
+    # The run of windows i + 1 .. i + sustain confirms window i.
+    sustained = metric >= config.onset_std_sustain
+    for lag in range(1, sustain + 1):
+        fired &= sustained[..., lag : lag + decidable]
     return np.where(fired.any(axis=-1), fired.argmax(axis=-1), -1)
-
-
-def coarse_onsets(detections: np.ndarray, config: PreprocessConfig) -> np.ndarray:
-    """Start of the triggering window of each ``(B, n, 3)`` detection signal.
-
-    The std rule for a whole batch in one reduction; ``-1`` where no
-    window fires.  :func:`detect_onset_from_signal` refines an entry to
-    stride-1 precision.
-    """
-    window = config.onset_window
-    fired = first_confirmed(
-        window_metrics(detections.transpose(0, 2, 1), window), config
-    )
-    return np.where(fired >= 0, fired * window, -1)
-
-
-def onset_metric(
-    recording: np.ndarray,
-    window: int = 10,
-    config: PreprocessConfig | None = None,
-) -> np.ndarray:
-    """Per-window detection metric: max high-passed accel std across axes."""
-    config = config or PreprocessConfig(onset_window=window)
-    return window_metrics(_detection_signal(recording, config).T, window)
-
-
-def detect_onset_from_signal(
-    detection: np.ndarray,
-    config: PreprocessConfig | None = None,
-    coarse_start: int | None = None,
-) -> int:
-    """The paper's std rule on an already high-passed ``(n, 3)`` block.
-
-    The batch pipeline filters a whole ``(B, n, 6)`` stack in one pass
-    (:func:`detection_signals_batch`), runs the window scan for the
-    whole stack at once (:func:`coarse_onsets`) and then calls this per
-    item with ``coarse_start`` set, so each recording still gets its own
-    refined onset and its own error.
-
-    Args:
-        detection: the ``(n, 3)`` detection signal.
-        config: thresholds; defaults to the paper's values.
-        coarse_start: the item's :func:`coarse_onsets` entry (``-1``
-            when no window fired); scanned here when ``None``.
-
-    Raises:
-        repro.errors.OnsetNotFoundError: if no window satisfies the rule.
-    """
-    config = config or PreprocessConfig()
-    detection = np.asarray(detection, dtype=np.float64)
-    if detection.ndim != 2 or detection.shape[1] != 3:
-        raise ShapeError(f"detection signal must be (n, 3), got {detection.shape}")
-    if detection.shape[0] < config.onset_window:
-        raise OnsetNotFoundError("recording shorter than one window")
-    if coarse_start is None:
-        coarse_start = int(coarse_onsets(detection[None], config)[0])
-    if coarse_start < 0:
-        raise OnsetNotFoundError(
-            "no window exceeded "
-            f"{config.onset_std_start} with {config.onset_sustain_windows} "
-            f"sustained windows >= {config.onset_std_sustain}"
-        )
-    return _refine_onset(detection, coarse_start, config)
-
-
-def detect_onset(
-    recording: np.ndarray,
-    config: PreprocessConfig | None = None,
-    sos: np.ndarray | None = None,
-) -> int:
-    """Find the start sample of the vibration event.
-
-    Args:
-        recording: raw ``(n, 6)`` counts.
-        config: thresholds; defaults to the paper's values.
-        sos: optional pre-designed detection high-pass sections (the
-            pipeline passes its own so the design step is not repeated
-            per recording).
-
-    Returns:
-        The sample index of the first value of the triggering window.
-
-    Raises:
-        repro.errors.OnsetNotFoundError: if no window satisfies the rule.
-    """
-    config = config or PreprocessConfig()
-    recording = ensure_raw_recording(recording)
-    detection = _detection_signal(recording, config, sos)
-    return detect_onset_from_signal(detection, config)
-
-
-def _refine_onset(
-    detection: np.ndarray, coarse_start: int, config: PreprocessConfig
-) -> int:
-    """Refine a coarse (stride = window) onset to stride-1 precision.
-
-    The paper's windows slide by a whole window (ten samples), so where
-    the vibration falls relative to window boundaries shifts the segment
-    start by up to ten samples (~28 ms at 350 Hz) from trial to trial --
-    the dominant source of intra-user misalignment.  We re-apply the
-    *same* std rule on a stride-1 grid around the triggering window and
-    return the earliest crossing, giving every trial the same alignment
-    relative to the vibration attack.
-    """
-    window = config.onset_window
-    lo, hi = refinement_bounds(detection.shape[0], coarse_start, window)
-    if hi <= lo:
-        return coarse_start
-    return refine_from_region(detection[lo : hi + window].T, lo, hi, window)
 
 
 def refinement_bounds(
@@ -253,8 +117,8 @@ def refinement_bounds(
 
     ``hi`` stops depending on the signal length once
     ``num_samples >= coarse_start + 3 * window`` — the condition the
-    streaming detector waits for before it finalises an onset, because
-    from that point every longer prefix yields the same bounds.
+    detector waits for before it finalises an onset, because from that
+    point every longer prefix yields the same bounds.
     """
     lo = max(0, coarse_start - window)
     hi = min(num_samples - window, coarse_start + 2 * window)
@@ -267,9 +131,14 @@ def refine_from_region(
     """Half-rise refinement over ``detection[lo : hi + window]``.
 
     ``region`` is that slice axis-major, ``(3, hi + window - lo)``; the
-    return value is the absolute refined onset.  The stride-1 windows
-    are copied into one C-contiguous ``(3, hi - lo + 1, window)`` block,
-    so each std reduces a contiguous run exactly as
+    return value is the absolute refined onset.  The paper's windows
+    slide by a whole window (ten samples), so where the vibration falls
+    relative to window boundaries shifts the segment start by up to ten
+    samples (~28 ms at 350 Hz) from trial to trial -- the dominant
+    source of intra-user misalignment.  The same std rule is re-applied
+    on a stride-1 grid around the triggering window; the stride-1
+    windows are copied into one C-contiguous ``(3, hi - lo + 1,
+    window)`` block, so each std reduces a contiguous run exactly as
     :func:`window_metrics` does.
     """
     # Rolling std of the detection metric on a stride-1 grid.
@@ -281,6 +150,249 @@ def refine_from_region(
     half = 0.5 * float(rolling.max())
     crossing = int(np.argmax(rolling >= half))
     return lo + crossing
+
+
+class OnsetDetector:
+    """The std rule over ``lanes`` time-aligned feeds, chunk by chunk.
+
+    Each :meth:`push` hands every lane its next ``k`` raw accelerometer
+    samples.  The detector high-passes them with the pipeline's 20 Hz
+    Butterworth through :func:`repro.dsp.filters.cascade`, carrying the
+    filter registers across pushes, after settling each lane on its
+    first sample's gravity level (without that the filter's start-up
+    transient looks like a huge vibration at t = 0).  It then extends
+    the window metrics and runs :func:`first_confirmed` once for all
+    open lanes.
+
+    A lane's onset becomes *final* once its sustain tail is complete and
+    the refinement bounds no longer depend on the length
+    (``coarse + 3 * window`` samples): no later sample can change it.
+    The lane is then refined, recorded in :attr:`onsets` and
+    :attr:`final_at`, and retired, so it is neither filtered nor scanned
+    again.  :meth:`finish` applies end-of-signal semantics to the lanes
+    still open: a window whose sustain tail is cut off never fires, and
+    the refinement range is clamped to the signal length.
+
+    Filtering and the window std are chunking-invariant (the filter
+    recursion reads only the current sample and the carried registers;
+    every std reduces one contiguous window), and which window fires
+    depends only on the metrics, so any chunking of a signal gives
+    bitwise the onset of pushing it whole.  Retained history is bounded:
+    the detector keeps samples from one window before the first window
+    not yet decided on, which trails the newest window by at most the
+    sustain run.
+
+    Args:
+        config: thresholds; defaults to the paper's values.
+        sos: pre-designed detection high-pass sections.
+        lanes: number of feeds.
+    """
+
+    def __init__(
+        self,
+        config: PreprocessConfig | None = None,
+        sos: np.ndarray | None = None,
+        lanes: int = 1,
+    ) -> None:
+        self.config = config or PreprocessConfig()
+        self._sections = normalized_sections(_detection_sos(self.config, sos))
+        self._pad = _detection_pad(self.config)
+        #: Final onset per lane; ``-1`` while undecided or when none fired.
+        self.onsets = np.full(lanes, -1)
+        #: Per lane, the shortest prefix that confirms its onset.
+        self.final_at = np.full(lanes, -1)
+        self.samples_seen = 0
+        # State of the open lanes, row-aligned with ``_open``: filter
+        # registers (three rows per lane, primed on the first push), the
+        # detection samples from ``_base`` on, and the window metrics
+        # from window ``_candidate`` (the first one not yet decided) on.
+        self._open = np.arange(lanes)
+        self._registers: list[list[float]] | None = None
+        self._signal = np.empty((lanes, 3, 0))
+        self._base = 0
+        self._metrics = np.empty((lanes, 0))
+        self._candidate = 0
+
+    @property
+    def done(self) -> bool:
+        """Whether every lane is decided."""
+        return self._open.size == 0
+
+    def push(self, accel: np.ndarray) -> None:
+        """Consume the next samples of every lane: raw ``(lanes, 3, k)`` counts.
+
+        Rows of lanes already decided are ignored.
+        """
+        if self.done or accel.shape[-1] == 0:
+            return
+        if self._open.size < accel.shape[0]:
+            accel = accel[self._open]
+        filtered = self._filter(accel)
+        self._signal = np.concatenate([self._signal, filtered], axis=-1)
+        self.samples_seen += accel.shape[-1]
+        self._scan(final=False)
+
+    def finish(self) -> None:
+        """End of signal: decide every open lane with the clamped rule."""
+        if not self.done:
+            self._scan(final=True)
+
+    def _filter(self, block: np.ndarray) -> np.ndarray:
+        if self._registers is None:
+            self._registers = zero_state(self._sections, 3 * block.shape[0])
+            # The pad outputs are discarded; only the registers matter.
+            cascade(
+                self._sections,
+                np.repeat(block[..., :1], self._pad, axis=-1),
+                self._registers,
+            )
+        return cascade(self._sections, block, self._registers)
+
+    def _scan(self, final: bool) -> None:
+        cfg = self.config
+        window = cfg.onset_window
+        # Complete the newly full stride-aligned metric windows.
+        done = (self._candidate + self._metrics.shape[-1]) * window
+        ready = (self.samples_seen - done) // window * window
+        if ready:
+            start = done - self._base
+            fresh = window_metrics(self._signal[..., start : start + ready], window)
+            self._metrics = np.concatenate([self._metrics, fresh], axis=-1)
+        # Windows before the candidate never fire, so one scan from the
+        # shared candidate finds every lane's first firing window.  A lane
+        # that fired waits there until its onset is final; any other lane
+        # has decided every window whose sustain tail is complete.
+        step = max(self._metrics.shape[-1] - cfg.onset_sustain_windows, 0)
+        keep = []
+        for row, fired in enumerate(first_confirmed(self._metrics, cfg).tolist()):
+            coarse = (self._candidate + fired) * window
+            if fired >= 0 and (final or coarse + 3 * window <= self.samples_seen):
+                self._settle(row, coarse)
+            elif not final:
+                keep.append(row)
+                if fired >= 0:
+                    step = min(step, fired)
+        self._retire(keep, step)
+
+    def _settle(self, row: int, coarse: int) -> None:
+        """Refine and record the onset of open-lane ``row``."""
+        window = self.config.onset_window
+        lane = self._open[row]
+        self.final_at[lane] = (
+            coarse + max(1 + self.config.onset_sustain_windows, 3) * window
+        )
+        lo, hi = refinement_bounds(self.samples_seen, coarse, window)
+        region = self._signal[row, :, lo - self._base : hi + window - self._base]
+        self.onsets[lane] = (
+            refine_from_region(region, lo, hi, window) if hi > lo else coarse
+        )
+
+    def _retire(self, keep: list[int], step: int) -> None:
+        """Keep the open-lane rows ``keep``; advance the candidate by ``step``."""
+        if len(keep) < self._open.size:
+            self._open = self._open[keep]
+            self._signal = self._signal[keep]
+            self._metrics = self._metrics[keep]
+            self._registers = [
+                self._registers[3 * row + axis] for row in keep for axis in range(3)
+            ]
+        self._candidate += step
+        self._metrics = self._metrics[:, step:]
+        # Refinement reads from one window before the candidate on.
+        tail = max(self._base, (self._candidate - 1) * self.config.onset_window)
+        self._signal = self._signal[..., tail - self._base :]
+        self._base = tail
+
+
+def _not_found(num_samples: int, config: PreprocessConfig) -> OnsetNotFoundError:
+    if num_samples < config.onset_window:
+        return OnsetNotFoundError("recording shorter than one window")
+    return OnsetNotFoundError(
+        "no window exceeded "
+        f"{config.onset_std_start} with {config.onset_sustain_windows} "
+        f"sustained windows >= {config.onset_std_sustain}"
+    )
+
+
+def detect_onsets(
+    recordings: Sequence[np.ndarray],
+    config: PreprocessConfig | None = None,
+    sos: np.ndarray | None = None,
+) -> list[int | SignalError]:
+    """Each recording's onset, or the error that recording fails with.
+
+    Recordings of one length run as the lanes of one
+    :class:`OnsetDetector`, pushed in the :data:`DETECT_FIRST` /
+    :data:`DETECT_STEP` schedule until every lane is decided or the
+    samples run out.  A recording that is not ``(n, 6)`` gets a
+    :class:`~repro.errors.ShapeError`, one without a confirmed onset an
+    :class:`~repro.errors.OnsetNotFoundError`.
+    """
+    config = config or PreprocessConfig()
+    sos = _detection_sos(config, sos)
+    results: list[int | SignalError] = [0] * len(recordings)
+    valid: dict[int, np.ndarray] = {}
+    lengths: dict[int, list[int]] = {}
+    for index, recording in enumerate(recordings):
+        try:
+            valid[index] = ensure_raw_recording(recording)
+        except ShapeError as exc:
+            results[index] = exc
+            continue
+        lengths.setdefault(valid[index].shape[0], []).append(index)
+    for num_samples, members in lengths.items():
+        stack = np.stack([valid[index] for index in members])
+        accel = stack[:, :, list(ACCEL_AXES)].transpose(0, 2, 1)
+        detector = OnsetDetector(config, sos, lanes=len(members))
+        start = 0
+        for stop in [*range(DETECT_FIRST, num_samples, DETECT_STEP), num_samples]:
+            detector.push(accel[..., start:stop])
+            start = stop
+            if detector.done:
+                break
+        detector.finish()
+        for index, onset in zip(members, detector.onsets.tolist()):
+            results[index] = onset if onset >= 0 else _not_found(num_samples, config)
+    return results
+
+
+def detect_onset(
+    recording: np.ndarray,
+    config: PreprocessConfig | None = None,
+    sos: np.ndarray | None = None,
+) -> int:
+    """Find the start sample of the vibration event.
+
+    The one-recording case of :func:`detect_onsets`.
+
+    Args:
+        recording: raw ``(n, 6)`` counts.
+        config: thresholds; defaults to the paper's values.
+        sos: optional pre-designed detection high-pass sections.
+
+    Returns:
+        The sample index of the first value of the triggering window,
+        refined to stride-1 precision.
+
+    Raises:
+        repro.errors.OnsetNotFoundError: if no window satisfies the rule.
+    """
+    (onset,) = detect_onsets([recording], config, sos)
+    if isinstance(onset, SignalError):
+        raise onset
+    return onset
+
+
+def onset_metric(
+    recording: np.ndarray,
+    window: int = 10,
+    config: PreprocessConfig | None = None,
+) -> np.ndarray:
+    """Per-window detection metric over the whole recording (Fig. 5)."""
+    config = config or PreprocessConfig(onset_window=window)
+    recording = ensure_raw_recording(recording)
+    accel = recording[:, list(ACCEL_AXES)].T[None]
+    return window_metrics(OnsetDetector(config)._filter(accel)[0], window)
 
 
 def has_vibration(

@@ -256,10 +256,12 @@ def sosfilt(sos: np.ndarray, signal: np.ndarray) -> np.ndarray:
     the filter behaves as if the signal were preceded by infinite
     silence, and the first output sample is ``b0 * x[0]`` through the
     cascade.  Callers that need the filter settled on a DC level (the
-    onset detector's gravity-loaded accelerometer) must pad the input
-    themselves — see ``repro.dsp.detection._detection_signal`` — because
-    this function never carries state across calls.  The streaming twin
-    honours the same contract: a freshly constructed (or ``reset()``)
+    onset detector's gravity-loaded accelerometer) must settle the
+    registers themselves — :class:`repro.dsp.detection.OnsetDetector`
+    runs a pad of the first sample through :func:`cascade` and keeps
+    the registers — because this function never carries state across
+    calls.  The streaming twin honours the same contract: a freshly
+    constructed (or ``reset()``)
     :class:`repro.stream.StreamingSOSFilter` starts from the same zero
     state, so its first-chunk transient is bitwise identical to this
     function's output on the same samples, and chunked processing with

@@ -18,13 +18,7 @@ import numpy as np
 from typing import Sequence
 
 from repro.config import PreprocessConfig
-from repro.dsp.detection import (
-    coarse_onsets,
-    detect_onset,
-    detect_onset_from_signal,
-    detection_signals_batch,
-    segment_after_onset,
-)
+from repro.dsp.detection import detect_onsets, segment_after_onset
 from repro.dsp.filters import design_highpass, sosfilt
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import replace_outliers, replace_outliers_batch
@@ -37,6 +31,13 @@ from repro.errors import (
 )
 from repro.obs import runtime as obs
 from repro.types import NUM_AXES, RawRecording, SignalArray
+
+# Per-layer tracing (``perfbench/tracing.py``) times the stages by
+# wrapping names on this module, so the onset stage calls the detector
+# as ``detect_onset``.  ``detect_onset_from_signal``,
+# ``detection_signals_batch`` and ``replace_outliers`` are no longer
+# called here; they stay bound because the tracer wraps them by name.
+detect_onset = detect_onset_from_signal = detection_signals_batch = detect_onsets
 
 
 def _hinted_onset(hint) -> int:
@@ -63,12 +64,28 @@ class PreprocessDebug:
     normalized: np.ndarray
 
 
+@dataclasses.dataclass(frozen=True)
+class _Stages:
+    """Every stage of one batch: ``K`` cut items, ``J`` of them kept."""
+
+    onsets: list[int]  # (K,) where each cut item was cut
+    segments: np.ndarray  # (K, 6, n) raw cut segments
+    despiked: np.ndarray  # (K, 6, n)
+    filtered: np.ndarray  # (K, 6, n)
+    normalized: np.ndarray  # (J, 6, n)
+    kept: np.ndarray  # (J,) input index of each kept item
+    failures: list[tuple[int, SignalError]]
+    degraded: tuple[int, ...]
+
+
 class Preprocessor:
     """Turns a raw recording into the paper's ``(6, n)`` signal array.
 
-    The high-pass sections are designed once at construction; processing
-    is therefore cheap enough for the on-device budget the paper reports
-    (under 10 ms per request).
+    There is one preprocessing path, :meth:`process_batch_detailed`;
+    the single-recording calls are its one-item case.  The high-pass
+    sections are designed once at construction; processing is therefore
+    cheap enough for the on-device budget the paper reports (under
+    10 ms per request).
 
     Args:
         config: stage parameters; defaults follow the paper.
@@ -83,47 +100,34 @@ class Preprocessor:
         )
 
     def process(self, recording: RawRecording) -> SignalArray:
-        """Full pipeline; raises on undetectable or too-short vibration.
+        """Full pipeline for one recording; raises its failure.
 
         Raises:
             repro.errors.OnsetNotFoundError: nothing to authenticate.
             repro.errors.SegmentTooShortError: vibration cut off early.
+            repro.errors.InsufficientAxesError: no usable axis left.
         """
-        return self.process_debug(recording).normalized
+        signals, _, failures, _ = self.process_batch_detailed([recording])
+        if failures:
+            raise failures[0][1]
+        return signals[0]
 
     def process_debug(self, recording: RawRecording) -> PreprocessDebug:
-        """Like :meth:`process` but returns every intermediate stage."""
-        cfg = self.config
-        with obs.span("onset"):
-            onset = detect_onset(recording, cfg)
-            segments = segment_after_onset(recording, onset, cfg.segment_length)
+        """Like :meth:`process` but returns every intermediate stage.
 
-        with obs.span("outlier"):
-            despiked = np.empty_like(segments)
-            for axis in range(NUM_AXES):
-                despiked[axis] = replace_outliers(
-                    segments[axis], threshold=cfg.mad_threshold
-                )
-
-        with obs.span("filter"):
-            filtered = sosfilt(self._sos, despiked)
-        # Quality gate: after outlier replacement a segment that was
-        # 'detected' off sensor glitches collapses to noise; a genuine
-        # 'EMM' sustains hundreds of counts of high-passed energy.
-        # Rejecting here turns glitch-triggered requests into refusals
-        # instead of authenticating near-silence.
-        if float(filtered.std(axis=1).max()) < cfg.min_segment_std:
-            raise OnsetNotFoundError(
-                "segment carries no sustained vibration after despiking"
-            )
-        with obs.span("normalize"):
-            normalized = min_max_normalize(filtered, axis=-1)
+        The inspection view behind Figs. 5/6 and the golden
+        intermediates; it reads the stages of the one-item batch, so its
+        ``normalized`` is exactly :meth:`process`'s output.
+        """
+        stages = self._stages([recording])
+        if stages.failures:
+            raise stages.failures[0][1]
         return PreprocessDebug(
-            onset=onset,
-            raw_segments=segments,
-            despiked=despiked,
-            filtered=filtered,
-            normalized=normalized,
+            onset=stages.onsets[0],
+            raw_segments=stages.segments[0],
+            despiked=stages.despiked[0],
+            filtered=stages.filtered[0],
+            normalized=stages.normalized[0],
         )
 
     def process_batch(self, recordings: Sequence[RawRecording]) -> np.ndarray:
@@ -148,20 +152,21 @@ class Preprocessor:
     ]:
         """Vectorised batch pipeline with per-item failure bookkeeping.
 
-        Each recording's onset is refined and cut per item (each has its
-        own event), but every dense stage — the detection high-pass, the
-        onset window scan, outlier replacement, segment filtering and
-        normalisation — runs once over the stacked ``(B, 6, n)`` array.
-        Per item the output is numerically identical to :meth:`process`.
+        Each recording's onset is its own (each has its own event), but
+        every dense stage runs once over the stacked batch: the onset
+        detector runs the recordings of one length as the lanes of one
+        :class:`~repro.dsp.detection.OnsetDetector`, and outlier
+        replacement, segment filtering and normalisation each run once
+        over the stacked ``(B, 6, n)`` segments.
 
         A recording whose onset is already known (``onsets[i]`` is an
         int, e.g. the one a :class:`~repro.stream.StreamSession`'s
         streaming detector confirmed) skips detection and is cut at that
-        sample; the ``None`` items are still detected together in one
-        batched pass.  Every stage after the cut is shared, so a hint
-        equal to the detected onset gives bitwise the same signal.  A
-        hint that is not an integer, is negative, or leaves fewer than
-        ``segment_length`` samples is that item's failure
+        sample; the ``None`` items are still detected together.  Every
+        stage after the cut is shared, so a hint equal to the detected
+        onset gives bitwise the same signal.  A hint that is not an
+        integer, is negative, or leaves fewer than ``segment_length``
+        samples is that item's failure
         (:class:`~repro.errors.OnsetHintError` or
         :class:`~repro.errors.SegmentTooShortError`), never an
         exception out of the batch.
@@ -193,9 +198,19 @@ class Preprocessor:
             the sorted input indices of successes that lost at least one
             axis.
         """
+        stages = self._stages(recordings, min_usable_axes, onsets)
+        return stages.normalized, stages.kept, stages.failures, stages.degraded
+
+    def _stages(
+        self,
+        recordings: Sequence[RawRecording],
+        min_usable_axes: int = 1,
+        onsets: Sequence[int | None] | None = None,
+    ) -> _Stages:
         cfg = self.config
         items = [np.asarray(r, dtype=np.float64) for r in recordings]
         failures: list[tuple[int, SignalError]] = []
+        cut: list[int] = []
         segments: list[np.ndarray] = []
         indices: list[int] = []
 
@@ -207,44 +222,31 @@ class Preprocessor:
             )
 
         with obs.span("onset"):
-            # Only the items without a hint are detected, stacked into
-            # one pass when they share a shape.
+            # Only the items without a hint are detected.
             detect = [idx for idx, hint in enumerate(onsets) if hint is None]
-            rectangular = (
-                len(detect) > 0
-                and all(
-                    items[i].ndim == 2 and items[i].shape[1] == NUM_AXES
-                    for i in detect
-                )
-                and len({items[i].shape[0] for i in detect}) == 1
-            )
-            if rectangular:
-                detections = detection_signals_batch(
-                    np.stack([items[i] for i in detect]), cfg, sos=self._sos
-                )
-                coarse = coarse_onsets(detections, cfg)
-                row = {idx: r for r, idx in enumerate(detect)}
+            found = {}
+            if detect:
+                detected = detect_onset([items[i] for i in detect], cfg, self._sos)
+                found = dict(zip(detect, detected))
             for idx, item in enumerate(items):
                 try:
-                    if onsets[idx] is not None:
-                        onset = _hinted_onset(onsets[idx])
-                    elif rectangular:
-                        r = row[idx]
-                        onset = detect_onset_from_signal(
-                            detections[r], cfg, coarse_start=int(coarse[r])
-                        )
-                    else:
-                        onset = detect_onset(item, cfg, sos=self._sos)
+                    onset = found[idx] if idx in found else _hinted_onset(onsets[idx])
+                    if isinstance(onset, SignalError):
+                        raise onset
                     segments.append(
                         segment_after_onset(item, onset, cfg.segment_length)
                     )
+                    cut.append(onset)
                     indices.append(idx)
                 except SignalError as exc:
                     failures.append((idx, exc))
 
         empty = np.empty((0, NUM_AXES, cfg.segment_length))
         if not segments:
-            return empty, np.empty(0, dtype=np.int64), failures, ()
+            return _Stages(
+                [], empty, empty, empty, empty, np.empty(0, dtype=np.int64),
+                failures, (),
+            )
 
         stacked = np.stack(segments)
         with obs.span("outlier"):
@@ -258,7 +260,11 @@ class Preprocessor:
         finite = np.isfinite(filtered).all(axis=2)
         axis_std = np.where(finite, np.nan_to_num(filtered.std(axis=2)), 0.0)
         usable = finite & (axis_std > 1e-9)
-        # Same quality gate as process_debug, vectorised across items.
+        # Quality gate: after outlier replacement a segment that was
+        # 'detected' off sensor glitches collapses to noise; a genuine
+        # 'EMM' sustains hundreds of counts of high-passed energy.
+        # Rejecting here turns glitch-triggered requests into refusals
+        # instead of authenticating near-silence.
         sustained = np.where(usable, axis_std, 0.0).max(axis=1) >= cfg.min_segment_std
         enough = usable.sum(axis=1) >= min_usable_axes
         keep = sustained & enough
@@ -284,16 +290,19 @@ class Preprocessor:
                     )
                 )
         failures.sort(key=lambda pair: pair[0])
-        if not keep.any():
-            return empty, np.empty(0, dtype=np.int64), failures, ()
         kept_filtered = filtered[keep]  # boolean indexing copies
         kept_usable = usable[keep]
         if not kept_usable.all():
             kept_filtered[~kept_usable] = 0.0
-        with obs.span("normalize"):
-            normalized = min_max_normalize(kept_filtered, axis=-1)
+        if keep.any():
+            with obs.span("normalize"):
+                normalized = min_max_normalize(kept_filtered, axis=-1)
+        else:
+            normalized = empty
         kept_idx = np.asarray(indices, dtype=np.int64)[keep]
         degraded = tuple(
             int(i) for i, row in zip(kept_idx, kept_usable) if not row.all()
         )
-        return normalized, kept_idx, failures, degraded
+        return _Stages(
+            cut, stacked, despiked, filtered, normalized, kept_idx, failures, degraded
+        )

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.errors import EnclaveSealedError, TemplateRevokedError
+from repro.errors import EnclaveSealedError, SecurityError, TemplateRevokedError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,8 +59,17 @@ class SecureEnclave:
     def seal(
         self, user_id: str, template: np.ndarray, transform_seed: int
     ) -> None:
-        """Store (or replace) a user's cancelable template."""
+        """Store (or replace) a user's cancelable template.
+
+        Raises:
+            repro.errors.SecurityError: the template is not finite; a
+                NaN template would score every probe as a match.
+        """
         template = np.asarray(template, dtype=np.float64).copy()
+        if not np.isfinite(template).all():
+            raise SecurityError(
+                f"refusing to seal a non-finite template for {user_id!r}"
+            )
         template.setflags(write=False)
         self._slots[user_id] = EnclaveRecord(
             user_id=user_id, template=template, transform_seed=transform_seed

@@ -1,11 +1,11 @@
 """Streaming continuous authentication (see DESIGN.md §4j).
 
-Stateful, chunk-size-invariant twins of the batch DSP primitives plus
-the :class:`StreamSession` state machine that turns a live IMU feed
-into exactly-once authentication decisions.  Every primitive here is
-*bitwise* equivalent to its batch counterpart for any partition of the
-input into chunks — the property ``tests/test_stream_equivalence.py``
-enforces.
+A chunked high-pass twin of ``sosfilt``, the batch onset detector run
+as one live lane, and the :class:`StreamSession` state machine that
+turns a live IMU feed into exactly-once authentication decisions.
+Every primitive here is *bitwise* equivalent to its batch counterpart
+for any partition of the input into chunks — the property
+``tests/test_stream_equivalence.py`` enforces.
 """
 
 from repro.stream.dsp import StreamingOnsetDetector, StreamingSOSFilter

@@ -8,8 +8,8 @@ from repro.config import MandiPassConfig, SecurityConfig
 from repro.errors import ConfigError
 
 
-@pytest.fixture(scope="module")
-def multi_user_device(trained_model, population):
+def _enrolled_device(trained_model, population):
+    """A device with three enrolled users: (device, users, recorder)."""
     config = MandiPassConfig(
         extractor=trained_model.config,
         security=SecurityConfig(
@@ -24,6 +24,11 @@ def multi_user_device(trained_model, population):
     for name, person in users.items():
         device.enroll(name, [recorder.record(person, trial_index=i) for i in range(5)])
     return device, users, recorder
+
+
+@pytest.fixture(scope="module")
+def multi_user_device(trained_model, population):
+    return _enrolled_device(trained_model, population)
 
 
 class TestIdentify:
@@ -105,3 +110,28 @@ class TestAdaptTemplate:
             device.adapt_template(
                 "ua", recorder.record(users["ua"], trial_index=0), rate=1.5
             )
+
+    def test_nan_burst_probe_cannot_poison_template(self, trained_model, population):
+        """A degraded genuine probe adapts like any batch item, or not at all.
+
+        A NaN burst on one gyro axis is a degraded (not refused) probe
+        on the batch path.  Adapting with it must neither seal a NaN
+        template nor leave one behind that matches every probe.
+        """
+        device, users, recorder = _enrolled_device(trained_model, population)
+        probe = recorder.record(users["ua"], trial_index=88)
+        probe[60:80, 4] = np.nan
+        (result,) = device.verify_many("ua", [probe])
+        assert result.accepted and result.degraded
+
+        before = device.stored_template("ua").copy()
+        if device.adapt_template("ua", probe):
+            assert np.isfinite(device.stored_template("ua")).all()
+        else:
+            np.testing.assert_array_equal(before, device.stored_template("ua"))
+
+        probes = [recorder.record(person, trial_index=77) for person in users.values()]
+        assert [r.user_id for r in device.identify_many(probes)] == list(users)
+        results = device.verify_many("ua", probes)
+        assert len(results) == len(probes)
+        assert all(np.isfinite(r.distance) for r in results)

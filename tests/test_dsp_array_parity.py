@@ -1,10 +1,10 @@
-"""Bitwise parity of the scalar biquad kernel and the array-form onset rule.
+"""Bitwise parity of the scalar biquad kernel and the chunked onset detector.
 
 The reference implementations below are frozen copies of the numpy
-loops the kernel and the array-form rule replaced: a per-sample loop
+loops the kernel and the detector replaced: a per-sample loop
 vectorised over the lanes for ``sosfilt`` (and its streaming twin), and
-a per-item window scan plus a per-start ``std`` loop for onset
-detection.  Every comparison is exact, on the raw bits of the float64
+a whole-signal detection filter, a per-item window scan and a per-start
+``std`` loop for onset detection.  Every comparison is exact, on the raw bits of the float64
 outputs, so a changed rounding, a flipped zero sign or a different NaN
 shows up.
 """
@@ -17,10 +17,10 @@ import pytest
 from repro.config import PreprocessConfig
 from repro.dsp import pipeline as pipeline_module
 from repro.dsp.detection import (
-    _detection_signal,
-    coarse_onsets,
-    detect_onset_from_signal,
-    detection_signals_batch,
+    OnsetDetector,
+    _detection_pad,
+    detect_onset,
+    detect_onsets,
     first_confirmed,
     refine_from_region,
     refinement_bounds,
@@ -56,6 +56,18 @@ def loop_filter(sections, signal, s1=None, s2=None):
                 out[..., i] = y
             s1[j], s2[j] = r1, r2
     return out, s1, s2
+
+
+def loop_detection(recording, config):
+    """The high-passed accelerometer, filtered whole after DC padding."""
+    block = recording[:, list(ACCEL_AXES)]
+    pad = _detection_pad(config)
+    padded = np.concatenate([np.repeat(block[:1], pad, axis=0), block])
+    sos = design_highpass(
+        config.highpass_order, config.highpass_cutoff_hz, config.sample_rate_hz
+    )
+    filtered, _, _ = loop_filter(normalized_sections(sos), padded.T)
+    return filtered.T[pad:]
 
 
 def loop_metric(detection, window):
@@ -139,8 +151,8 @@ class TestKernelParity:
         assert_bitwise(sosfilt(sos, signal), expected)
 
     def test_transposed_views(self):
-        # detection_signals_batch filters (B, n + pad, 3) as its
-        # (B, 3, n + pad) transpose: a non-contiguous view.
+        # A (B, n, 3) block filtered along time is its (B, 3, n)
+        # transpose: a non-contiguous view.
         rng = np.random.default_rng(2)
         sos = design_highpass(4, 20.0, FS)
         block = rng.normal(0.0, 500.0, size=(16, 300, 3))
@@ -238,7 +250,7 @@ class TestOnsetParity:
     def test_window_metrics_match_framed_loop(self, population, recorder):
         config = PreprocessConfig()
         for recording in _recordings(population, recorder):
-            detection = _detection_signal(recording, config)
+            detection = loop_detection(recording, config)
             assert_bitwise(
                 window_metrics(detection.T, config.onset_window),
                 loop_metric(detection, config.onset_window),
@@ -284,7 +296,7 @@ class TestOnsetParity:
         config = PreprocessConfig()
         window = config.onset_window
         for recording in _recordings(population, recorder):
-            detection = _detection_signal(recording, config)
+            detection = loop_detection(recording, config)
             c_order = np.ascontiguousarray(detection)
             assert_bitwise(
                 window_metrics(c_order.T, window), window_metrics(detection.T, window)
@@ -299,24 +311,17 @@ class TestOnsetParity:
     def test_single_and_batch_onsets_match_loop(self, population, recorder):
         config = PreprocessConfig()
         recordings = _recordings(population, recorder)
-        detections = detection_signals_batch(np.stack(recordings), config)
-        coarse = coarse_onsets(detections, config)
-        for idx, recording in enumerate(recordings):
-            expected = loop_onset(detections[idx], config)
-            single = _detection_signal(recording, config)
-            for got in (
-                lambda: detect_onset_from_signal(single, config),
-                lambda: detect_onset_from_signal(
-                    detections[idx], config, coarse_start=int(coarse[idx])
-                ),
-            ):
-                if expected is None:
-                    with pytest.raises(OnsetNotFoundError):
-                        got()
-                else:
-                    assert got() == expected
-        kinds = [loop_onset(d, config) is not None for d in detections]
-        assert any(kinds) and not all(kinds)
+        expected = [loop_onset(loop_detection(r, config), config) for r in recordings]
+        batch = detect_onsets(recordings, config)
+        for recording, want, got in zip(recordings, expected, batch):
+            if want is None:
+                assert isinstance(got, OnsetNotFoundError)
+                with pytest.raises(OnsetNotFoundError):
+                    detect_onset(recording, config)
+            else:
+                assert got == want
+                assert detect_onset(recording, config) == want
+        assert None in expected and any(e is not None for e in expected)
 
     def test_pipeline_matches_loop(self, population, recorder, monkeypatch):
         config = PreprocessConfig()
@@ -329,30 +334,61 @@ class TestOnsetParity:
 
         monkeypatch.setattr(pipeline_module, "segment_after_onset", record_onset)
         Preprocessor(config).process_batch_detailed(recordings)
-        detections = detection_signals_batch(np.stack(recordings), config)
-        expected = [loop_onset(d, config) for d in detections]
+        expected = [loop_onset(loop_detection(r, config), config) for r in recordings]
         assert cut == [onset for onset in expected if onset is not None]
 
     def test_too_short_recordings(self):
         config = PreprocessConfig()
         rng = np.random.default_rng(6)
         short = rng.normal(0.0, 500.0, size=(3, 8, 6))
-        detections = detection_signals_batch(short, config)
-        assert list(coarse_onsets(detections, config)) == [-1, -1, -1]
+        for error in detect_onsets(short, config):
+            assert isinstance(error, OnsetNotFoundError)
         with pytest.raises(OnsetNotFoundError, match="shorter than one window"):
-            detect_onset_from_signal(detections[0], config)
+            detect_onset(short[0], config)
 
     def test_streaming_detector_matches_loop(self, population, recorder):
-        config = PreprocessConfig()
+        """Any chunking of the one detector equals the loop reference, exactly.
+
+        The batch entry (ragged lengths included), lane stacks pushed in
+        fixed plans (empty and 1-sample chunks included) and live feeds in
+        random chunks, with the paper's sustain rule and with none.
+        """
         rng = np.random.default_rng(7)
-        for recording in _recordings(population, recorder):
-            expected = loop_onset(_detection_signal(recording, config), config)
-            detector = StreamingOnsetDetector(config)
-            onset, pos = None, 0
-            while pos < recording.shape[0] and onset is None:
-                take = int(rng.integers(1, 60))
-                onset = detector.push(recording[pos : pos + take])
-                pos += take
-            if onset is None:
-                onset = detector.finish()
-            assert onset == expected
+        recordings = _recordings(population, recorder)
+        for i in range(16):
+            n = int(rng.integers(30, 400))
+            noise = rng.normal(scale=50.0, size=(n, 6))
+            if rng.random() < 0.7:
+                at = int(rng.integers(0, max(n - 40, 1)))
+                burst = rng.normal(scale=2000.0, size=(min(40, n - at), 6))
+                if i % 2:  # a swelling burst moves the half-rise anchor
+                    burst *= np.linspace(0.1, 1.0, burst.shape[0])[:, None]
+                noise[at : at + 40] += burst
+            recordings.append(noise)
+        n = recordings[0].shape[0]
+        same = [r for r in recordings if r.shape[0] == n]
+        accel = np.stack(same)[:, :, list(ACCEL_AXES)].transpose(0, 2, 1)
+        for config in (PreprocessConfig(), PreprocessConfig(onset_sustain_windows=0)):
+            expected = [loop_onset(loop_detection(r, config), config) for r in recordings]
+            assert None in expected and any(e is not None for e in expected)
+
+            batch = detect_onsets(recordings, config)
+            assert [None if isinstance(o, OnsetNotFoundError) else o for o in batch] == expected
+
+            for plan in ([1], [0, 3, 17], [40, 9], [n]):
+                detector = OnsetDetector(config, lanes=len(same))
+                cuts = np.cumsum([0] + [plan[i % len(plan)] for i in range(n)])
+                for start, stop in zip(cuts, cuts[1:]):
+                    detector.push(accel[..., start:stop])
+                detector.finish()
+                got = [None if o < 0 else o for o in detector.onsets.tolist()]
+                assert got == [e for r, e in zip(recordings, expected) if r.shape[0] == n]
+
+            for recording, want in zip(recordings, expected):
+                stream = StreamingOnsetDetector(config)
+                onset, pos = None, 0
+                while pos < recording.shape[0] and onset is None:
+                    take = int(rng.integers(1, 60))
+                    onset = stream.push(recording[pos : pos + take])
+                    pos += take
+                assert (onset if onset is not None else stream.finish()) == want

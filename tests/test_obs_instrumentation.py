@@ -64,15 +64,14 @@ def _raise_on_call(real, target_call, exc):
 class TestFailureAttribution:
     def test_onset_stage_exception(self, monkeypatch, engine, good_recordings):
         """Item 2's onset detection raises -> failure indexed and counted."""
-        monkeypatch.setattr(
-            pipeline_module,
-            "detect_onset_from_signal",
-            _raise_on_call(
-                pipeline_module.detect_onset_from_signal,
-                2,
-                OnsetNotFoundError("injected onset failure"),
-            ),
-        )
+        detect = pipeline_module.detect_onset
+
+        def fail_item_2(recordings, *args):
+            found = detect(recordings, *args)
+            found[2] = OnsetNotFoundError("injected onset failure")
+            return found
+
+        monkeypatch.setattr(pipeline_module, "detect_onset", fail_item_2)
         with obs.collecting() as registry:
             outcome = engine.embed(good_recordings)
         assert outcome.num_ok == 3

@@ -46,8 +46,7 @@ def _forbidden(*args, **kwargs):
 
 
 def _forbid_detection(set_attribute) -> None:
-    """Make the batch pipeline's two detection entry points raise."""
-    set_attribute(pipeline, "detection_signals_batch", _forbidden)
+    """Make the batch pipeline's detection entry point raise."""
     set_attribute(pipeline, "detect_onset", _forbidden)
 
 
