@@ -11,6 +11,13 @@ baseline timing):
   project, cosine) versus one ``TemplateGallery`` pass.  Bar: >= 5x at
   100 enrolled users.
 
+A third section, ``verify_b1``, records where one B=1 verify spends
+its time: the per-request ms of each stage span (onset, outlier,
+filter, normalize, frontend, extractor, scoring) against the
+``verify`` span, with the remainder reported as unattributed, for
+hinted (a streamed decision) and unhinted requests.  It is a record
+with machine facts, not a bar.
+
 Results land in ``BENCH_hotpath.json`` at the repo root; quick mode
 writes ``BENCH_hotpath.quick.json`` instead, so a smoke never
 overwrites the full-mode file.  Set ``HOTPATH_QUICK=1`` (CI smoke) to
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -42,8 +51,10 @@ from repro.datasets.standard import hired_spec
 from repro.imu import Recorder
 from repro.nn import functional as F
 from repro.nn import layers
+from repro.obs import runtime as obs
 from repro.physio import sample_population
 from repro.security.cancelable import CancelableTransform
+from repro.serve.loadgen import machine_info
 
 from conftest import once, train_sweep_model
 
@@ -322,3 +333,75 @@ def test_dtype_decision_parity(benchmark, sweep_model):
     )
     assert decisions64 == decisions32
     assert {True, False} <= set(decisions64)
+
+
+# -- B=1 verify: where one request's time goes ---------------------------
+
+B1_STAGES = (
+    "onset", "outlier", "filter", "normalize", "frontend", "extractor", "scoring"
+)
+B1_ROUNDS = 200 if QUICK else 1000
+
+
+def _stage_ms(registry, stage: str, requests: int) -> float:
+    series = f'{obs.STAGE_LATENCY}{{stage="{stage}"}}'
+    histogram = registry.to_dict()["histograms"].get(series)
+    return histogram["sum"] / requests * 1e3 if histogram else 0.0
+
+
+def test_verify_b1_stage_split(benchmark, sweep_model):
+    population = sample_population(4, 1, seed=5)
+    recorder = Recorder(seed=9)
+    config = MandiPassConfig(
+        extractor=sweep_model.config,
+        security=SecurityConfig(template_dim=64, projected_dim=64, matrix_seed=3),
+        inference=InferenceConfig(compute_dtype="float32"),
+    )
+    device = MandiPass(sweep_model, config=config)
+    device.enroll(
+        "b1", [recorder.record(population[0], trial_index=i) for i in range(5)]
+    )
+    probes = [
+        recorder.record(population[i % len(population)], trial_index=60 + i)
+        for i in range(16)
+    ]
+    onsets = [device.engine.preprocessor.process_debug(p).onset for p in probes]
+
+    def request(i: int, hinted: bool):
+        hint = [onsets[i % len(probes)]] if hinted else None
+        return device.verify_many("b1", [probes[i % len(probes)]], onsets=hint)
+
+    payload = {
+        "machine": {
+            **machine_info(multiprocessing.get_start_method()),
+            "machine": platform.machine(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "requests": B1_ROUNDS,
+    }
+    print()
+    for hinted in (True, False):
+        for i in range(len(probes)):  # warm the workspaces and eval casts
+            request(i, hinted)
+        with obs.collecting() as registry:
+            for i in range(B1_ROUNDS):
+                request(i, hinted)
+        stages = {stage: _stage_ms(registry, stage, B1_ROUNDS) for stage in B1_STAGES}
+        total = _stage_ms(registry, "verify", B1_ROUNDS)
+        unattributed = total - sum(stages.values())
+        label = "hinted" if hinted else "unhinted"
+        payload[label] = {
+            "stages_ms": stages,
+            "verify_ms": total,
+            "unattributed_ms": unattributed,
+        }
+        split = ", ".join(f"{stage} {ms:.3f}" for stage, ms in stages.items())
+        print(
+            f"verify B=1 {label}: {total:.3f} ms/request = {split}, "
+            f"unattributed {unattributed:.3f}"
+        )
+        assert all(ms > 0.0 for stage, ms in stages.items())
+        assert total > 0.0
+    once(benchmark, lambda: request(0, True))
+    _record("verify_b1", payload)

@@ -82,7 +82,7 @@ class BatchOutcome:
             raise ShapeError("values and indices disagree on success count")
         if len(self.indices) + len(self.failures) != self.batch_size:
             raise ShapeError("successes + failures must cover the batch")
-        success = [int(i) for i in self.indices]
+        success = np.asarray(self.indices, dtype=np.int64).tolist()
         if any(b <= a for a, b in zip(success, success[1:])):
             raise ShapeError("success indices must be strictly increasing")
         failed = [f.index for f in self.failures]
@@ -90,7 +90,7 @@ class BatchOutcome:
             raise ShapeError("failures must be sorted by strictly increasing index")
         covered = set(success) | set(failed)
         if len(covered) != self.batch_size or (
-            covered and not covered <= set(range(self.batch_size))
+            covered and (min(covered) < 0 or max(covered) >= self.batch_size)
         ):
             raise ShapeError(
                 "success and failure indices must partition range(batch_size)"
@@ -228,20 +228,29 @@ class InferenceEngine:
         recording skips detection (see
         :meth:`~repro.dsp.pipeline.Preprocessor.process_batch_detailed`).
         """
-        preprocessor, _ = self._require_signal_stages()
-        faults.maybe_delay("engine.preprocess")
-        faults.maybe_fail("engine.preprocess")
-        signals, indices, failures, degraded = preprocessor.process_batch_detailed(
-            recordings,
-            min_usable_axes=self.resilience.min_usable_axes,
-            onsets=onsets,
-        )
+        signals, indices, failures, degraded = self._preprocess(recordings, onsets)
         return BatchOutcome(
             values=signals,
             indices=indices,
             failures=_as_failures(failures),
             batch_size=len(recordings),
             degraded=degraded,
+        )
+
+    def _preprocess(
+        self,
+        recordings: Sequence[RawRecording],
+        onsets: Sequence[int | None] | None,
+    ) -> tuple[
+        np.ndarray, np.ndarray, list[tuple[int, errors.SignalError]], tuple[int, ...]
+    ]:
+        preprocessor, _ = self._require_signal_stages()
+        faults.maybe_delay("engine.preprocess")
+        faults.maybe_fail("engine.preprocess")
+        return preprocessor.process_batch_detailed(
+            recordings,
+            min_usable_axes=self.resilience.min_usable_axes,
+            onsets=onsets,
         )
 
     def features(self, signal_arrays: np.ndarray) -> np.ndarray:
@@ -290,23 +299,28 @@ class InferenceEngine:
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)
-        outcome = self._with_retry(
-            lambda: self.preprocess(recordings, onsets), "preprocess"
+        signals, indices, failures, degraded = self._with_retry(
+            lambda: self._preprocess(recordings, onsets), "preprocess"
         )
-        for failure in outcome.failures:
+        failures = _as_failures(failures)
+        for failure in failures:
             obs.inc("failures_total", error=failure.error)
-        if outcome.degraded:
-            obs.inc("degraded_total", float(len(outcome.degraded)), path="axes")
-        if outcome.num_ok == 0:
-            empty = np.empty((0, self.model.config.embedding_dim))
-            return dataclasses.replace(outcome, values=empty)
-        features = self._with_retry(
-            lambda: self.features(outcome.values), "frontend"
+        if degraded:
+            obs.inc("degraded_total", float(len(degraded)), path="axes")
+        if len(indices):
+            features = self._with_retry(lambda: self.features(signals), "frontend")
+            values = self._with_retry(
+                lambda: self.embed_features(features), "extractor"
+            )
+        else:
+            values = np.empty((0, self.model.config.embedding_dim))
+        return BatchOutcome(
+            values=values,
+            indices=indices,
+            failures=failures,
+            batch_size=len(recordings),
+            degraded=degraded,
         )
-        embeddings = self._with_retry(
-            lambda: self.embed_features(features), "extractor"
-        )
-        return dataclasses.replace(outcome, values=embeddings)
 
     def embed_one(self, recording: RawRecording) -> np.ndarray:
         """The one-item :meth:`embed`; raises the item's failure.

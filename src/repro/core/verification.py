@@ -80,10 +80,11 @@ def verify_batch(
     stages = ["refused"] * outcome.batch_size
     if outcome.num_ok:
         success = np.asarray(outcome.indices, dtype=np.int64)
-        probes = transform.apply(outcome.values)
-        distances[success] = distances_to_template(
-            probes, np.asarray(template, dtype=np.float64)
-        )
+        with obs.span("scoring"):
+            probes = transform.apply(outcome.values)
+            distances[success] = distances_to_template(
+                probes, np.asarray(template, dtype=np.float64)
+            )
         for idx in success.tolist():
             stages[idx] = "full"
     degraded = set(int(i) for i in outcome.degraded)

@@ -256,10 +256,11 @@ class Preprocessor:
         # Axis usability: finite end-to-end and carrying any signal.  A
         # dead channel or NaN burst disables that axis only, so the
         # sustained-energy gate below runs over usable axes and cannot
-        # be poisoned by a single NaN.
-        finite = np.isfinite(filtered).all(axis=2)
-        axis_std = np.where(finite, np.nan_to_num(filtered.std(axis=2)), 0.0)
-        usable = finite & (axis_std > 1e-9)
+        # be poisoned by a single NaN.  A finite axis whose std overflows
+        # to inf is usable; one whose std is NaN (opposite overflows in
+        # the mean) is not, since NaN > 1e-9 is false.
+        axis_std = filtered.std(axis=2)
+        usable = np.isfinite(filtered).all(axis=2) & (axis_std > 1e-9)
         # Quality gate: after outlier replacement a segment that was
         # 'detected' off sensor glitches collapses to noise; a genuine
         # 'EMM' sustains hundreds of counts of high-passed energy.
@@ -292,7 +293,8 @@ class Preprocessor:
         failures.sort(key=lambda pair: pair[0])
         kept_filtered = filtered[keep]  # boolean indexing copies
         kept_usable = usable[keep]
-        if not kept_usable.all():
+        whole = kept_usable.all(axis=1)
+        if not whole.all():
             kept_filtered[~kept_usable] = 0.0
         if keep.any():
             with obs.span("normalize"):
@@ -300,9 +302,7 @@ class Preprocessor:
         else:
             normalized = empty
         kept_idx = np.asarray(indices, dtype=np.int64)[keep]
-        degraded = tuple(
-            int(i) for i, row in zip(kept_idx, kept_usable) if not row.all()
-        )
+        degraded = tuple(kept_idx[~whole].tolist())
         return _Stages(
             cut, stacked, despiked, filtered, normalized, kept_idx, failures, degraded
         )

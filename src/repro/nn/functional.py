@@ -186,9 +186,13 @@ def im2col(
         if reuse
         else None
     )
-    if ph == 0 and pw == 0:
-        padded = x
-    elif ws is not None:
+    if ws is None:
+        windows = _window_view(pad2d(x, ph, pw), kernel, stride, (out_h, out_w))
+        cols = np.empty(windows.shape, dtype=x.dtype)
+    elif ph == 0 and pw == 0:
+        windows = _window_view(x, kernel, stride, (out_h, out_w))
+        cols = ws.get("cols")
+    else:
         padded = ws.get("padded")
         if padded is None:
             # Zero once; only the interior is rewritten afterwards, so
@@ -197,16 +201,16 @@ def im2col(
                 (batch, channels, height + 2 * ph, width + 2 * pw), dtype=x.dtype
             )
         padded[:, :, ph : ph + height, pw : pw + width] = x
-    else:
-        padded = pad2d(x, ph, pw)
-
-    windows = _window_view(padded, kernel, stride, (out_h, out_w))
-    if ws is not None:
+        # The window view of a workspace's own padded buffer never
+        # changes, so it is built once and kept beside the buffer.
+        windows = ws.get("windows")
+        if windows is None:
+            windows = ws["windows"] = _window_view(
+                padded, kernel, stride, (out_h, out_w)
+            )
         cols = ws.get("cols")
-        if cols is None:
-            cols = ws["cols"] = np.empty(windows.shape, dtype=x.dtype)
-    else:
-        cols = np.empty(windows.shape, dtype=x.dtype)
+    if cols is None:
+        cols = ws["cols"] = np.empty(windows.shape, dtype=x.dtype)
     cols[...] = windows  # the single gather copy
     return cols.reshape(batch, channels * kh * kw, out_h * out_w)
 

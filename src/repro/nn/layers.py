@@ -276,28 +276,30 @@ class Conv2d(Module):
             raise ShapeError(
                 f"Conv2d expected (B, {self.in_channels}, H, W), got {x.shape}"
             )
-        # Training must own its columns (backward re-reads them), so the
-        # workspace pool — whose buffers the next same-shape forward
-        # overwrites — is inference-only.
-        cols = F.im2col(
-            x, self.kernel_size, self.stride, self.padding, reuse=not self.training
-        )
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        bias = self.bias.data
-        if not self.training and x.dtype != w_mat.dtype:
-            w_mat, bias = self._eval_cached(
-                "w", x.dtype,
-                lambda: (w_mat.astype(x.dtype), self.bias.data.astype(x.dtype)),
-            )
-        # (F, K) @ (B, K, L) broadcasts to a BLAS gemm per batch item.
-        out = w_mat @ cols + bias[None, :, None]
         out_h = F.conv_output_size(
             x.shape[2], self.kernel_size[0], self.stride[0], self.padding[0]
         )
         out_w = F.conv_output_size(
             x.shape[3], self.kernel_size[1], self.stride[1], self.padding[1]
         )
-        self._cache = (x.shape, cols) if self.training else None
+        if not self.training:
+            # The workspace pool, whose buffers the next same-shape
+            # forward overwrites, is inference-only; so are the weight
+            # matrix and bias column in the input's dtype, built once.
+            w_mat, bias = self._eval_cached("w", x.dtype, lambda: (
+                self.weight.data.reshape(self.out_channels, -1).astype(x.dtype),
+                self.bias.data.astype(x.dtype)[:, None],
+            ))
+            cols = F.im2col(x, self.kernel_size, self.stride, self.padding, reuse=True)
+            out = w_mat @ cols + bias
+            self._cache = None
+            return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
+        # Training must own its columns: backward re-reads them.
+        cols = F.im2col(x, self.kernel_size, self.stride, self.padding)
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
+        # (F, K) @ (B, K, L) broadcasts to a BLAS gemm per batch item.
+        out = w_mat @ cols + self.bias.data[None, :, None]
+        self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

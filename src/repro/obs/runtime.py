@@ -20,7 +20,8 @@ name                      kind       labels
 ========================  =========  =======================================
 stage_latency_seconds     histogram  ``stage``: onset, outlier, filter,
                                      normalize, frontend, extractor,
-                                     gallery_score, verify, identify
+                                     scoring, gallery_score, verify,
+                                     identify
 batch_size                histogram  ``op``: embed, verify_many,
                                      identify_many
 failures_total            counter    ``error``: BatchItemFailure.error

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import TypeAlias
 
 import numpy as np
@@ -115,7 +116,7 @@ class VerificationResult:
     exit_stage: str = "full"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.distance):
+        if not math.isfinite(self.distance):
             raise ValueError(f"non-finite distance: {self.distance}")
         if self.exit_stage not in EXIT_STAGES:
             raise ValueError(f"unknown exit_stage: {self.exit_stage!r}")

@@ -119,3 +119,82 @@ class TestPreprocessor:
         assert np.any(debug.raw_segments[2] != debug.despiked[2])
         # And the despiked segment no longer contains the huge values.
         assert np.abs(debug.despiked[2]).max() < np.abs(debug.raw_segments[2]).max()
+
+
+def _reference_gate(filtered, min_std, min_usable):
+    """The quality-gate expression before it dropped ``nan_to_num``."""
+    finite = np.isfinite(filtered).all(axis=2)
+    axis_std = np.where(finite, np.nan_to_num(filtered.std(axis=2)), 0.0)
+    usable = finite & (axis_std > 1e-9)
+    sustained = np.where(usable, axis_std, 0.0).max(axis=1) >= min_std
+    enough = usable.sum(axis=1) >= min_usable
+    return usable, sustained, enough
+
+
+def _gate_cases(rng):
+    """``(8, 6, 60)`` filtered stacks, one gate situation per item."""
+    n = 60
+    std_overflow = 1e200 * (-1.0) ** np.arange(n)  # finite; std is inf
+    # Finite, but the pairwise sum meets +inf and -inf: the std is NaN.
+    std_nan = np.where(np.arange(n) % 8 < 4, 1e308, -1e308)
+    filtered = rng.normal(0.0, 300.0, size=(8, 6, n))
+    filtered[1, 1, 10:20] = np.nan  # NaN burst on one axis
+    filtered[2, 3] = 5.0  # dead axis
+    filtered[3, 0] = std_overflow
+    filtered[4, 5] = std_nan
+    filtered[5] = rng.normal(0.0, 1e-3, size=(6, n))  # silence
+    filtered[6, :2] = 0.0  # two dead axes and a NaN burst: 3 usable
+    filtered[6, 2, 30] = np.nan
+    filtered[7] = 0.0  # only the overflowing axis is usable
+    filtered[7, 0] = std_overflow
+    filtered[7, 1] = std_nan
+    return filtered
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestQualityGate:
+    """Usable axes, degraded set and refusal class, pinned per policy."""
+
+    @pytest.mark.parametrize("min_usable_axes", [1, 4, 6])
+    def test_matches_reference_expression(self, monkeypatch, rng, min_usable_axes):
+        from repro.dsp import pipeline as pipeline_module
+        from repro.dsp.normalize import min_max_normalize
+        from repro.errors import InsufficientAxesError
+
+        filtered = _gate_cases(rng)
+        with np.errstate(all="ignore"):
+            assert np.isinf(filtered[3, 0].std()) and np.isnan(filtered[4, 5].std())
+        monkeypatch.setattr(pipeline_module, "sosfilt", lambda sos, x: filtered.copy())
+        pre = Preprocessor()
+        recordings = rng.normal(0.0, 100.0, size=(8, 210, 6))
+        signals, kept, failures, degraded = pre.process_batch_detailed(
+            recordings, min_usable_axes=min_usable_axes, onsets=[0] * 8
+        )
+
+        usable, sustained, enough = _reference_gate(
+            filtered, pre.config.min_segment_std, min_usable_axes
+        )
+        keep = sustained & enough
+        assert list(kept) == list(np.flatnonzero(keep))
+        expected_failures = [
+            (i, OnsetNotFoundError if not sustained[i] else InsufficientAxesError)
+            for i in np.flatnonzero(~keep)
+        ]
+        assert [(i, type(e)) for i, e in failures] == expected_failures
+        assert degraded == tuple(
+            i for i in np.flatnonzero(keep) if not usable[i].all()
+        )
+        zeroed = np.where(usable[:, :, None], filtered, 0.0)[keep]
+        np.testing.assert_array_equal(signals, min_max_normalize(zeroed, axis=-1))
+        # The cases cover what they claim: silence refuses, and the inf
+        # axis is usable while the NaN-std axis is not.
+        assert not sustained[5]
+        assert usable[3, 0] and not usable[4, 5]
+        assert usable[7].tolist() == [True, False, False, False, False, False]
+        if min_usable_axes == 1:
+            assert set(kept) == {0, 1, 2, 3, 4, 6, 7}
+            assert degraded == (1, 2, 4, 6, 7)
+        elif min_usable_axes == 4:
+            assert set(kept) == {0, 1, 2, 3, 4}
+        else:
+            assert set(kept) == {0, 3}

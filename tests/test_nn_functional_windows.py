@@ -5,6 +5,8 @@ stride/padding combination the extractor can see (including the paper's
 1x2 stride), because ``col2im`` *is* the convolution input gradient.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,101 @@ class TestWorkspaceReuse:
         x = rng.normal(size=(2, 1, 6, 31)).astype(np.float32)
         out = F.im2col(x, (3, 3), (1, 2), (1, 1), reuse=True)
         assert out.dtype == np.float32
+
+
+class TestWorkspaceLifecycle:
+    """A workspace keeps its padded buffer, window view and columns."""
+
+    GEOMETRY = ((3, 3), (1, 2), (1, 1))
+
+    def _key(self, x):
+        kernel, stride, pad = self.GEOMETRY
+        return ("im2col", x.shape, kernel, stride, pad, x.dtype)
+
+    def test_window_view_cached_beside_padded_buffer(self, rng):
+        F.clear_workspaces()
+        x = rng.normal(size=(1, 2, 6, 20))
+        F.im2col(x, *self.GEOMETRY, reuse=True)
+        ws = F._WORKSPACES.pools[self._key(x)]
+        assert set(ws) == {"padded", "windows", "cols"}
+        assert ws["windows"].base is not None
+        assert np.shares_memory(ws["windows"], ws["padded"])
+        for _ in range(3):  # the cached view reads each new input
+            y = rng.normal(size=x.shape)
+            np.testing.assert_array_equal(
+                F.im2col(y, *self.GEOMETRY, reuse=True),
+                _im2col_reference(y, *self.GEOMETRY),
+            )
+
+    def test_workspace_created_before_the_view_was_cached(self, rng):
+        F.clear_workspaces()
+        x = rng.normal(size=(1, 2, 6, 20))
+        ws = F._workspace(self._key(x))
+        ws["padded"] = np.zeros((1, 2, 8, 22))
+        ws["cols"] = np.empty((1, 2, 3, 3, 6, 10))
+        got = F.im2col(x, *self.GEOMETRY, reuse=True)
+        np.testing.assert_array_equal(got, _im2col_reference(x, *self.GEOMETRY))
+        assert np.shares_memory(ws["windows"], ws["padded"])
+        assert np.shares_memory(got, ws["cols"])
+
+    def test_lru_eviction_rebuilds_a_whole_workspace(self, rng):
+        F.clear_workspaces()
+        first = rng.normal(size=(1, 1, 4, 5))
+        F.im2col(first, *self.GEOMETRY, reuse=True)
+        evicted = F._WORKSPACES.pools[self._key(first)]
+        for width in range(6, 6 + F._MAX_WORKSPACES):
+            F.im2col(rng.normal(size=(1, 1, 4, width)), *self.GEOMETRY, reuse=True)
+        pools = F._WORKSPACES.pools
+        assert len(pools) == F._MAX_WORKSPACES
+        assert self._key(first) not in pools
+        again = rng.normal(size=first.shape)
+        got = F.im2col(again, *self.GEOMETRY, reuse=True)
+        rebuilt = pools[self._key(first)]
+        assert rebuilt is not evicted
+        assert not np.shares_memory(rebuilt["windows"], evicted["padded"])
+        np.testing.assert_array_equal(got, _im2col_reference(again, *self.GEOMETRY))
+
+    def test_two_threads_keep_their_own_workspaces(self, rng):
+        inputs = [rng.normal(size=(2, 1, 6, 31)) for _ in range(2)]
+        results: list = [None, None]
+        pools: list = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(index: int) -> None:
+            barrier.wait(10)
+            for _ in range(20):
+                cols = F.im2col(inputs[index], *self.GEOMETRY, reuse=True)
+                results[index] = cols.copy()
+            pools[index] = F._WORKSPACES.pools[self._key(inputs[index])]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert pools[0] is not pools[1]
+        for name in ("padded", "windows", "cols"):
+            assert not np.shares_memory(pools[0][name], pools[1][name])
+        for x, got in zip(inputs, results):
+            np.testing.assert_array_equal(got, _im2col_reference(x, *self.GEOMETRY))
+
+    def test_training_conv_never_aliases_a_workspace(self, rng):
+        from repro.nn.layers import Conv2d
+
+        F.clear_workspaces()
+        conv = Conv2d(1, 2, (3, 3), (1, 2), (1, 1), rng=rng)
+        x = rng.normal(size=(2, 1, 6, 31))
+        conv.eval()
+        conv(x)  # warm the eval workspace for this shape
+        conv.train()
+        conv(x)
+        _, cols = conv._cache
+        conv.eval()
+        conv(rng.normal(size=x.shape))  # overwrites the eval workspace
+        for ws in F._WORKSPACES.pools.values():
+            for buffer in ws.values():
+                assert not np.shares_memory(cols, buffer)
+        np.testing.assert_array_equal(cols, _im2col_reference(x, *self.GEOMETRY))
 
 
 class TestSlidingWindows:

@@ -200,6 +200,18 @@ class TestServingPathMetrics:
             registry.counter("failures_total", error="OnsetNotFoundError").value == 1
         )
 
+    def test_one_verify_records_one_scoring_observation(
+        self, obs_device, population, recorder
+    ):
+        probe = recorder.record(population[2], trial_index=91)
+        with obs.collecting() as registry:
+            obs_device.verify("obs-user", probe)
+        histograms = registry.to_dict()["histograms"]
+        scoring = histograms[f'{STAGE_LATENCY}{{stage="scoring"}}']
+        verify = histograms[f'{STAGE_LATENCY}{{stage="verify"}}']
+        assert scoring["count"] == verify["count"] == 1
+        assert 0.0 < scoring["sum"] <= verify["sum"]
+
     def test_identify_many_counts_decisions_and_gallery(
         self, obs_device, population, recorder
     ):
