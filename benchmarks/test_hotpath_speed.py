@@ -1,4 +1,4 @@
-"""Hot-path speed: strided im2col + float32 forward, one-matmul identify.
+"""Hot-path speed: strided im2col + float32 forward, gallery identify.
 
 Two comparisons, each against a faithful reconstruction of the seed
 implementation (kept verbatim in this file, monkeypatched in for the
@@ -8,8 +8,9 @@ baseline timing):
   einsum Conv2d + unfused eval BatchNorm + fancy-indexing sigmoid, all
   in float64, versus the strided/workspace float32 path.  Bar: >= 2x.
 * 1:N identify scoring — the historical per-user Python loop (unseal,
-  project, cosine) versus one ``TemplateGallery`` pass.  Bar: >= 5x at
-  100 enrolled users.
+  project, cosine) versus the product's sharded gallery
+  (``ShardedGallery.best_match``, default config: prescreen + exact
+  rerank).  Bar: >= 5x at 100 enrolled users.
 
 A third section, ``verify_b1``, records where one B=1 verify spends
 its time: the per-request ms of each stage span (onset, outlier,
@@ -44,7 +45,7 @@ from repro.config import (
     MandiPassConfig,
     SecurityConfig,
 )
-from repro.core.gallery import TemplateGallery
+from repro.core.gallery import ShardedGallery
 from repro.core.similarity import cosine_distance
 from repro.core.system import MandiPass
 from repro.datasets.standard import hired_spec
@@ -243,11 +244,10 @@ def test_identify_gallery_speedup(benchmark):
             uid: t.apply(rng.normal(size=dim)) for uid, t in transforms.items()
         }
         build_start = time.perf_counter()
-        gallery = TemplateGallery(
-            user_ids=list(transforms),
-            matrices=[t.matrix for t in transforms.values()],
-            templates=[templates[uid] for uid in transforms],
-        )
+        gallery = ShardedGallery()
+        for uid, transform in transforms.items():
+            gallery.upsert(uid, transform.matrix, templates[uid])
+        gallery.sync()
         build_ms = (time.perf_counter() - build_start) * 1e3
 
         loop_time, _ = _best_of(
@@ -255,17 +255,14 @@ def test_identify_gallery_speedup(benchmark):
             lambda: [_loop_identify(transforms, templates, p) for p in probes],
         )
         if num_users == GALLERY_SIZES[0]:
-            once(benchmark, lambda: gallery.distances_batch(probes))
-        gal_time, distances = _best_of(
-            REPEATS, lambda: gallery.distances_batch(probes)
-        )
+            once(benchmark, lambda: gallery.best_match(probes))
+        gal_time, matches = _best_of(REPEATS, lambda: gallery.best_match(probes))
 
         # Same winner and same distance, probe for probe.
-        for row, probe in enumerate(probes):
+        for match, probe in zip(matches, probes):
             loop_user, loop_distance = _loop_identify(transforms, templates, probe)
-            column = int(np.argmin(distances[row]))
-            assert gallery.user_ids[column] == loop_user
-            assert distances[row, column] == pytest.approx(loop_distance, abs=1e-9)
+            assert match.user_id == loop_user
+            assert match.distance == pytest.approx(loop_distance, abs=1e-9)
 
         speedup = loop_time / gal_time
         print()

@@ -7,7 +7,7 @@ MandiPass authentication system.
 * :mod:`repro.core.enrollment` / :mod:`repro.core.verification` -- the
   two phases of Fig. 3,
 * :mod:`repro.core.engine` -- the batch-first inference engine,
-* :mod:`repro.core.gallery` -- one-matmul 1:N template scoring,
+* :mod:`repro.core.gallery` -- the sharded 1:N identification gallery,
 * :mod:`repro.core.system` -- the ``MandiPass`` facade.
 
 Two modules sit outside the serving path and are not imported here:
@@ -17,7 +17,6 @@ used by the evaluation harness).
 """
 
 from repro.core.engine import BatchItemFailure, BatchOutcome, InferenceEngine
-from repro.core.gallery import TemplateGallery
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import (
     FrontEnd,
@@ -37,7 +36,6 @@ __all__ = [
     "InferenceEngine",
     "MandiPass",
     "RectifiedSpectralFrontEnd",
-    "TemplateGallery",
     "make_frontend",
     "TwoBranchExtractor",
     "cosine_distance",

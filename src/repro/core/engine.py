@@ -217,26 +217,6 @@ class InferenceEngine:
             )
         return self.preprocessor, self.frontend
 
-    def preprocess(
-        self,
-        recordings: Sequence[RawRecording],
-        onsets: Sequence[int | None] | None = None,
-    ) -> BatchOutcome:
-        """Batched Section IV pipeline; values are ``(K, 6, n)`` signals.
-
-        ``onsets`` are optional per-recording onset hints: a hinted
-        recording skips detection (see
-        :meth:`~repro.dsp.pipeline.Preprocessor.process_batch_detailed`).
-        """
-        signals, indices, failures, degraded = self._preprocess(recordings, onsets)
-        return BatchOutcome(
-            values=signals,
-            indices=indices,
-            failures=_as_failures(failures),
-            batch_size=len(recordings),
-            degraded=degraded,
-        )
-
     def _preprocess(
         self,
         recordings: Sequence[RawRecording],
@@ -244,6 +224,7 @@ class InferenceEngine:
     ) -> tuple[
         np.ndarray, np.ndarray, list[tuple[int, errors.SignalError]], tuple[int, ...]
     ]:
+        """Batched Section IV pipeline: ``(K, 6, n)`` signals and outcomes."""
         preprocessor, _ = self._require_signal_stages()
         faults.maybe_delay("engine.preprocess")
         faults.maybe_fail("engine.preprocess")
@@ -289,13 +270,15 @@ class InferenceEngine:
     ) -> BatchOutcome:
         """Recordings to centred MandiblePrints, with per-item failures.
 
+        ``onsets`` are optional per-recording onset hints: a hinted
+        recording skips detection (see
+        :meth:`~repro.dsp.pipeline.Preprocessor.process_batch_detailed`).
         Transient stage failures are retried per the engine's
         :class:`~repro.config.ResilienceConfig`; payload corruption (the
         ``"imu"`` fault point) is applied once, before the first
         attempt, so a retry re-processes the same corrupted inputs
         rather than rolling new ones.  Corruption keeps each
-        recording's length, so ``onsets`` hints (see :meth:`preprocess`)
-        stay in range.
+        recording's length, so ``onsets`` hints stay in range.
         """
         obs.observe_batch_size("embed", len(recordings))
         recordings = faults.corrupt_recordings(recordings)

@@ -1,35 +1,23 @@
-"""1:N identification galleries: dense one-gemm and sharded/incremental.
+"""1:N identification: one sharded, incrementally-updatable gallery.
 
-Two generations of the same idea live here:
-
-* :mod:`repro.core.gallery.dense` — the original
-  :class:`TemplateGallery`: every user's Gaussian matrix stacked into
-  one ``(in, U * out)`` projection so a probe batch is scored with one
-  gemm.  Immutable after construction; any enrollment change forces an
-  O(U) rebuild.  Kept as the exact full-scoring reference and as the
-  baseline the scale benchmark measures the cascade against.
-
-* :mod:`repro.core.gallery.sharded` — the production subsystem:
-  fixed-size :class:`~repro.core.gallery.shard.GalleryShard` blocks
-  updated row-by-row through a :class:`~repro.core.gallery.log.MutationLog`
-  (append on enroll, overwrite-in-place on renew/adapt, tombstone on
-  revoke, per-shard compaction), scored through a coarse-prescreen +
-  exact-rerank cascade whose rerank pool provably contains the argmin
-  (DESIGN.md §4h).  Enrollment-side updates are O(1) in the enrolled
-  population; identification stays bitwise identical to per-user loop
-  scoring.
+Each enrolled user's template lives under that user's own Gaussian
+matrix, so identification is one projected cosine per user.
+:class:`ShardedGallery` keeps the users in fixed-size
+:class:`~repro.core.gallery.shard.GalleryShard` blocks, updated row by
+row from its mutation log (append on enroll, overwrite-in-place on
+renew/adapt, tombstone on revoke, per-shard compaction), and scores
+them through a coarse-prescreen + exact-rerank cascade whose rerank
+pool provably contains the argmin (DESIGN.md §4h).  Enrollment-side
+updates are O(1) in the enrolled population; identification stays
+bitwise identical to per-user loop scoring, which the system facade
+keeps as its exact fallback (``MandiPass._identify_fallback``).
 """
 
-from repro.core.gallery.dense import TemplateGallery
-from repro.core.gallery.log import GalleryMutation, MutationLog
 from repro.core.gallery.shard import GalleryShard
 from repro.core.gallery.sharded import GalleryMatch, ShardedGallery
 
 __all__ = [
     "GalleryMatch",
-    "GalleryMutation",
     "GalleryShard",
-    "MutationLog",
     "ShardedGallery",
-    "TemplateGallery",
 ]

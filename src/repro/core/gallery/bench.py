@@ -8,18 +8,18 @@ substrate cannot enroll 100 000 users in benchmark time):
   latency stays flat (within 2x) from U=1 000 to U=100 000, versus the
   O(U) full rebuild an invalidation-based design pays per mutation;
 * **the cascade is sub-linear and exact** — identification through
-  prescreen + rerank beats the dense full-gallery gemm from U=10 000
-  up, while every decision (user *and* distance) stays bitwise
-  identical to per-user loop scoring.  The two are timed in
-  alternation and compared by their medians over ``repeats`` rounds.
+  prescreen + rerank beats one-gemm full scoring (every user's matrix
+  stacked into one ``(in, U * out)`` projection, the baseline
+  :func:`_dense_scorer` builds) from U=10 000 up, while every decision
+  (user *and* distance) stays bitwise identical to per-user loop
+  scoring.  The two are timed in alternation and compared by their
+  medians over ``repeats`` rounds.
 
 Synthetic users mirror :class:`~repro.security.cancelable.CancelableTransform`
 exactly: matrix ``default_rng(seed).normal(0, 1/sqrt(in), (in, out))``.
-The sweep feeds the sharded gallery resident matrices — the same
-arrays the dense baseline stacks and the loop oracle scans, mirroring
-the facade, where ``transform.matrix`` is resident too.  (Lazy
-providers, the memory-bound alternative, regenerate bitwise-identical
-values from the seed; the unit suite covers that path.)
+The sweep feeds the sharded gallery the same resident matrices the
+one-gemm baseline stacks and the loop oracle scans, mirroring the
+facade, where ``transform.matrix`` is resident too.
 
 Results land in ``BENCH_gallery.json`` at the repo root (see
 ``benchmarks/test_gallery_scale.py`` and ``python -m repro
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import GalleryConfig
-from repro.core.gallery.dense import TemplateGallery
 from repro.core.gallery.sharded import ShardedGallery
 from repro.core.similarity import cosine_distance
 from repro.obs import runtime as obs
@@ -107,6 +106,38 @@ def _build_sharded(
     return gallery, time.perf_counter() - start
 
 
+def _dense_scorer(matrices: list[np.ndarray], templates: list[np.ndarray]):
+    """The one-gemm full-scoring baseline: ``probes -> (B, U)`` distances.
+
+    Stacks every user's matrix into one ``(in, U * out)`` projection and
+    pre-normalises the templates (a zero template stays zero and scores
+    the neutral 1.0), so a ``(B, in)`` probe batch costs one matmul and
+    one einsum of cosine numerators.  The stacking happens here, outside
+    the timed scoring call.
+    """
+    stacked = np.stack(matrices)
+    num_users, in_dim, out_dim = stacked.shape
+    projection = (
+        stacked.transpose(1, 0, 2).reshape(in_dim, num_users * out_dim).copy()
+    )
+    temps = np.stack(templates)
+    norms = np.linalg.norm(temps, axis=1, keepdims=True)
+    templates_unit = temps / np.where(norms == 0.0, 1.0, norms)
+
+    def score(probes: np.ndarray) -> np.ndarray:
+        projected = (probes @ projection).reshape(
+            probes.shape[0], num_users, out_dim
+        )
+        numerators = np.einsum("buo,uo->bu", projected, templates_unit)
+        norms = np.sqrt(np.einsum("buo,buo->bu", projected, projected))
+        cosines = np.where(
+            norms == 0.0, 0.0, numerators / np.where(norms == 0.0, 1.0, norms)
+        )
+        return 1.0 - np.clip(cosines, -1.0, 1.0)
+
+    return score
+
+
 def _loop_best(
     probe: np.ndarray, matrices: list[np.ndarray], templates: list[np.ndarray]
 ) -> tuple[int, float]:
@@ -147,19 +178,15 @@ def gallery_benchmark(
     for num_users in sizes:
         gallery, build_s = _build_sharded(num_users, config, matrices, templates)
 
-        # -- identification: cascade vs dense gemm vs per-user loop ----
-        dense = TemplateGallery(
-            user_ids=[f"u{i}" for i in range(num_users)],
-            matrices=matrices[:num_users],
-            templates=templates[:num_users],
-        )
+        # -- identification: cascade vs one gemm vs per-user loop ------
+        dense = _dense_scorer(matrices[:num_users], templates[:num_users])
         gallery.best_match(timing_probes)  # warm caches
-        dense.distances_batch(timing_probes)
+        dense(timing_probes)
         with obs.collecting() as registry:
             cascade_s, dense_s = _interleaved_medians(
                 repeats,
                 lambda: gallery.best_match(timing_probes),
-                lambda: dense.distances_batch(timing_probes),
+                lambda: dense(timing_probes),
             )
         pool = registry.histogram(
             "gallery_rerank_pool", buckets=DEFAULT_SIZE_BUCKETS

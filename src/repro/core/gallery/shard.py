@@ -12,9 +12,10 @@ exactly what the two cascade stages need:
   scales the float32 block's absolute rounding error).  Together these
   yield a sound lower bound on the user's cosine distance from one thin
   gemm — see :mod:`repro.core.gallery.sharded` for the bound.
-* **rerank** — the full matrix *source* (array reference or lazy
-  provider, never a copy), the sealed template and its norm, so the
-  exact stage can replay the per-user loop's own operations bitwise.
+* **rerank** — the full float64 matrix (a reference to the caller's
+  array when it already is float64, never a copy), the sealed template
+  and its norm, so the exact stage can replay the per-user loop's own
+  operations bitwise.
 
 All mutations are row-local and O(in * out) — independent of both the
 shard population and the gallery population: ``write_slot`` appends or
@@ -38,7 +39,6 @@ import functools
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.core.gallery.log import MatrixSource, resolve_matrix
 
 #: dtype of the prescreen block and pass: float32 halves memory traffic,
 #: and its rounding is absorbed by the bound's slack terms, so decisions
@@ -116,7 +116,7 @@ class GalleryShard:
         self.user_ids: list[str | None] = [None] * capacity
         self.seq = np.zeros(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
-        self._matrices: list[MatrixSource | None] = [None] * capacity
+        self._matrices: list[np.ndarray | None] = [None] * capacity
         self._templates: list[np.ndarray | None] = [None] * capacity
         self.count = 0  # occupied slots, tombstones included
 
@@ -202,16 +202,16 @@ class GalleryShard:
         self,
         slot: int,
         user_id: str,
-        matrix: MatrixSource,
+        matrix: np.ndarray,
         template: np.ndarray,
         seq: int,
     ) -> None:
         """Fill (or overwrite) one row; O(in * out), independent of U."""
-        resolved = resolve_matrix(matrix)
-        if resolved.shape != (self.in_dim, self.out_dim):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.shape != (self.in_dim, self.out_dim):
             raise ShapeError(
                 f"matrix must be ({self.in_dim}, {self.out_dim}), "
-                f"got {resolved.shape}"
+                f"got {matrix.shape}"
             )
         flat = np.asarray(template, dtype=np.float64).reshape(-1)
         if flat.shape != (self.out_dim,):
@@ -224,9 +224,9 @@ class GalleryShard:
         # the cosine-convention neutral 1.0.
         unit = flat / norm if norm else flat
         rank = self.rank
-        self._numer[:, slot] = resolved @ unit
-        block = resolved @ subspace_basis(resolved, rank)
-        energy = float(np.einsum("ij,ij->", resolved, resolved))
+        self._numer[:, slot] = matrix @ unit
+        block = matrix @ subspace_basis(matrix, rank)
+        energy = float(np.einsum("ij,ij->", matrix, matrix))
         residual = energy - float(np.einsum("ij,ij->", block, block))
         self._prescreen[:, slot * rank : (slot + 1) * rank] = block
         self._tail[slot] = max(residual, 0.0) + _TAIL_SLACK * energy
@@ -241,7 +241,7 @@ class GalleryShard:
             self.count = slot + 1
 
     def append(
-        self, user_id: str, matrix: MatrixSource, template: np.ndarray, seq: int
+        self, user_id: str, matrix: np.ndarray, template: np.ndarray, seq: int
     ) -> int:
         """Fill the next free slot; returns its index."""
         if not self.has_space:
@@ -319,10 +319,10 @@ class GalleryShard:
 
     def matrix_for(self, slot: int) -> np.ndarray:
         """The full-precision matrix for one rerank candidate."""
-        source = self._matrices[slot]
-        if source is None:
+        matrix = self._matrices[slot]
+        if matrix is None:
             raise ShapeError(f"slot {slot} is empty or tombstoned")
-        return resolve_matrix(source)
+        return matrix
 
     def template_for(self, slot: int) -> np.ndarray:
         template = self._templates[slot]
@@ -343,7 +343,7 @@ class GalleryShard:
         )
 
     def nbytes(self) -> int:
-        """Resident scoring-state footprint (matrix sources excluded)."""
+        """Resident scoring-state footprint (full matrices excluded)."""
         return (
             self._prescreen.nbytes
             + self._numer.nbytes

@@ -1,17 +1,16 @@
 """Sharded, incrementally-updatable 1:N gallery with a sound cascade.
 
-The dense :class:`~repro.core.gallery.dense.TemplateGallery` made 1:N
-scoring one gemm, but moved the cliff to its own construction: every
-enrollment change forced an O(U) rebuild (1.6 s at U=1000 in
-``BENCH_hotpath.json``).  :class:`ShardedGallery` removes both cliffs:
+Each enrolled user's template lives under that user's own Gaussian
+matrix, so 1:N identification is one projected cosine per user.
+:class:`ShardedGallery` answers it without an O(U) cost on either side:
 
-* **Row-level incremental updates.**  Mutations arrive through a
-  :class:`~repro.core.gallery.log.MutationLog` (append on enroll,
-  overwrite-in-place on renew/adapt, tombstone on revoke) and are
-  applied to fixed-size :class:`~repro.core.gallery.shard.GalleryShard`
-  blocks — O(in * out) per mutation, independent of the enrolled
-  population.  A shard whose tombstone ratio crosses the configured
-  threshold is compacted in isolation (O(shard_size), build-then-swap).
+* **Row-level incremental updates.**  Mutations are logged in a FIFO
+  (append on enroll, overwrite-in-place on renew/adapt, tombstone on
+  revoke) and applied at the next :meth:`~ShardedGallery.sync` to
+  fixed-size :class:`~repro.core.gallery.shard.GalleryShard` blocks —
+  O(in * out) per mutation, independent of the enrolled population.  A
+  shard whose tombstone ratio crosses the configured threshold is
+  compacted in isolation (O(shard_size), build-then-swap).
 
 * **Coarse-prescreen + exact-rerank cascade.**  Scoring all users
   exactly costs one ``(B, in) @ (in, U * out)`` gemm.  The prescreen
@@ -62,15 +61,17 @@ on the bound's tightness (worst case: a full, still-exact rerank).
 
 Concurrency: the gallery carries its own writer-preferring
 :class:`~repro.serve.locks.RWLock` — :meth:`sync` applies mutations
-under the write side, scoring runs under the read side, and log
-appends touch neither (they take only the log's own mutex, so the
-facade's write-lock latency stays O(1)).  Under the system facade the
-outer RWLock already excludes mutations from in-flight scoring; the
-inner lock makes the gallery safe for direct multi-threaded use too.
+under the write side and scoring runs under the read side.  Log
+appends touch neither: the log is a :class:`collections.deque`, whose
+``append`` and ``popleft`` are atomic, so the facade's write-lock
+latency stays O(1).  Under the system facade the outer RWLock already
+excludes mutations from in-flight scoring; the inner lock makes the
+gallery safe for direct multi-threaded use too.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from typing import NamedTuple
@@ -78,7 +79,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.config import GalleryConfig
-from repro.core.gallery.log import GalleryMutation, MatrixSource, MutationLog
 from repro.core.gallery.shard import PRESCREEN_DTYPE, GalleryShard
 from repro.core.similarity import projected_cosine_distance
 from repro.errors import ShapeError
@@ -138,7 +138,12 @@ class ShardedGallery:
 
     def __init__(self, config: GalleryConfig | None = None) -> None:
         self.config = config if config is not None else GalleryConfig()
-        self._log = MutationLog()
+        # Logged, not yet applied mutations, oldest first:
+        # ``(kind, user_id, matrix, template)`` with ``kind`` "upsert"
+        # (enroll / renew / adapt) or "remove" (revoke).  Order is the
+        # contract: an upsert then a remove of one user lands in that
+        # order, so the shards converge to the facade's state.
+        self._log: collections.deque[tuple] = collections.deque()
         self._lock = RWLock()
         self._shards: list[GalleryShard] = []
         self._index: dict[str, tuple[int, int]] = {}  # user -> (shard, slot)
@@ -159,22 +164,22 @@ class ShardedGallery:
     # -- mutation side (O(1) in U; callers may hold any outer lock) -----
 
     def upsert(
-        self, user_id: str, matrix: MatrixSource, template: np.ndarray
+        self, user_id: str, matrix: np.ndarray, template: np.ndarray
     ) -> None:
         """Log an enroll / renew / adapt for the next :meth:`sync`."""
         self._log.append(
-            GalleryMutation(
-                kind="upsert",
-                user_id=user_id,
-                matrix=matrix,
-                template=np.asarray(template, dtype=np.float64).reshape(-1),
+            (
+                "upsert",
+                user_id,
+                matrix,
+                np.asarray(template, dtype=np.float64).reshape(-1),
             )
         )
         obs.inc("gallery_mutations_total", kind="upsert")
 
     def remove(self, user_id: str) -> None:
         """Log a revocation for the next :meth:`sync`."""
-        self._log.append(GalleryMutation(kind="remove", user_id=user_id))
+        self._log.append(("remove", user_id, None, None))
         obs.inc("gallery_mutations_total", kind="remove")
 
     @property
@@ -189,33 +194,37 @@ class ShardedGallery:
 
         Raises :class:`~repro.errors.TransientError` subclasses when an
         injected build fault fires; already-applied mutations stay
-        applied, unapplied ones stay logged, and the next sync retries.
+        applied, unapplied ones stay logged, and the next sync retries:
+        the head entry is popped only after it applied.
         Compaction faults are contained: the affected shard keeps its
         tombstones (still correct, just uncompacted) and is retried on
         the next sync.
         """
-        if not len(self._log) and not self._dirty:
+        if not self._log and not self._dirty:
             return
         with self._lock.write_locked(), obs.span("gallery_sync"):
-            if len(self._log):
+            if self._log:
                 faults.maybe_fail("gallery.build")
             applied = False
-            while True:
-                mutation = self._log.peek()
-                if mutation is None:
-                    break
-                self._apply(mutation)
-                self._log.pop()
+            while self._log:
+                self._apply(*self._log[0])
+                self._log.popleft()
                 applied = True
             if self._maybe_compact() or applied:
                 self._score_table = None
             self._publish_gauges()
 
-    def _apply(self, mutation: GalleryMutation) -> None:
+    def _apply(
+        self,
+        kind: str,
+        user_id: str,
+        matrix: np.ndarray | None,
+        template: np.ndarray | None,
+    ) -> None:
         faults.maybe_fail("gallery.shard_build")
         faults.maybe_delay("gallery.shard_build")
-        if mutation.kind == "remove":
-            location = self._index.pop(mutation.user_id, None)
+        if kind == "remove":
+            location = self._index.pop(user_id, None)
             if location is not None:
                 shard_index, slot = location
                 self._shards[shard_index].kill_slot(slot)
@@ -224,13 +233,11 @@ class ShardedGallery:
                 self._tombstone_count += 1
             return
         if self.in_dim is None:
-            matrix = np.asarray(
-                mutation.matrix() if callable(mutation.matrix) else mutation.matrix
-            )
-            if matrix.ndim != 2:
+            shape = np.shape(matrix)
+            if len(shape) != 2:
                 raise ShapeError("each projection matrix must be 2-D")
-            self.in_dim, self.out_dim = matrix.shape
-        location = self._index.get(mutation.user_id)
+            self.in_dim, self.out_dim = shape
+        location = self._index.get(user_id)
         if location is not None:
             # Renew / adapt: overwrite in place, keeping the slot's
             # enrollment sequence number (dict-order parity: assigning
@@ -238,11 +245,7 @@ class ShardedGallery:
             shard_index, slot = location
             shard = self._shards[shard_index]
             shard.write_slot(
-                slot,
-                mutation.user_id,
-                mutation.matrix,
-                mutation.template,
-                int(shard.seq[slot]),
+                slot, user_id, matrix, template, int(shard.seq[slot])
             )
             return
         shard_index = len(self._shards) - 1
@@ -257,9 +260,9 @@ class ShardedGallery:
             )
             shard_index = len(self._shards) - 1
         slot = self._shards[shard_index].append(
-            mutation.user_id, mutation.matrix, mutation.template, self._seq
+            user_id, matrix, template, self._seq
         )
-        self._index[mutation.user_id] = (shard_index, slot)
+        self._index[user_id] = (shard_index, slot)
         self._seq += 1
         self._alive_count += 1
 
@@ -348,7 +351,7 @@ class ShardedGallery:
 
         Returns ``(arrays, meta)``: a dict of contiguous numpy arrays
         (per-shard prescreen/numerator/tail/seq/alive blocks plus the
-        stacked resolved matrices and templates the rerank stage needs)
+        stacked matrices and templates the rerank stage needs)
         and a plain-dict ``meta`` describing shapes, user ids and
         counters.  :meth:`from_epoch` rebuilds a scoring-equivalent
         gallery from them — the pair is the serialization seam the
@@ -442,7 +445,7 @@ class ShardedGallery:
         return gallery
 
     def row(self, user_id: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The resolved ``(matrix, template)`` pair for one alive user.
+        """The ``(matrix, template)`` pair for one alive user.
 
         Verification-side lookup for worker replicas: the 1:1 path
         needs exactly what the rerank stage holds.  Returns ``None``
@@ -658,31 +661,3 @@ class ShardedGallery:
         )
         shard, slot = slots[best_column]
         return GalleryMatch(shard.user_ids[slot], best_distance)
-
-    def exact_distances_batch(
-        self, embeddings: np.ndarray
-    ) -> tuple[list[str], np.ndarray]:
-        """Loop-exact distances of every probe to every alive user.
-
-        Test/diagnostic helper: O(U) per probe by construction (it *is*
-        the per-user loop, vectorised over nothing).  Returns the alive
-        user ids in enrollment-sequence order and a ``(B, U)`` matrix
-        aligned with them.
-        """
-        self.sync()
-        with self._lock.read_locked():
-            probes = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-            rows = []
-            for shard in self._shards:
-                for slot in range(shard.count):
-                    if shard.alive[slot]:
-                        rows.append((int(shard.seq[slot]), shard, slot))
-            rows.sort(key=lambda row: row[0])
-            distances = np.empty((probes.shape[0], len(rows)))
-            for column, (_, shard, slot) in enumerate(rows):
-                row = shard.rerank_row(slot)
-                for batch_row in range(probes.shape[0]):
-                    distances[batch_row, column] = projected_cosine_distance(
-                        probes[batch_row], *row
-                    )
-            return [shard.user_ids[slot] for _, shard, slot in rows], distances

@@ -36,6 +36,23 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - min(1.0, max(-1.0, cos))
 
 
+def _unit_cosine_distance(u: np.ndarray, v: np.ndarray, norm_v: float) -> float:
+    """:func:`cosine_distance`'s arithmetic on trusted float64 1-D vectors.
+
+    It repeats that function operation for operation — ``sqrt(u . u)``
+    (what ``np.linalg.norm`` computes for a 1-D vector), the dot
+    product and the same clip — but skips the conversions and shape
+    checks, and takes ``norm_v`` precomputed, exactly
+    ``float(np.linalg.norm(v))``.  The lean scorers below share it, so
+    they return ``cosine_distance``'s value bitwise.
+    """
+    norm_u = math.sqrt(u.dot(u))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 1.0
+    cos = float(u.dot(v)) / (norm_u * norm_v)
+    return 1.0 - min(1.0, max(-1.0, cos))
+
+
 def projected_cosine_distance(
     probe: np.ndarray,
     matrix: np.ndarray,
@@ -44,21 +61,12 @@ def projected_cosine_distance(
 ) -> float:
     """``cosine_distance(probe @ matrix, template)``, bitwise, without wrappers.
 
-    The 1:N exact stage's scorer: it repeats :func:`cosine_distance`'s
-    arithmetic operation for operation — ``u = probe @ matrix``,
-    ``sqrt(u . u)`` (what ``np.linalg.norm`` computes for a 1-D
-    vector), the dot product and the same clip — but skips the
-    conversions and shape checks, and takes the template norm
-    precomputed.  ``probe`` must be float64 1-D, ``matrix`` float64
-    ``(len(probe), len(template))``, ``template`` float64 1-D and
-    ``template_norm`` exactly ``float(np.linalg.norm(template))``.
+    The 1:N exact stage's scorer.  ``probe`` must be float64 1-D,
+    ``matrix`` float64 ``(len(probe), len(template))``, ``template``
+    float64 1-D and ``template_norm`` exactly
+    ``float(np.linalg.norm(template))``.
     """
-    projected = probe @ matrix
-    norm = math.sqrt(projected.dot(projected))
-    if norm == 0.0 or template_norm == 0.0:
-        return 1.0
-    cos = float(projected.dot(template)) / (norm * template_norm)
-    return 1.0 - min(1.0, max(-1.0, cos))
+    return _unit_cosine_distance(probe @ matrix, template, template_norm)
 
 
 def pairwise_cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,13 +88,20 @@ def pairwise_cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def distances_to_template(probes: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Cosine distance of every probe row to one template, ``(B,)``.
 
-    The batched form of :func:`cosine_distance` used by the verify
-    engine: zero-norm probes (or a zero template) get the maximally
-    distant neutral value 1.0 and cosines are clipped to ``[-1, 1]``.
+    The verify engine's scorer: row ``b`` is bitwise
+    ``cosine_distance(probes[b], template)``, the rule replayed vectors
+    and the 1:N exact stage decide by.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     template = np.asarray(template, dtype=np.float64).reshape(-1)
-    return pairwise_cosine_distance(probes, template[None, :])[:, 0]
+    if probes.shape[1] != template.shape[0]:
+        raise ShapeError(
+            f"probes must be (B, {template.shape[0]}), got {probes.shape}"
+        )
+    norm = math.sqrt(template.dot(template))
+    return np.array(
+        [_unit_cosine_distance(probe, template, norm) for probe in probes]
+    )
 
 
 def accept(distance: float, threshold: float) -> bool:

@@ -6,8 +6,7 @@ the sealed template by cosine distance, accept iff within threshold.
 :func:`verify_batch` decides a whole stack of requests in one vectorised
 pass through the :class:`repro.core.engine.InferenceEngine`;
 :func:`identify_batch` is the 1:N counterpart.  Every decision is
-counted once, by :func:`count_decisions`.  The single-recording helpers
-delegate to the same engine.
+counted once, by :func:`count_decisions`.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine import InferenceEngine
-from repro.core.extractor import TwoBranchExtractor
-from repro.core.frontend import FrontEnd
 from repro.core.similarity import accept, cosine_distance, distances_to_template
-from repro.dsp.pipeline import Preprocessor
 from repro.obs import runtime as obs
 from repro.security.cancelable import CancelableTransform
 from repro.types import RawRecording, VerificationResult
@@ -133,27 +129,6 @@ def identify_batch(
                 degraded=input_index in degraded,
             )
     return count_decisions(results)
-
-
-def verify_recording(
-    user_id: str,
-    model: TwoBranchExtractor,
-    preprocessor: Preprocessor,
-    frontend: FrontEnd,
-    recording: RawRecording,
-    template: np.ndarray,
-    transform: CancelableTransform,
-    threshold: float,
-) -> VerificationResult:
-    """Decide one verification request.
-
-    Thin wrapper over :func:`verify_batch` with a batch of one; kept so
-    deployment code that authenticates a single tap stays one call.
-    """
-    engine = InferenceEngine(model, preprocessor, frontend)
-    return verify_batch(
-        user_id, engine, [recording], template, transform, threshold
-    )[0]
 
 
 def verify_presented_vector(

@@ -15,7 +15,8 @@ from repro import InferenceEngine, MandiPass
 from repro.core.engine import BatchItemFailure, BatchOutcome
 from repro.core.frontend import GradientFrontEnd, RectifiedSpectralFrontEnd
 from repro.core.mandibleprint import extract_embeddings
-from repro.core.verification import REJECTED_DISTANCE
+from repro.core.similarity import cosine_distance
+from repro.core.verification import REJECTED_DISTANCE, verify_batch
 from repro.dsp.pipeline import Preprocessor
 from repro.errors import ConfigError, ModelError, ShapeError
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU, Sigmoid
@@ -195,6 +196,54 @@ class TestVerifyMany:
         assert many[1].accepted is False
         assert many[1].distance == REJECTED_DISTANCE
 
+    def test_distances_follow_the_cosine_rule_bitwise(
+        self, mandipass_system, population, recorder
+    ):
+        # Verify scores each row with cosine_distance's own arithmetic, so
+        # a batched distance equals the single-vector rule and the
+        # presented-vector path bit for bit, at any batch size.
+        device = mandipass_system
+        if not device.is_enrolled("engine-user"):
+            device.enroll(
+                "engine-user",
+                [recorder.record(population[2], trial_index=i) for i in range(5)],
+            )
+        template = device.stored_template("engine-user")
+        transform = device._transforms["engine-user"]
+        recordings = [
+            recorder.record(population[p], trial_index=60 + p) for p in (2, 5, 2, 7)
+        ]
+        for batch in (1, 4):
+            queue = recordings[:batch]
+            results = device.verify_many("engine-user", queue)
+            projected = transform.apply(device.engine.embed(queue).values)
+            for result, row in zip(results, projected):
+                assert result.distance == cosine_distance(row, template)
+                presented = device.verify_presented("engine-user", row)
+                assert result.distance == presented.distance
+
+        # A zero embedding row scores the neutral 1.0 beside normal rows.
+        rows = np.vstack([np.zeros(template.shape[0]), projected[:3]])
+        embeddings = rows @ np.linalg.pinv(transform.matrix)
+
+        class _FixedEngine:
+            def embed(self, recordings, onsets=None):
+                return BatchOutcome(
+                    values=embeddings,
+                    indices=np.arange(len(recordings)),
+                    failures=(),
+                    batch_size=len(recordings),
+                )
+
+        results = verify_batch(
+            "engine-user", _FixedEngine(), [SILENCE] * 4, template, transform, 0.5
+        )
+        expected = [
+            cosine_distance(row, template) for row in transform.apply(embeddings)
+        ]
+        assert [r.distance for r in results] == expected
+        assert expected[0] == 1.0
+
     def test_empty_probe_list(self, mandipass_system, population, recorder):
         device = mandipass_system
         if not device.is_enrolled("engine-user"):
@@ -211,8 +260,6 @@ class TestVerifyMany:
 class TestEngineConstruction:
     def test_feature_only_engine_rejects_signal_entry_points(self, trained_model):
         engine = InferenceEngine(trained_model)
-        with pytest.raises(ConfigError):
-            engine.preprocess([SILENCE.copy()])
         with pytest.raises(ConfigError):
             engine.embed([SILENCE.copy()])
 

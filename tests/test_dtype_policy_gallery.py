@@ -1,10 +1,11 @@
-"""Float32 inference parity and one-matmul gallery identification.
+"""Float32 inference parity and gallery identification on the facade.
 
 The compute-dtype policy promises: training stays float64, float32 is
 an inference-only fast path whose embedding drift is bounded and whose
 accept/reject decisions match float64 on the synthetic population.  The
-``TemplateGallery`` promises: one matmul + one einsum reproduce the
-per-user identify loop user-for-user and distance-for-distance.
+1:N gallery promises: identification reproduces the per-user identify
+loop user-for-user and distance-for-distance, batched or not, zero
+vectors included.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from repro import MandiPass, Recorder
 from repro.config import InferenceConfig, MandiPassConfig, SecurityConfig
 from repro.core.engine import InferenceEngine
-from repro.core.gallery import TemplateGallery
+from repro.core.gallery import ShardedGallery
 from repro.core.similarity import cosine_distance
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.nn import BatchNorm2d, Conv2d, Linear
 from repro.security.cancelable import CancelableTransform
 
@@ -221,36 +222,50 @@ class TestTemplateGallery:
         )
         assert device.identify(probe).user_id == "ra"
 
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(ShapeError):
-            TemplateGallery(user_ids=[], matrices=[], templates=[])
-
-    def test_zero_probe_and_zero_template_are_maximally_distant(self):
+    def test_zero_probe_and_zero_template_are_maximally_distant(
+        self, trained_model, population
+    ):
         transforms = [CancelableTransform(8, seed=s) for s in (1, 2)]
-        templates = [np.ones(8), np.zeros(8)]
-        gallery = TemplateGallery(
-            user_ids=["u0", "u1"],
-            matrices=[t.matrix for t in transforms],
-            templates=templates,
+        gallery = ShardedGallery()
+        gallery.upsert("u0", transforms[0].matrix, np.ones(8))
+        gallery.upsert("u1", transforms[1].matrix, np.zeros(8))
+        # A zero probe ties every user at the neutral 1.0; the first
+        # enrolled wins.
+        (match,) = gallery.best_match(np.zeros(8))
+        assert (match.user_id, match.distance) == ("u0", 1.0)
+        # A nonzero probe against a zero template: still the neutral 1.0,
+        # through the cascade and through the facade's per-user fallback.
+        gallery.remove("u0")
+        (match,) = gallery.best_match(np.ones(8))
+        assert (match.user_id, match.distance) == ("u1", 1.0)
+        device = _device(trained_model, "float64", seed=47)
+        recorder = Recorder(seed=31)
+        device.enroll(
+            "zt", [recorder.record(population[4], trial_index=i) for i in range(4)]
         )
-        distances = gallery.distances(np.zeros(8))
-        np.testing.assert_allclose(distances, [1.0, 1.0])
-        # Nonzero probe against the zero template: still the neutral 1.0.
-        assert gallery.distances(np.ones(8))[1] == pytest.approx(1.0)
+        device.enclave.seal(
+            "zt", np.zeros_like(device.stored_template("zt")),
+            device._transforms["zt"].seed,
+        )
+        device.reset_gallery()
+        probe = [recorder.record(population[4], trial_index=40)]
+        for result in device.identify_many(probe) + device._identify_fallback(probe):
+            assert (result.user_id, result.distance) == ("zt", 1.0)
 
     def test_batch_scoring_equals_rowwise(self, rng):
         transforms = [CancelableTransform(16, seed=s) for s in range(5)]
         templates = [rng.normal(size=16) for _ in range(5)]
-        gallery = TemplateGallery(
-            user_ids=[f"u{i}" for i in range(5)],
-            matrices=[t.matrix for t in transforms],
-            templates=templates,
-        )
+        gallery = ShardedGallery()
+        for index, (transform, template) in enumerate(zip(transforms, templates)):
+            gallery.upsert(f"u{index}", transform.matrix, template)
         probes = rng.normal(size=(7, 16))
-        batch = gallery.distances_batch(probes)
-        assert batch.shape == (7, 5)
-        for row, probe in enumerate(probes):
-            np.testing.assert_allclose(batch[row], gallery.distances(probe))
-            for col, transform in enumerate(transforms):
-                expected = cosine_distance(transform.apply(probe), templates[col])
-                assert batch[row, col] == pytest.approx(expected, abs=1e-10)
+        batch = gallery.best_match(probes)
+        assert len(batch) == 7
+        for match, probe in zip(batch, probes):
+            assert gallery.best_match(probe) == [match]
+            distances = [
+                cosine_distance(transform.apply(probe), template)
+                for transform, template in zip(transforms, templates)
+            ]
+            best = int(np.argmin(distances))
+            assert (match.user_id, match.distance) == (f"u{best}", distances[best])

@@ -2,18 +2,18 @@
 
 Five layers of coverage:
 
-* **units** — :class:`MutationLog` FIFO/pop-after-apply semantics,
-  :class:`GalleryShard` row mutations (append, overwrite-in-place,
+* **units** — the gallery's mutation log (FIFO, pop-after-apply,
+  concurrent appends), :class:`GalleryShard` row mutations (append, overwrite-in-place,
   tombstone, build-then-swap compaction that copies stored rows) and
   shape validation, the subspace basis and its residual clamp, and the
   lean exact scorer (bitwise ``cosine_distance``);
 * **bound soundness** — every prescreen lower distance is at most the
-  loop-exact distance, at ranks 1, out/2 and out, for resident and lazy
-  matrices, probes orthogonal to a user's stored subspace and zero
-  templates;
+  loop-exact distance, at ranks 1, out/2 and out, for float64 and
+  float32 matrices, probes orthogonal to a user's stored subspace and
+  zero templates;
 * **cascade exactness** — identify through the prescreen + rerank
   cascade is *bitwise* identical to per-user loop scoring: random
-  galleries, lazy matrix providers, adversarially loose bounds
+  galleries, adversarially loose bounds
   (rank=1, top_k=1), distance ties, the zero-probe all-ties edge case,
   and decisions across revoke / renew / compaction;
 * **facade integration** — the system facade's mutation helper feeds
@@ -27,6 +27,7 @@ Five layers of coverage:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -37,13 +38,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro import obs
 from repro.config import GalleryConfig
-from repro.core.gallery import (
-    GalleryMutation,
-    GalleryShard,
-    MutationLog,
-    ShardedGallery,
-    TemplateGallery,
-)
+from repro.core.gallery import GalleryShard, ShardedGallery
 from repro.core.gallery import shard as shard_module
 from repro.core.gallery.shard import subspace_basis
 from repro.core.similarity import cosine_distance, projected_cosine_distance
@@ -75,14 +70,13 @@ def _loop_best(probe, users):
     return best
 
 
-def _populated(num_users: int, config: GalleryConfig, lazy: bool = False):
+def _populated(num_users: int, config: GalleryConfig):
     """(gallery, oracle dict) with ``num_users`` synthetic users."""
     gallery = ShardedGallery(config)
     users: dict[str, tuple] = {}
     for index in range(num_users):
         matrix, template = _matrix(index), _template(index)
-        source = (lambda m=matrix: m) if lazy else matrix
-        gallery.upsert(f"u{index}", source, template)
+        gallery.upsert(f"u{index}", matrix, template)
         users[f"u{index}"] = (matrix, template)
     gallery.sync()
     return gallery, users
@@ -101,34 +95,42 @@ def _assert_parity(gallery, users, probes):
 
 class TestMutationLog:
     def test_fifo_and_pop_after_apply(self):
-        log = MutationLog()
-        log.append(GalleryMutation(kind="remove", user_id="a"))
-        log.append(GalleryMutation(kind="remove", user_id="b"))
-        assert len(log) == 2
-        assert log.peek().user_id == "a"
-        assert log.peek().user_id == "a"  # peek does not consume
-        log.pop()
-        assert log.peek().user_id == "b"
-        log.pop()
-        assert log.peek() is None
-        log.pop()  # popping empty is harmless
+        gallery = ShardedGallery(GalleryConfig(shard_size=4))
+        gallery.upsert("a", _matrix(0), _template(0))
+        gallery.remove("a")  # applied after the upsert: "a" ends revoked
+        gallery.upsert("b", _matrix(1), _template(1))
+        gallery.upsert("c", np.zeros((IN, OUT + 1)), _template(2))
+        gallery.upsert("d", _matrix(3), _template(3))
+        assert gallery.pending == 5
+        with pytest.raises(ShapeError):
+            gallery.sync()
+        # Entries pop only once applied: the failed one and the one
+        # behind it stay queued, in order.
+        assert gallery.pending == 2
+        assert gallery.users() == ["b"]
 
     def test_concurrent_appends_all_land(self):
-        log = MutationLog()
+        # The log has no lock of its own: deque appends are atomic.
+        gallery = ShardedGallery()
         threads = [
             threading.Thread(
-                target=lambda: [
-                    log.append(GalleryMutation(kind="remove", user_id="x"))
-                    for _ in range(100)
-                ]
+                target=lambda: [gallery.remove("x") for _ in range(100)]
             )
             for _ in range(4)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(log) == 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gallery.pending == 400
+        gallery.sync()
+        assert gallery.pending == 0
 
 
 # -- shard rows ------------------------------------------------------------
@@ -255,11 +257,6 @@ class TestCascadeExactness:
         probes = np.random.default_rng(1).normal(size=(6, IN))
         _assert_parity(gallery, users, probes)
 
-    def test_parity_with_lazy_matrix_providers(self):
-        gallery, users = _populated(9, self.CONFIG, lazy=True)
-        probes = np.random.default_rng(2).normal(size=(4, IN))
-        _assert_parity(gallery, users, probes)
-
     def test_parity_under_adversarially_loose_bounds(self):
         # rank=1 makes the prescreen bound as weak as it can be and
         # top_k=1 the seed minimal: correctness must come entirely from
@@ -356,18 +353,6 @@ class TestCascadeExactness:
         with pytest.raises(ShapeError):
             populated.best_match(np.zeros((1, IN + 1)))
 
-    def test_exact_distances_batch_matches_loop(self):
-        gallery, users = _populated(7, self.CONFIG)
-        probes = np.random.default_rng(11).normal(size=(3, IN))
-        user_ids, distances = gallery.exact_distances_batch(probes)
-        assert user_ids == [f"u{i}" for i in range(7)]
-        for row, probe in enumerate(probes):
-            for column, user_id in enumerate(user_ids):
-                matrix, template = users[user_id]
-                assert distances[row, column] == cosine_distance(
-                    probe @ matrix, template
-                )
-
     def test_users_listed_in_enrollment_order(self):
         gallery, _ = _populated(9, self.CONFIG)
         gallery.remove("u4")
@@ -391,15 +376,6 @@ class TestCascadeExactness:
                 registry.counter("gallery_mutations_total", kind="remove").value
                 == 1
             )
-
-    def test_dense_gallery_still_importable_from_package(self):
-        # The dense generation stays the exact full-scoring reference.
-        matrices = [_matrix(i) for i in range(3)]
-        templates = [_template(i) for i in range(3)]
-        dense = TemplateGallery(
-            user_ids=["a", "b", "c"], matrices=matrices, templates=templates
-        )
-        assert dense.num_users == 3
 
 
 # -- prescreen bound soundness ---------------------------------------------
@@ -429,33 +405,37 @@ def _orthogonal_probe(gallery, user_id):
 
 
 class TestPrescreenBound:
-    @pytest.mark.parametrize("lazy", [False, True], ids=["resident", "lazy"])
+    # "resident" passes float64 arrays as the facade does; "float32"
+    # exercises the one conversion write_slot makes.
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32], ids=["resident", "float32"]
+    )
     @pytest.mark.parametrize("rank", [1, OUT // 2, OUT])
-    def test_lower_bound_never_exceeds_loop_exact(self, rank, lazy):
+    def test_lower_bound_never_exceeds_loop_exact(self, rank, dtype):
         config = GalleryConfig(shard_size=4, top_k=1, prescreen_rank=rank)
         for trial in range(4):
             gallery = ShardedGallery(config)
             users: dict[str, tuple] = {}
             for index in range(9):
                 seed = 100 * trial + index
-                matrix = _matrix(seed)
+                matrix = _matrix(seed).astype(dtype)
                 template = np.zeros(OUT) if index == 4 else _template(seed)
-                gallery.upsert(
-                    f"u{index}", (lambda m=matrix: m) if lazy else matrix,
-                    template,
-                )
-                users[f"u{index}"] = (matrix, template)
+                gallery.upsert(f"u{index}", matrix, template)
+                users[f"u{index}"] = (matrix.astype(np.float64), template)
             gallery.sync()
             probes = np.vstack(
                 [np.random.default_rng(trial).normal(size=(5, IN))]
                 + [_orthogonal_probe(gallery, user) for user in users]
             )
-            user_ids, exact = gallery.exact_distances_batch(probes)
             lower = _lower_by_user(gallery, probes)
-            for column, user_id in enumerate(user_ids):
-                assert np.all(lower[user_id] <= exact[:, column]), (
+            assert sorted(lower) == sorted(users)
+            for user_id, (matrix, template) in users.items():
+                exact = np.array(
+                    [cosine_distance(probe @ matrix, template) for probe in probes]
+                )
+                assert np.all(lower[user_id] <= exact), (
                     f"rank={rank} trial={trial} {user_id}: bound "
-                    f"{lower[user_id]} above exact {exact[:, column]}"
+                    f"{lower[user_id]} above exact {exact}"
                 )
             _assert_parity(gallery, users, probes)
 
@@ -710,6 +690,11 @@ class TestConcurrentMutationVsIdentification:
             thread.join(30.0)
         assert not failures, failures[:3]
         assert not any(t.is_alive() for t in writers + readers), "deadlock"
+        # Every concurrent append landed: one sync drains the log to
+        # the core set, in enrollment order.
+        gallery.sync()
+        assert gallery.pending == 0
+        assert gallery.users() == list(core)
         # Steady state after the dust settles: core-only parity again.
         for index, probe in enumerate(probes):
             final = gallery.best_match(probe)[0]
