@@ -194,48 +194,41 @@ class GalleryConfig:
 
     The identification gallery is stored as fixed-size template shards
     that are updated row-by-row (append on enroll, overwrite-in-place
-    on renew/adapt, tombstone on revoke) and scored through a
-    coarse-prescreen + exact-rerank cascade.  The cascade is *sound*:
-    the prescreen computes a lower bound on every user's cosine
-    distance, so the rerank pool provably contains the argmin and
-    identify decisions are bitwise identical to per-user loop scoring —
-    only the cost changes (DESIGN.md §4h).
+    on renew/adapt, tombstone on revoke) and scored through a nested
+    prescreen + best-first exact-rerank cascade.  The cascade is
+    *sound*: both prescreen levels compute a lower bound on every
+    user's cosine distance, so the best-first rerank provably reaches
+    the argmin and identify decisions are bitwise identical to per-user
+    loop scoring — only the cost changes (DESIGN.md §4h).
 
     Attributes:
         shard_size: users per shard.  Shards are scored independently
             (enabling fan-out) and compacted independently, so this
             bounds both the largest single gemm and the cost of one
             compaction.
-        top_k: rerank-pool seed size — the k most promising users per
-            probe that are always scored exactly.  The pool then grows
-            by the soundness rule (every user whose distance lower
-            bound beats the best exact distance joins), so ``top_k``
-            tunes cost, never correctness.
         prescreen_rank: dimension of the subspace each user's Gaussian
             matrix is projected onto for the prescreen pass (capped at
             ``out_dim``): the shard stores ``G_u @ Q_u`` for an
             orthonormal basis ``Q_u`` of ``G_u``'s dominant
-            ``rank``-dim right subspace.  The prescreen gemm costs
-            ``rank / out_dim`` of the full gemm; the bound loosens with
-            the residual energy ``||G_u - G_u Q_u Q_u^T||_F^2`` left
-            outside that subspace, which sets the rerank-pool size.  At
+            ``rank``-dim right subspace.  Every probe screens the first
+            ``shard.COARSE_RANK`` (8) of those columns; only the users
+            the coarse bound cannot exclude read the rest.  The bound
+            loosens with the residual energy
+            ``||G_u - G_u Q_u Q_u^T||_F^2`` left outside the subspace,
+            which sets how many users the rerank scores exactly.  At
             32 against the 64-dim projected templates the residual is
-            ~12 % of ``||G_u||_F^2`` (~50 % for the first 32 columns),
-            which keeps the pool near 17 users at U≈1000 on the
-            perfbench substrate while still halving the gemm.
+            ~12 % of ``||G_u||_F^2`` (~50 % for the first 32 columns).
         compact_tombstone_ratio: tombstoned fraction of a shard's
             occupied slots above which the next sync compacts it
             (build-then-swap, O(shard_size) — never O(U)).
     """
 
     shard_size: int = 1024
-    top_k: int = 16
     prescreen_rank: int = 32
     compact_tombstone_ratio: float = 0.25
 
     def __post_init__(self) -> None:
         _require(self.shard_size > 0, "shard_size must be positive")
-        _require(self.top_k > 0, "top_k must be positive")
         _require(self.prescreen_rank > 0, "prescreen_rank must be positive")
         _require(
             0.0 < self.compact_tombstone_ratio <= 1.0,

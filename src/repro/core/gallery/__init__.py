@@ -6,8 +6,10 @@ matrix, so identification is one projected cosine per user.
 :class:`~repro.core.gallery.shard.GalleryShard` blocks, updated row by
 row from its mutation log (append on enroll, overwrite-in-place on
 renew/adapt, tombstone on revoke, per-shard compaction), and scores
-them through a coarse-prescreen + exact-rerank cascade whose rerank
-pool provably contains the argmin (DESIGN.md §4h).  Enrollment-side
+them through a nested prescreen (rank ``k`` for every user, rank ``r``
+for the few the coarse bound cannot exclude) and a best-first exact
+rerank whose stopping rule provably reaches the argmin (DESIGN.md
+§4h).  Enrollment-side
 updates are O(1) in the enrolled population; identification stays
 bitwise identical to per-user loop scoring, which the system facade
 keeps as its exact fallback (``MandiPass._identify_fallback``).

@@ -301,7 +301,6 @@ def gallery_benchmark(
         "out_dim": OUT_DIM,
         "config": {
             "shard_size": config.shard_size,
-            "top_k": config.top_k,
             "prescreen_rank": config.prescreen_rank,
             "compact_tombstone_ratio": config.compact_tombstone_ratio,
         },

@@ -6,12 +6,19 @@ exactly what the two cascade stages need:
 * **prescreen** — the user's Gaussian matrix ``G`` (``in x out``)
   projected onto its dominant ``rank``-dim right subspace: the block
   ``G @ Q`` (float32, :data:`PRESCREEN_DTYPE`) for an orthonormal
-  ``(out, rank)`` basis ``Q`` (see :func:`subspace_basis`), the
-  numerator vector ``w = G @ t_hat`` (float64), the residual energy
-  ``R = ||G - G Q Q^T||_F^2`` and the matrix norm ``||G||_F`` (which
-  scales the float32 block's absolute rounding error).  Together these
-  yield a sound lower bound on the user's cosine distance from one thin
-  gemm — see :mod:`repro.core.gallery.sharded` for the bound.
+  ``(out, rank)`` basis ``Q`` (see :func:`subspace_basis`), stored in
+  two nested parts.  The *coarse* part, ``G @ Q[:, :k]`` with
+  ``k = min(COARSE_RANK, rank)``, is one contiguous ``(in, capacity
+  * k)`` block that every probe streams; the *fine* part, the other
+  ``rank - k`` columns, is stored transposed as ``(capacity * (rank -
+  k), in)`` so one user's rows are contiguous and a gather of a few
+  users reads only their bytes.  Beside them sit the numerator vector
+  ``w = G @ t_hat`` (float64), the residual energies left outside
+  ``Q`` (the rank tail) and outside ``Q[:, :k]`` (the coarse tail),
+  and the matrix norm ``||G||_F`` (which scales the float32 blocks'
+  absolute rounding error).  Together these yield a sound lower bound
+  on the user's cosine distance at both ranks — see
+  :mod:`repro.core.gallery.sharded` for the bound.
 * **rerank** — the full float64 matrix (a reference to the caller's
   array when it already is float64, never a copy), the sealed template
   and its norm, so the exact stage can replay the per-user loop's own
@@ -45,18 +52,27 @@ from repro.errors import ShapeError
 #: never move.
 PRESCREEN_DTYPE = np.float32
 
+#: Columns of each user's prescreen block in the coarse level, which
+#: every probe screens (capped at the shard's rank).  The first ``k``
+#: columns of :func:`subspace_basis`'s QR span the rank-``k`` range
+#: finder of the same sketch, so the coarse level needs no second
+#: factorization.
+COARSE_RANK = 8
+
 #: Seed of the range finder's fixed start block (:func:`subspace_basis`).
 #: Any value is sound; fixing it makes every row's basis reproducible.
 _RANGE_SEED = 0x5B5B1DE
 #: Slack added to each stored residual energy, relative to ``||G||_F^2``.
 #: The residual is stored as the subtraction ``||G||_F^2 - ||G Q||_F^2``
-#: (Pythagoras for an orthonormal ``Q``).  Each float64 sum of squares
-#: errs by at most ``in * out * 2^-53`` of ``||G||_F^2`` (~5e-13 at
-#: 64 x 64, far less in practice), and the computed ``Q`` is
-#: orthonormal to ~``out * 2^-53``; 1e-10 covers all three with room to
-#: spare, so the clamped tail never falls below the true residual of
-#: the orthogonal projector onto ``span(Q)`` — even where the
-#: subtraction cancels to (or below) zero.
+#: (Pythagoras for an orthonormal ``Q``; the coarse tail subtracts
+#: ``||G Q[:, :k]||_F^2``, and any subset of orthonormal columns is
+#: orthonormal to the same accuracy, so one slack serves both).  Each
+#: float64 sum of squares errs by at most ``in * out * 2^-53`` of
+#: ``||G||_F^2`` (~5e-13 at 64 x 64, far less in practice), and the
+#: computed ``Q`` is orthonormal to ~``out * 2^-53``; 1e-10 covers all
+#: three with room to spare, so the clamped tail never falls below the
+#: true residual of the orthogonal projector onto ``span(Q)`` — even
+#: where the subtraction cancels to (or below) zero.
 _TAIL_SLACK = 1e-10
 
 
@@ -103,13 +119,20 @@ class GalleryShard:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.rank = min(rank, out_dim)
-        # (in, capacity * rank): slot u owns columns [u*rank, (u+1)*rank).
-        self._prescreen = np.zeros(
-            (in_dim, capacity * self.rank), dtype=PRESCREEN_DTYPE
+        self.coarse_rank = min(COARSE_RANK, self.rank)
+        self.fine_rank = self.rank - self.coarse_rank
+        # (in, capacity * k): slot u owns columns [u*k, (u+1)*k).
+        self._coarse = np.zeros(
+            (in_dim, capacity * self.coarse_rank), dtype=PRESCREEN_DTYPE
+        )
+        # (capacity * (rank - k), in): slot u owns rows [u*f, (u+1)*f).
+        self._fine = np.zeros(
+            (capacity * self.fine_rank, in_dim), dtype=PRESCREEN_DTYPE
         )
         # (in, capacity): slot u's numerator vector w_u = G_u @ t_hat_u.
         self._numer = np.zeros((in_dim, capacity))
         self._tail = np.zeros(capacity)
+        self._coarse_tail = np.zeros(capacity)
         self._matrix_norms = np.zeros(capacity)  # ||G_u||_F
         # The sealed templates' norms, exactly as cosine_distance takes them.
         self._template_norms = np.zeros(capacity)
@@ -125,9 +148,11 @@ class GalleryShard:
         cls,
         *,
         user_ids: list[str | None],
-        prescreen: np.ndarray,
+        coarse: np.ndarray,
+        fine: np.ndarray,
         numer: np.ndarray,
         tail: np.ndarray,
+        coarse_tail: np.ndarray,
         seq: np.ndarray,
         alive: np.ndarray,
         matrices: np.ndarray,
@@ -150,14 +175,21 @@ class GalleryShard:
         shard.in_dim = in_dim
         shard.out_dim = out_dim
         shard.rank = min(rank, out_dim)
-        if prescreen.shape != (in_dim, count * shard.rank):
-            raise ShapeError(
-                f"adopted prescreen must be ({in_dim}, {count * shard.rank}),"
-                f" got {prescreen.shape}"
-            )
-        shard._prescreen = prescreen
+        shard.coarse_rank = min(COARSE_RANK, shard.rank)
+        shard.fine_rank = shard.rank - shard.coarse_rank
+        for name, block, shape in (
+            ("coarse", coarse, (in_dim, count * shard.coarse_rank)),
+            ("fine", fine, (count * shard.fine_rank, in_dim)),
+        ):
+            if block.shape != shape:
+                raise ShapeError(
+                    f"adopted {name} block must be {shape}, got {block.shape}"
+                )
+        shard._coarse = coarse
+        shard._fine = fine
         shard._numer = numer
         shard._tail = tail
+        shard._coarse_tail = coarse_tail
         shard.user_ids = list(user_ids)
         shard.seq = seq
         shard.alive = alive
@@ -223,13 +255,19 @@ class GalleryShard:
         # bound collapses to distance >= 1 and the exact stage returns
         # the cosine-convention neutral 1.0.
         unit = flat / norm if norm else flat
-        rank = self.rank
+        coarse, fine = self.coarse_rank, self.fine_rank
         self._numer[:, slot] = matrix @ unit
-        block = matrix @ subspace_basis(matrix, rank)
+        block = matrix @ subspace_basis(matrix, self.rank)
         energy = float(np.einsum("ij,ij->", matrix, matrix))
         residual = energy - float(np.einsum("ij,ij->", block, block))
-        self._prescreen[:, slot * rank : (slot + 1) * rank] = block
+        leading = block[:, :coarse]
+        coarse_residual = energy - float(np.einsum("ij,ij->", leading, leading))
+        self._coarse[:, slot * coarse : (slot + 1) * coarse] = leading
+        self._fine[slot * fine : (slot + 1) * fine] = block[:, coarse:].T
         self._tail[slot] = max(residual, 0.0) + _TAIL_SLACK * energy
+        self._coarse_tail[slot] = (
+            max(coarse_residual, 0.0) + _TAIL_SLACK * energy
+        )
         self._matrix_norms[slot] = np.sqrt(energy)
         self._template_norms[slot] = norm
         self.user_ids[slot] = user_id
@@ -252,11 +290,13 @@ class GalleryShard:
 
     def kill_slot(self, slot: int) -> None:
         """Tombstone one row: scoring columns zeroed, references dropped."""
-        rank = self.rank
+        coarse, fine = self.coarse_rank, self.fine_rank
         self.alive[slot] = False
         self._numer[:, slot] = 0.0
-        self._prescreen[:, slot * rank : (slot + 1) * rank] = 0.0
+        self._coarse[:, slot * coarse : (slot + 1) * coarse] = 0.0
+        self._fine[slot * fine : (slot + 1) * fine] = 0.0
         self._tail[slot] = 0.0
+        self._coarse_tail[slot] = 0.0
         self._matrix_norms[slot] = 0.0
         self._template_norms[slot] = 0.0
         self.user_ids[slot] = None
@@ -268,7 +308,8 @@ class GalleryShard:
 
         The surviving rows' stored state is copied, never derived
         again: compaction costs O(shard_size * in * rank) array copies
-        and leaves every copied row bitwise what ``write_slot`` stored.
+        and leaves every copied row — both prescreen parts and both tails —
+        bitwise what ``write_slot`` stored.
         """
         fresh = GalleryShard(
             capacity=self.capacity,
@@ -278,12 +319,18 @@ class GalleryShard:
         )
         rows = np.flatnonzero(self.alive[: self.count])
         kept = rows.size
-        blocks = self._prescreen.reshape(self.in_dim, -1, self.rank)
-        fresh._prescreen.reshape(self.in_dim, -1, self.rank)[:, :kept] = (
-            blocks[:, rows]
+        coarse = self._coarse.reshape(self.in_dim, -1, self.coarse_rank)
+        fresh._coarse.reshape(self.in_dim, -1, self.coarse_rank)[:, :kept] = (
+            coarse[:, rows]
         )
+        if self.fine_rank:
+            fine = self._fine.reshape(-1, self.fine_rank, self.in_dim)
+            fresh._fine.reshape(-1, self.fine_rank, self.in_dim)[:kept] = (
+                fine[rows]
+            )
         fresh._numer[:, :kept] = self._numer[:, rows]
         fresh._tail[:kept] = self._tail[rows]
+        fresh._coarse_tail[:kept] = self._coarse_tail[rows]
         fresh._matrix_norms[:kept] = self._matrix_norms[rows]
         fresh._template_norms[:kept] = self._template_norms[rows]
         fresh.seq[:kept] = self.seq[rows]
@@ -301,12 +348,27 @@ class GalleryShard:
         """``(in, count)`` numerator matrix over the occupied slots."""
         return self._numer[:, : self.count]
 
-    def prescreen_block(self) -> np.ndarray:
-        """``(in, count * rank)`` prescreen columns over occupied slots."""
-        return self._prescreen[:, : self.count * self.rank]
+    def coarse_block(self) -> np.ndarray:
+        """``(in, count * k)`` coarse prescreen columns over occupied slots."""
+        return self._coarse[:, : self.count * self.coarse_rank]
+
+    def fine_block(self) -> np.ndarray:
+        """``(count * (rank - k), in)`` fine prescreen rows over occupied slots."""
+        return self._fine[: self.count * self.fine_rank]
+
+    def fine_rows(self, slots: np.ndarray) -> np.ndarray:
+        """The fine rows of ``slots`` only, gathered: ``(n * (rank - k), in)``."""
+        return self._fine.reshape(-1, self.fine_rank, self.in_dim)[slots].reshape(
+            -1, self.in_dim
+        )
 
     def tail_block(self) -> np.ndarray:
+        """The rank tails, ``||G||_F^2 - ||G Q||_F^2`` plus slack."""
         return self._tail[: self.count]
+
+    def coarse_tail_block(self) -> np.ndarray:
+        """The coarse tails, ``||G||_F^2 - ||G Q[:, :k]||_F^2`` plus slack."""
+        return self._coarse_tail[: self.count]
 
     def matrix_norm_block(self) -> np.ndarray:
         return self._matrix_norms[: self.count]
@@ -345,9 +407,11 @@ class GalleryShard:
     def nbytes(self) -> int:
         """Resident scoring-state footprint (full matrices excluded)."""
         return (
-            self._prescreen.nbytes
+            self._coarse.nbytes
+            + self._fine.nbytes
             + self._numer.nbytes
             + self._tail.nbytes
+            + self._coarse_tail.nbytes
             + self._matrix_norms.nbytes
             + self._template_norms.nbytes
             + self.seq.nbytes

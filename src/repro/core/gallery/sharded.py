@@ -12,14 +12,24 @@ matrix, so 1:N identification is one projected cosine per user.
   shard whose tombstone ratio crosses the configured threshold is
   compacted in isolation (O(shard_size), build-then-swap).
 
-* **Coarse-prescreen + exact-rerank cascade.**  Scoring all users
-  exactly costs one ``(B, in) @ (in, U * out)`` gemm.  The prescreen
-  pass instead bounds every user's cosine distance from below using a
-  ``rank << out`` projection per user, seeds a top-K rerank pool, and
-  the exact stage replays the per-user loop's own operations
-  (:func:`~repro.core.similarity.projected_cosine_distance`, bitwise
-  ``cosine_distance(probe @ matrix, template)``) for pool members
-  only.
+* **Nested prescreen + exact-rerank cascade.**  Scoring all users
+  exactly costs one ``(B, in) @ (in, U * out)`` gemm.  The cascade
+  instead bounds every user's cosine distance from below in three
+  steps, and the exact stage replays the per-user loop's own
+  operations (:func:`~repro.core.similarity.projected_cosine_distance`,
+  bitwise ``cosine_distance(probe @ matrix, template)``) for a few
+  users only:
+
+  1. *Coarse level*: every user is screened at rank ``k``
+     (``shard.COARSE_RANK``) from one contiguous float32 block.
+  2. *First cut and fine level*: each probe's most likely user is
+     scored exactly; only the users whose coarse bound can beat or
+     tie that distance read their other ``rank - k`` fine rows (one
+     gather and one gemm, or one contiguous gemm when most of a shard
+     survives), which completes their rank-``r`` partial norms.
+  3. *Best-first rerank*: the survivors are scored exactly in
+     ascending rank-``r`` bound, stopping at the first bound above
+     the best exact distance.
 
 **Soundness of the prescreen bound.**  For user ``u`` with Gaussian
 matrix ``G`` and unit template ``t_hat``, the loop scores
@@ -49,15 +59,35 @@ move ``p`` by at most ``(in + 2) * 2^-24 * ||x|| * ||G||_F``, which
 denominator, while ``_DENOM_SLACK`` covers the float32 sum of squares.
 The shard clamps ``R`` above the true residual
 (``shard._TAIL_SLACK``), and ``_UB_*_SLACK`` absorb float64 gemm
-re-association in the numerator pass.  Any user whose distance lower
-bound beats the best exact distance found so far joins the rerank
-pool; one expansion round suffices (exact distances only shrink the
-qualifying set), so **the pool provably contains the argmin** — and
-every tie, since a tied user's lower bound also qualifies.  Ties
-resolve on the global enrollment sequence number, matching the
-first-wins semantics of the per-user dict loop.  The cascade therefore
-returns bitwise the same decision as the loop; only the cost depends
-on the bound's tightness (worst case: a full, still-exact rerank).
+re-association in the numerator pass.
+
+**Both levels are sound.**  The bound holds for *any* orthonormal
+``Q``, so it holds for the first ``k`` columns of the stored basis
+with the coarse tail ``R_k = ||G||^2 - ||G Q[:, :k]||^2`` (the shard
+clamps it with the same slack); the first ``k`` columns of the range
+finder's QR span the rank-``k`` range finder of the same sketch, so
+the coarse level needs no second factorization.  The fine level adds
+the other columns' squares to the coarse ones, ``p^2 = p_k^2 +
+p_fine^2``, which is the rank-``r`` partial norm up to float32
+rounding inside the same slack.  A user excluded at the coarse level
+has ``lb_k > cut >= d*`` (the cut is an exact distance, so no smaller
+than the answer ``d*``): it can neither beat nor tie the answer.
+
+**The best-first stopping rule is exact.**  The walk scores survivors
+in ascending rank-``r`` bound and keeps the least ``(distance, seq)``.
+When it meets a bound above the best distance so far, every user not
+yet scored has a bound at least as large, hence an exact distance
+above the best — and the best only falls as the walk goes on, so no
+such user can beat or tie the final answer.  Every user with
+``lb_r <= d*`` — the argmin and every exact tie — is therefore
+scored, and ties resolve on the global enrollment sequence number,
+matching the first-wins semantics of the per-user dict loop.  The
+cascade returns bitwise the same decision as the loop; only the cost
+depends on the bounds' tightness (worst case: a full, still-exact
+rerank).  Which user sets the first cut only moves the cost, never the
+answer: it is the user with the highest cosine estimate
+``num / sqrt(p_k^2 + ||x||^2 R_k / in)`` — the coarse partial norm
+plus the tail's expected share for an isotropic probe.
 
 Concurrency: the gallery carries its own writer-preferring
 :class:`~repro.serve.locks.RWLock` — :meth:`sync` applies mutations
@@ -105,24 +135,54 @@ _F32_ABS_SLACK = 2.0 * 2.0**-24
 #: float64 gemm re-association in the numerator pass.
 _UB_REL_SLACK = 1e-6
 _UB_ABS_SLACK = 1e-9
+#: The denominators' scale factors: the relative denominator slack,
+#: with the cosine bound's relative slack folded in (dividing by a
+#: denominator scaled by ``1 / (1 + rel)`` multiplies a positive
+#: quotient by ``1 + rel``; a negative one over ``(1 - rel)`` moves
+#: it up by ``rel`` of its size).
+_LB_SCALE = (1.0 - _DENOM_SLACK) / (1.0 + _UB_REL_SLACK)
+_UB_SCALE = (1.0 + _DENOM_SLACK) / (1.0 - _UB_REL_SLACK)
+#: Share of a shard's users above which the fine level reads the
+#: shard's whole fine block in one contiguous gemm instead of first
+#: gathering the asked-for users' rows.
+_GATHER_FRACTION = 0.375
 
 
 class _ScoreTable(NamedTuple):
     """The concatenated per-slot scoring state of all non-empty shards.
 
-    The alive flags and sequence numbers come twice: as arrays for the
-    vectorised bound and as lists for the rerank loop, which reads
-    them per candidate.
+    ``offsets`` holds each shard's first column and then the total;
+    ``dead`` lists the tombstoned columns.  The sequence numbers come
+    twice: as an array for the zero-probe argmin and as a list for the
+    rerank walk, which reads them per candidate.  ``tail_shares`` is
+    the coarse tails over ``in`` (the first cut's estimate) and
+    ``err_scale`` the matrix norms times the float32 partial-norm
+    error per unit probe norm.
     """
 
     shards: list[GalleryShard]
+    offsets: np.ndarray
     slots: list[tuple[GalleryShard, int]]
     alive: np.ndarray
+    dead: np.ndarray
     seqs: np.ndarray
-    tails: np.ndarray
-    matrix_norms: np.ndarray
-    alive_flags: list[bool]
     seq_list: list[int]
+    tails: np.ndarray
+    coarse_tails: np.ndarray
+    tail_shares: np.ndarray
+    err_scale: np.ndarray
+    fine_rank: int
+
+
+class _Screen(NamedTuple):
+    """One batch's coarse screen, ``(B, slots)`` blocks the fine level reuses."""
+
+    probes_ps: np.ndarray
+    numerators: np.ndarray
+    coarse_sq: np.ndarray
+    norms: np.ndarray
+    partial_err: np.ndarray
+    lower: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,7 +410,8 @@ class ShardedGallery:
         """Snapshot the resident scoring state as flat picklable parts.
 
         Returns ``(arrays, meta)``: a dict of contiguous numpy arrays
-        (per-shard prescreen/numerator/tail/seq/alive blocks plus the
+        (per-shard coarse/fine prescreen, numerator, tail, coarse-tail,
+        seq and alive blocks plus the
         stacked matrices and templates the rerank stage needs)
         and a plain-dict ``meta`` describing shapes, user ids and
         counters.  :meth:`from_epoch` rebuilds a scoring-equivalent
@@ -374,9 +435,11 @@ class ShardedGallery:
                 if count == 0:
                     continue
                 key = f"shard{len(shards_meta)}"
-                arrays[f"{key}.prescreen"] = shard.prescreen_block()
+                arrays[f"{key}.coarse"] = shard.coarse_block()
+                arrays[f"{key}.fine"] = shard.fine_block()
                 arrays[f"{key}.numer"] = shard.numer_block()
                 arrays[f"{key}.tail"] = shard.tail_block()
+                arrays[f"{key}.coarse_tail"] = shard.coarse_tail_block()
                 arrays[f"{key}.seq"] = shard.seq_block()
                 arrays[f"{key}.alive"] = shard.alive_block()
                 matrices = np.zeros((count, self.in_dim, self.out_dim))
@@ -426,9 +489,11 @@ class ShardedGallery:
             alive = arrays[f"{key}.alive"]
             shard = GalleryShard.adopt(
                 user_ids=shard_meta["user_ids"],
-                prescreen=arrays[f"{key}.prescreen"],
+                coarse=arrays[f"{key}.coarse"],
+                fine=arrays[f"{key}.fine"],
                 numer=arrays[f"{key}.numer"],
                 tail=arrays[f"{key}.tail"],
+                coarse_tail=arrays[f"{key}.coarse_tail"],
                 seq=arrays[f"{key}.seq"],
                 alive=alive,
                 matrices=arrays[f"{key}.matrices"],
@@ -476,31 +541,88 @@ class ShardedGallery:
         with self._lock.read_locked(), obs.span("gallery_score"):
             return self._cascade(embeddings)
 
-    def _screen_shard(
-        self, shard: GalleryShard, probes: np.ndarray, probes_ps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's numerator and partial-norm blocks, ``(B, count)``."""
-        numerators = probes @ shard.numer_block()
-        projected = probes_ps @ shard.prescreen_block()
-        batch = probes.shape[0]
-        # Squared partial norms accumulated in the prescreen dtype; the
-        # extra float32 rounding (~rank * 2^-24 relative) is orders of
-        # magnitude inside the _DENOM_SLACK the bound already carries.
-        partial_sq = np.einsum(
-            "bcr,bcr->bc",
-            projected.reshape(batch, shard.count, shard.rank),
-            projected.reshape(batch, shard.count, shard.rank),
-        )
-        return numerators, np.sqrt(partial_sq.astype(np.float64))
+    def _screen(self, probes: np.ndarray, table: _ScoreTable) -> _Screen:
+        """The coarse level: every slot's rank-``k`` lower distance, ``(B, slots)``.
 
-    def _screen(
-        self, probes: np.ndarray, shards: list[GalleryShard]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        probes_ps = probes.astype(PRESCREEN_DTYPE, copy=False)
-        blocks = [self._screen_shard(shard, probes, probes_ps) for shard in shards]
-        numerators = np.concatenate([block[0] for block in blocks], axis=1)
-        partials = np.concatenate([block[1] for block in blocks], axis=1)
-        return numerators, partials
+        Streams each shard's float64 numerator block and its contiguous
+        float32 coarse block once for the whole batch.  Columns follow
+        the score table's slot order; dead slots read ``inf``.
+        """
+        probes_ps = probes.astype(PRESCREEN_DTYPE)
+        batch = probes.shape[0]
+        numerators, coarse_sq = [], []
+        for shard in table.shards:
+            numerators.append(probes @ shard.numer_block())
+            projected = (probes_ps @ shard.coarse_block()).reshape(
+                batch, shard.count, shard.coarse_rank
+            )
+            # Squared partial norms accumulated in the prescreen dtype;
+            # the extra float32 rounding (~rank * 2^-24 relative) is
+            # orders of magnitude inside the _DENOM_SLACK the bound
+            # already carries.
+            coarse_sq.append(np.einsum("bck,bck->bc", projected, projected))
+        numer = np.concatenate(numerators, axis=1)
+        partial_sq = np.concatenate(coarse_sq, axis=1)
+        norms = np.sqrt(np.einsum("bi,bi->b", probes, probes))
+        partial_err = norms[:, None] * table.err_scale
+        lower = _lower_bound(
+            numer, partial_sq, norms, partial_err, table.coarse_tails
+        )
+        lower[:, table.dead] = np.inf
+        return _Screen(probes_ps, numer, partial_sq, norms, partial_err, lower)
+
+    def _fine_lower(
+        self, screen: _Screen, table: _ScoreTable, columns: np.ndarray
+    ) -> np.ndarray:
+        """The rank-``r`` lower distances of ``columns``, ``(B, n)``.
+
+        ``columns`` are ascending slot-table columns.  Each one's coarse
+        partial norm is completed with its fine rows,
+        ``p^2 = p_k^2 + p_fine^2``: per shard, one gather of the
+        columns' rows and one gemm, or one contiguous gemm over the
+        shard's whole fine block once most of its users are asked for.
+        """
+        partial_sq = screen.coarse_sq[:, columns]
+        if table.fine_rank:
+            partial_sq = partial_sq + self._fine_sq(
+                screen.probes_ps, table, columns
+            )
+        return _lower_bound(
+            screen.numerators[:, columns],
+            partial_sq,
+            screen.norms,
+            screen.partial_err[:, columns],
+            table.tails[columns],
+        )
+
+    @staticmethod
+    def _fine_sq(
+        probes_ps: np.ndarray, table: _ScoreTable, columns: np.ndarray
+    ) -> np.ndarray:
+        """Squared norms of the fine projections of ``columns``, ``(B, n)``."""
+        vectors = probes_ps.T
+        batch = probes_ps.shape[0]
+        fine = table.fine_rank
+        splits = np.searchsorted(columns, table.offsets).tolist()
+        parts = []
+        for index, shard in enumerate(table.shards):
+            local = columns[splits[index] : splits[index + 1]]
+            if not local.size:
+                continue
+            local = local - table.offsets[index]
+            if local.size > _GATHER_FRACTION * shard.count:
+                projected = (shard.fine_block() @ vectors).reshape(
+                    shard.count, fine, batch
+                )
+                parts.append(
+                    np.einsum("cfb,cfb->bc", projected, projected)[:, local]
+                )
+            else:
+                projected = (shard.fine_rows(local) @ vectors).reshape(
+                    local.size, fine, batch
+                )
+                parts.append(np.einsum("nfb,nfb->bn", projected, projected))
+        return np.concatenate(parts, axis=1)
 
     def _score_state(self) -> _ScoreTable:
         """The concatenated slot table, cached between mutations.
@@ -516,27 +638,30 @@ class ShardedGallery:
             slots: list[tuple[GalleryShard, int]] = []
             for shard in shards:
                 slots.extend((shard, slot) for slot in range(shard.count))
-            if shards:
-                alive = np.concatenate([s.alive_block() for s in shards])
-                seqs = np.concatenate([s.seq_block() for s in shards])
-                tails = np.concatenate([s.tail_block() for s in shards])
-                matrix_norms = np.concatenate(
-                    [s.matrix_norm_block() for s in shards]
-                )
-            else:
-                alive = np.zeros(0, dtype=bool)
-                seqs = np.zeros(0, dtype=np.int64)
-                tails = np.zeros(0)
-                matrix_norms = np.zeros(0)
+
+            def joined(block: str, dtype=np.float64) -> np.ndarray:
+                if not shards:
+                    return np.zeros(0, dtype=dtype)
+                return np.concatenate([getattr(s, block)() for s in shards])
+
+            alive = joined("alive_block", bool)
+            seqs = joined("seq_block", np.int64)
+            coarse_tails = joined("coarse_tail_block")
             table = _ScoreTable(
-                shards,
-                slots,
-                alive,
-                seqs,
-                tails,
-                matrix_norms,
-                alive.tolist(),
-                seqs.tolist(),
+                shards=shards,
+                offsets=np.cumsum([0] + [shard.count for shard in shards]),
+                slots=slots,
+                alive=alive,
+                dead=np.flatnonzero(~alive),
+                seqs=seqs,
+                seq_list=seqs.tolist(),
+                tails=joined("tail_block"),
+                coarse_tails=coarse_tails,
+                tail_shares=coarse_tails / (self.in_dim or 1),
+                err_scale=((self.in_dim or 0) + 2)
+                * _F32_ABS_SLACK
+                * joined("matrix_norm_block"),
+                fine_rank=shards[0].fine_rank if shards else 0,
             )
             self._score_table = table
         return table
@@ -550,114 +675,121 @@ class ShardedGallery:
                 f"expected (B, {self.in_dim}) embeddings, got {probes.shape}"
             )
         table = self._score_state()
-        lower_dist, norms = self._lower_distances(probes)
-        top_k = min(self.config.top_k, self._alive_count)
-        rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        results: list[GalleryMatch | None] = []
+        with obs.span("gallery_prescreen"):
+            screen = self._screen(probes, table)
         with obs.span("gallery_rerank"):
-            for row in range(probes.shape[0]):
-                results.append(
-                    self._rerank_probe(
-                        probes[row], norms[row], lower_dist[row], table,
-                        top_k, rows,
-                    )
-                )
+            return self._rerank(probes, screen, table)
+
+    def _rerank(
+        self, probes: np.ndarray, screen: _Screen, table: _ScoreTable
+    ) -> list[GalleryMatch]:
+        """Steps 2 and 3 of the cascade: first cut, fine level, best-first walk."""
+        slots = table.slots
+        seq_list = table.seq_list
+        lower = screen.lower
+        norms = screen.norms.tolist()
+        rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+
+        def exact(row: int, column: int) -> float:
+            cached = rows.get(column)
+            if cached is None:
+                shard, slot = slots[column]
+                cached = rows[column] = shard.rerank_row(slot)
+            return projected_cosine_distance(probes[row], *cached)
+
+        # The first cut: each probe's most likely match, scored exactly.
+        # Likelihood is the numerator over the coarse partial norm with
+        # the tail's expected share for an isotropic probe,
+        # ``||x||^2 T_k / in``, put back; only users whose coarse bound
+        # can beat or tie the cut survive.  A zero probe's cut is -inf,
+        # so it keeps no survivor.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            likely = screen.numerators / np.sqrt(
+                screen.coarse_sq
+                + np.square(screen.norms)[:, None] * table.tail_shares
+            )
+        likely[:, table.dead] = -np.inf
+        firsts = np.argmax(likely, axis=1).tolist()
+        cuts = [
+            exact(row, first) if norm else -math.inf
+            for row, (first, norm) in enumerate(zip(firsts, norms))
+        ]
+        survive = lower <= np.array(cuts)[:, None]
+        columns = np.flatnonzero(survive.any(axis=0))
+        bounds = (
+            self._fine_lower(screen, table, columns)
+            if columns.size
+            else np.empty((len(cuts), 0))
+        )
+        results: list[GalleryMatch] = []
+        for row, norm in enumerate(norms):
+            if not norm:
+                # Zero probes are maximally distant (1.0) from every
+                # user; the loop keeps the first enrolled — i.e. the
+                # minimum sequence number.
+                alive_columns = np.flatnonzero(table.alive)
+                best = int(alive_columns[np.argmin(table.seqs[alive_columns])])
+                best_distance, pool = 1.0, 0
+            else:
+                first = best = firsts[row]
+                best_distance, best_seq, pool = cuts[row], seq_list[first], 1
+                mine = survive[row, columns]
+                ranked, candidates = bounds[row, mine], columns[mine]
+                order = np.argsort(ranked)
+                # Best-first: once a bound exceeds the best exact
+                # distance, so does every later one, and no remaining
+                # user can beat or tie the answer.  Ties resolve on
+                # (distance, seq), so the scan order never matters.
+                for bound, column in zip(
+                    ranked[order].tolist(), candidates[order].tolist()
+                ):
+                    if bound > best_distance:
+                        break
+                    if column == first:
+                        continue
+                    distance = exact(row, column)
+                    pool += 1
+                    seq = seq_list[column]
+                    if distance < best_distance or (
+                        distance == best_distance and seq < best_seq
+                    ):
+                        best, best_distance, best_seq = column, distance, seq
+            obs.observe(
+                "gallery_rerank_pool", float(pool), buckets=DEFAULT_SIZE_BUCKETS
+            )
+            shard, slot = slots[best]
+            results.append(GalleryMatch(shard.user_ids[slot], best_distance))
         return results
 
-    def _lower_distances(
-        self, probes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Prescreen lower bounds ``(B, slots)`` on every slot's distance.
 
-        Columns follow the score table's slot order; dead slots read
-        ``inf``.  Also returns the probe norms, ``(B,)``.
-        """
-        table = self._score_state()
-        with obs.span("gallery_prescreen"):
-            numerators, partials = self._screen(probes, table.shards)
-        norms = np.linalg.norm(probes, axis=1)
-        partial_err = ((self.in_dim + 2) * _F32_ABS_SLACK) * (
-            norms[:, None] * table.matrix_norms[None, :]
-        )
-        denom_lb = np.maximum(
-            partials * (1.0 - _DENOM_SLACK) - partial_err, 0.0
-        )
-        denom_ub = np.sqrt(
-            np.square(partials + partial_err)
-            + np.square(norms)[:, None] * table.tails[None, :]
-        ) * (1.0 + _DENOM_SLACK)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(
-                numerators >= 0.0,
-                np.where(denom_lb > 0.0, numerators / denom_lb, np.inf),
-                np.where(denom_ub > 0.0, numerators / denom_ub, 0.0),
-            )
-        upper = np.minimum(
-            upper + np.abs(upper) * _UB_REL_SLACK + _UB_ABS_SLACK, 1.0
-        )
-        lower_dist = 1.0 - upper
-        lower_dist[:, ~table.alive] = np.inf
-        return lower_dist, norms
+def _lower_bound(
+    numerators: np.ndarray,
+    partial_sq: np.ndarray,
+    norms: np.ndarray,
+    partial_err: np.ndarray,
+    tails: np.ndarray,
+) -> np.ndarray:
+    """Lower distances from numerators, float32 partial norms and tails.
 
-    def _rerank_probe(
-        self,
-        probe: np.ndarray,
-        norm: float,
-        lower: np.ndarray,
-        table: _ScoreTable,
-        top_k: int,
-        rows: dict[int, tuple[np.ndarray, np.ndarray, float]],
-    ) -> GalleryMatch:
-        slots = table.slots
-        if norm == 0.0:
-            # Zero probes are maximally distant (1.0) from every user;
-            # the loop keeps the first enrolled — i.e. the minimum
-            # sequence number.
-            alive_columns = np.flatnonzero(table.alive)
-            first = alive_columns[np.argmin(table.seqs[alive_columns])]
-            shard, slot = slots[int(first)]
-            obs.observe(
-                "gallery_rerank_pool", 0.0, buckets=DEFAULT_SIZE_BUCKETS
-            )
-            return GalleryMatch(shard.user_ids[slot], 1.0)
-        if top_k < lower.shape[0]:
-            seed = np.argpartition(lower, top_k - 1)[:top_k]
-        else:
-            seed = np.flatnonzero(table.alive)
-        best_column = -1
-        best_distance = math.inf
-        best_seq = math.inf
-        done: set[int] = set()
-
-        def rerank(columns: list[int]) -> None:
-            nonlocal best_column, best_distance, best_seq
-            # Scan order is irrelevant: minimising (distance, seq) is
-            # order-independent, so the result is deterministic.
-            for column in columns:
-                if column in done or not table.alive_flags[column]:
-                    continue
-                done.add(column)
-                row = rows.get(column)
-                if row is None:
-                    shard, slot = slots[column]
-                    row = rows[column] = shard.rerank_row(slot)
-                distance = projected_cosine_distance(probe, *row)
-                seq = table.seq_list[column]
-                if distance < best_distance or (
-                    distance == best_distance and seq < best_seq
-                ):
-                    best_column = column
-                    best_distance = distance
-                    best_seq = seq
-
-        rerank(seed.tolist())
-        # Soundness expansion: every user whose distance lower bound
-        # could still beat (or tie) the best exact distance must be
-        # scored exactly.  Exact distances only shrink the qualifying
-        # set, so one round converges.
-        rerank(np.flatnonzero(lower <= best_distance).tolist())
-        obs.observe(
-            "gallery_rerank_pool", float(len(done)), buckets=DEFAULT_SIZE_BUCKETS
-        )
-        shard, slot = slots[best_column]
-        return GalleryMatch(shard.user_ids[slot], best_distance)
+    ``numerators``, ``partial_sq`` and ``partial_err`` are ``(B, n)``,
+    ``norms`` the ``(B,)`` probe norms and ``tails`` the ``(n,)``
+    residual energies of the level the partial norms were taken at.
+    """
+    partials = np.sqrt(partial_sq, dtype=np.float64)
+    denom_lb = partials * _LB_SCALE
+    denom_lb -= partial_err
+    np.maximum(denom_lb, 0.0, out=denom_lb)
+    denom_ub = partials + partial_err
+    np.square(denom_ub, out=denom_ub)
+    denom_ub += np.square(norms)[:, None] * tails
+    np.sqrt(denom_ub, out=denom_ub)
+    denom_ub *= _UB_SCALE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = numerators / np.where(numerators >= 0.0, denom_lb, denom_ub)
+    # A zero lower denominator gives +inf, or NaN for 0/0; fmax maps
+    # both to the trivial lower distance 0.  The upper denominator is
+    # at least ``partial_err``, so it is zero only for a zero probe
+    # (answered without the bound) or a zero matrix (whose numerator is
+    # exactly 0 and takes the lower denominator).
+    lower = np.subtract(1.0 - _UB_ABS_SLACK, upper, out=upper)
+    return np.fmax(lower, 0.0, out=lower)

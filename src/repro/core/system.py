@@ -356,9 +356,9 @@ class MandiPass:
 
         The batch runs once through the vectorised inference engine and
         each surviving probe goes through the sharded gallery's
-        prescreen + exact-rerank cascade (DESIGN.md §4h): a rank-r
-        projection lower-bounds every user's distance, and only the
-        candidates whose bound could win are scored exactly — with the
+        prescreen + exact-rerank cascade (DESIGN.md §4h): rank-k and
+        rank-r projections lower-bound the users' distances, and only
+        the candidates whose bound could win are scored exactly — with the
         per-user loop's own operations, so the decision is bitwise what
         the loop would return, at sub-linear cost.  Returns one entry
         per recording in input order; ``None`` marks a recording with

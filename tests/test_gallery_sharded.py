@@ -7,15 +7,19 @@ Five layers of coverage:
   tombstone, build-then-swap compaction that copies stored rows) and
   shape validation, the subspace basis and its residual clamp, and the
   lean exact scorer (bitwise ``cosine_distance``);
-* **bound soundness** — every prescreen lower distance is at most the
-  loop-exact distance, at ranks 1, out/2 and out, for float64 and
-  float32 matrices, probes orthogonal to a user's stored subspace and
-  zero templates;
+* **bound soundness** — at both prescreen levels, every coarse lower
+  distance is at most the rank-r one and that at most the loop-exact
+  distance, at ranks 1, the coarse rank, out/2 and out, for float64
+  and float32 matrices, probes orthogonal to a user's stored subspace
+  (coarse and full) and zero templates;
 * **cascade exactness** — identify through the prescreen + rerank
   cascade is *bitwise* identical to per-user loop scoring: random
-  galleries, adversarially loose bounds
-  (rank=1, top_k=1), distance ties, the zero-probe all-ties edge case,
-  and decisions across revoke / renew / compaction;
+  galleries, adversarially loose bounds (rank=1), a clustered
+  population the coarse level prunes (the fine level's gather
+  branch) and random probes most users survive (its contiguous
+  branch), distance ties, the zero-probe all-ties edge case,
+  decisions across revoke / renew / compaction and through an
+  exported epoch;
 * **facade integration** — the system facade's mutation helper feeds
   enroll / revoke / renew / adapt through the mutation log (no O(U)
   invalidation), and identify results track the surviving set;
@@ -40,7 +44,7 @@ from repro import obs
 from repro.config import GalleryConfig
 from repro.core.gallery import GalleryShard, ShardedGallery
 from repro.core.gallery import shard as shard_module
-from repro.core.gallery.shard import subspace_basis
+from repro.core.gallery.shard import COARSE_RANK, subspace_basis
 from repro.core.similarity import cosine_distance, projected_cosine_distance
 from repro.errors import ShapeError
 
@@ -154,7 +158,9 @@ class TestGalleryShard:
         assert shard.tombstone_ratio() == pytest.approx(1 / 3)
         # Tombstoned scoring state is zeroed so it cannot leak into gemms.
         assert not shard.numer_block()[:, 1].any()
-        assert not shard.prescreen_block()[:, 4:8].any()
+        assert not shard.coarse_block()[:, 4:8].any()
+        assert shard.fine_block().shape == (0, IN)  # rank 4 is all coarse
+        assert shard.coarse_tail_block()[1] == shard.tail_block()[1] == 0.0
         with pytest.raises(ShapeError):
             shard.matrix_for(1)
         compacted = shard.compacted()
@@ -176,14 +182,41 @@ class TestGalleryShard:
     def test_rank_capped_at_out_dim(self):
         shard = GalleryShard(capacity=2, in_dim=IN, out_dim=OUT, rank=99)
         assert shard.rank == OUT
+        assert shard.coarse_rank == min(COARSE_RANK, OUT)
+        assert shard.fine_rank == OUT - shard.coarse_rank
+
+    def test_nested_blocks_split_one_subspace_block(self):
+        # The two levels hold exactly the float32 block G @ Q, split
+        # at column k: coarse columns, fine rows transposed.
+        shard = GalleryShard(capacity=3, in_dim=IN, out_dim=OUT, rank=OUT)
+        for index in range(3):
+            shard.append(f"u{index}", _matrix(index), _template(index), seq=index)
+        k, fine = shard.coarse_rank, shard.fine_rank
+        assert fine > 0
+        for slot in range(3):
+            matrix = _matrix(slot)
+            block = (matrix @ subspace_basis(matrix, OUT)).astype(np.float32)
+            np.testing.assert_array_equal(
+                shard.coarse_block()[:, slot * k : (slot + 1) * k], block[:, :k]
+            )
+            np.testing.assert_array_equal(
+                shard.fine_block()[slot * fine : (slot + 1) * fine],
+                block[:, k:].T,
+            )
+            np.testing.assert_array_equal(
+                shard.fine_rows(np.array([slot])), block[:, k:].T
+            )
+        assert np.all(shard.coarse_tail_block() >= shard.tail_block())
 
     def test_compaction_copies_stored_rows_bitwise(self, monkeypatch):
-        shard = GalleryShard(capacity=6, in_dim=IN, out_dim=OUT, rank=4)
+        shard = GalleryShard(capacity=6, in_dim=IN, out_dim=OUT, rank=OUT)
         for index in range(6):
             template = np.zeros(OUT) if index == 3 else _template(index)
             shard.append(f"u{index}", _matrix(index), template, seq=index)
         for victim in (1, 4):
             shard.kill_slot(victim)
+        k, fine = shard.coarse_rank, shard.fine_rank
+        assert not shard.fine_block()[fine : 2 * fine].any()
 
         def no_rederive(*args):
             raise AssertionError("compaction must copy rows, not derive them")
@@ -192,15 +225,24 @@ class TestGalleryShard:
         compacted = shard.compacted()
         kept = [0, 2, 3, 5]
         assert compacted.count == len(kept)
-        blocks = shard.prescreen_block().reshape(IN, shard.count, 4)
+        coarse = shard.coarse_block().reshape(IN, shard.count, k)
         np.testing.assert_array_equal(
-            compacted.prescreen_block(),
-            blocks[:, kept].reshape(IN, len(kept) * 4),
+            compacted.coarse_block(),
+            coarse[:, kept].reshape(IN, len(kept) * k),
+        )
+        rows = shard.fine_block().reshape(shard.count, fine, IN)
+        np.testing.assert_array_equal(
+            compacted.fine_block(), rows[kept].reshape(len(kept) * fine, IN)
         )
         np.testing.assert_array_equal(
             compacted.numer_block(), shard.numer_block()[:, kept]
         )
-        for name in ("tail_block", "matrix_norm_block", "seq_block"):
+        for name in (
+            "tail_block",
+            "coarse_tail_block",
+            "matrix_norm_block",
+            "seq_block",
+        ):
             np.testing.assert_array_equal(
                 getattr(compacted, name)(), getattr(shard, name)()[kept]
             )
@@ -237,20 +279,29 @@ class TestGalleryShard:
         assert np.mean(subspace) < 0.75 * np.mean(leading)
 
     def test_stored_tail_never_below_true_residual(self):
-        shard = GalleryShard(capacity=20, in_dim=IN, out_dim=OUT, rank=3)
-        for index in range(20):
-            shard.append(f"u{index}", _matrix(index), _template(index), seq=index)
-            basis = subspace_basis(_matrix(index), 3).astype(np.longdouble)
-            matrix = _matrix(index).astype(np.longdouble)
-            residual = matrix - (matrix @ basis) @ basis.T
-            assert shard.tail_block()[index] >= float(np.sum(residual**2))
+        # Both tails: the rank tail outside Q and the coarse tail
+        # outside its first k columns.
+        for rank in (3, OUT):
+            shard = GalleryShard(capacity=20, in_dim=IN, out_dim=OUT, rank=rank)
+            for index in range(20):
+                shard.append(
+                    f"u{index}", _matrix(index), _template(index), seq=index
+                )
+                basis = subspace_basis(_matrix(index), rank).astype(np.longdouble)
+                matrix = _matrix(index).astype(np.longdouble)
+                for tail, columns in (
+                    (shard.tail_block(), basis),
+                    (shard.coarse_tail_block(), basis[:, : shard.coarse_rank]),
+                ):
+                    residual = matrix - (matrix @ columns) @ columns.T
+                    assert tail[index] >= float(np.sum(residual**2))
 
 
 # -- cascade exactness -----------------------------------------------------
 
 
 class TestCascadeExactness:
-    CONFIG = GalleryConfig(shard_size=4, top_k=2, prescreen_rank=3)
+    CONFIG = GalleryConfig(shard_size=4, prescreen_rank=3)
 
     def test_bitwise_parity_with_loop(self):
         gallery, users = _populated(11, self.CONFIG)
@@ -258,11 +309,11 @@ class TestCascadeExactness:
         _assert_parity(gallery, users, probes)
 
     def test_parity_under_adversarially_loose_bounds(self):
-        # rank=1 makes the prescreen bound as weak as it can be and
-        # top_k=1 the seed minimal: correctness must come entirely from
-        # the soundness expansion, whatever the cost.
+        # rank=1 makes the prescreen bound as weak as it can be:
+        # correctness must come entirely from the best-first walk's
+        # stopping rule, whatever the cost.
         gallery, users = _populated(
-            13, GalleryConfig(shard_size=3, top_k=1, prescreen_rank=1)
+            13, GalleryConfig(shard_size=3, prescreen_rank=1)
         )
         probes = np.random.default_rng(3).normal(size=(5, IN))
         _assert_parity(gallery, users, probes)
@@ -322,7 +373,7 @@ class TestCascadeExactness:
 
     def test_compaction_preserves_decisions_bitwise(self):
         config = GalleryConfig(
-            shard_size=4, top_k=2, prescreen_rank=3, compact_tombstone_ratio=0.2
+            shard_size=4, prescreen_rank=3, compact_tombstone_ratio=0.2
         )
         gallery, users = _populated(12, config)
         probes = np.random.default_rng(8).normal(size=(5, IN))
@@ -382,26 +433,56 @@ class TestCascadeExactness:
 
 
 def _lower_by_user(gallery, probes):
-    """The prescreen's lower distance per alive user, ``{user: (B,)}``."""
-    lower, _ = gallery._lower_distances(np.atleast_2d(probes))
+    """Both prescreen levels' lower distances per alive user.
+
+    ``{user: ((B,) coarse, (B,) rank-r)}``; the rank-r level is taken
+    for every alive user, as if all of them survived the coarse level.
+    """
     table = gallery._score_state()
+    screen = gallery._screen(np.atleast_2d(probes), table)
+    columns = np.flatnonzero(table.alive)
+    full = gallery._fine_lower(screen, table, columns)
     return {
-        shard.user_ids[slot]: lower[:, column]
-        for column, (shard, slot) in enumerate(table.slots)
-        if table.alive[column]
+        table.slots[column][0].user_ids[table.slots[column][1]]: (
+            screen.lower[:, column],
+            full[:, index],
+        )
+        for index, column in enumerate(columns.tolist())
     }
 
 
-def _orthogonal_probe(gallery, user_id):
-    """A probe with zero projection onto ``user_id``'s stored block."""
+def _stored_block(gallery, user_id, coarse_only=False):
+    """``user_id``'s stored float32 block ``G Q`` (or its coarse columns)."""
     shard_index, slot = gallery._index[user_id]
     shard = gallery._shards[shard_index]
-    rank = shard.rank
-    block = shard.prescreen_block()[:, slot * rank : (slot + 1) * rank]
-    left = np.linalg.svd(block.astype(np.float64))[0]
-    probe = 3.0 * left[:, rank]  # IN > rank: the block's left null space
-    assert np.linalg.norm(probe @ block.astype(np.float64)) < 1e-12
+    k, fine = shard.coarse_rank, shard.fine_rank
+    coarse = shard.coarse_block()[:, slot * k : (slot + 1) * k]
+    if coarse_only:
+        return coarse
+    return np.hstack([coarse, shard.fine_block()[slot * fine : (slot + 1) * fine].T])
+
+
+def _orthogonal_probe(gallery, user_id, coarse_only=False):
+    """A probe with zero projection onto ``user_id``'s stored block."""
+    block = _stored_block(gallery, user_id, coarse_only).astype(np.float64)
+    left = np.linalg.svd(block)[0]
+    probe = 3.0 * left[:, block.shape[1]]  # IN > rank: the left null space
+    assert np.linalg.norm(probe @ block) < 1e-12
     return probe
+
+
+class _Spy:
+    """Counts calls to one :class:`GalleryShard` method."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        original = getattr(GalleryShard, name)
+
+        def counted(shard, *args):
+            self.calls += 1
+            return original(shard, *args)
+
+        monkeypatch.setattr(GalleryShard, name, counted)
 
 
 class TestPrescreenBound:
@@ -410,9 +491,9 @@ class TestPrescreenBound:
     @pytest.mark.parametrize(
         "dtype", [np.float64, np.float32], ids=["resident", "float32"]
     )
-    @pytest.mark.parametrize("rank", [1, OUT // 2, OUT])
+    @pytest.mark.parametrize("rank", [1, OUT // 2, OUT, COARSE_RANK])
     def test_lower_bound_never_exceeds_loop_exact(self, rank, dtype):
-        config = GalleryConfig(shard_size=4, top_k=1, prescreen_rank=rank)
+        config = GalleryConfig(shard_size=4, prescreen_rank=rank)
         for trial in range(4):
             gallery = ShardedGallery(config)
             users: dict[str, tuple] = {}
@@ -426,6 +507,7 @@ class TestPrescreenBound:
             probes = np.vstack(
                 [np.random.default_rng(trial).normal(size=(5, IN))]
                 + [_orthogonal_probe(gallery, user) for user in users]
+                + [_orthogonal_probe(gallery, user, True) for user in users]
             )
             lower = _lower_by_user(gallery, probes)
             assert sorted(lower) == sorted(users)
@@ -433,11 +515,106 @@ class TestPrescreenBound:
                 exact = np.array(
                     [cosine_distance(probe @ matrix, template) for probe in probes]
                 )
-                assert np.all(lower[user_id] <= exact), (
+                coarse, full = lower[user_id]
+                assert np.all(coarse <= full), (
+                    f"rank={rank} trial={trial} {user_id}: coarse bound "
+                    f"{coarse} above rank-r bound {full}"
+                )
+                assert np.all(full <= exact), (
                     f"rank={rank} trial={trial} {user_id}: bound "
-                    f"{lower[user_id]} above exact {exact}"
+                    f"{full} above exact {exact}"
                 )
             _assert_parity(gallery, users, probes)
+
+    def test_clustered_population_prunes_at_the_coarse_level(self, monkeypatch):
+        # Each probe is one user's own: that user's template is the
+        # probe's projection (distance ~0), everyone else's is random
+        # (distance ~1), so the first cut excludes most users at the
+        # coarse level and the fine level gathers the few left, shard
+        # by shard (40 users in three shards).
+        in_dim, out_dim = 24, 24
+        rng = np.random.default_rng(11)
+        gallery = ShardedGallery(GalleryConfig(shard_size=16, prescreen_rank=16))
+        users: dict[str, tuple] = {}
+        probes = rng.normal(size=(6, in_dim))
+        for index in range(40):
+            matrix = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, out_dim))
+            if index < len(probes):
+                template = probes[index] @ matrix
+            else:
+                template = rng.normal(size=out_dim)
+            gallery.upsert(f"c{index}", matrix, template)
+            users[f"c{index}"] = (matrix, template)
+        gallery.sync()
+        noisy = probes + 0.05 * rng.normal(size=probes.shape)
+        table = gallery._score_state()
+        assert table.fine_rank == 16 - COARSE_RANK and len(table.shards) == 3
+        gathered = _Spy(monkeypatch, "fine_rows")
+        contiguous = _Spy(monkeypatch, "fine_block")
+        for probe in noisy:
+            screen = gallery._screen(probe[None, :], table)
+            cut = gallery.best_match(probe)[0].distance
+            assert np.count_nonzero(screen.lower[0] <= cut) < len(users) // 4
+            _assert_parity(gallery, users, probe[None, :])
+        assert gathered.calls >= len(noisy) and contiguous.calls == 0
+        _assert_parity(gallery, users, noisy)
+
+    def test_random_probes_read_the_fine_block_contiguously(self, monkeypatch):
+        # A crowd of near-identical users: every exact distance sits
+        # within ~1e-6 of the cut, far inside the coarse bound's gap,
+        # so random probes keep most users past the coarse level and
+        # the fine level streams the whole block instead of gathering.
+        rng = np.random.default_rng(12)
+        gallery = ShardedGallery(GalleryConfig(shard_size=64, prescreen_rank=OUT))
+        users: dict[str, tuple] = {}
+        for index in range(30):
+            matrix = _matrix(0) + 1e-6 * rng.normal(size=(IN, OUT))
+            template = _template(0) + 1e-6 * rng.normal(size=OUT)
+            gallery.upsert(f"n{index}", matrix, template)
+            users[f"n{index}"] = (matrix, template)
+        gallery.sync()
+        probes = rng.normal(size=(4, IN))
+        gathered = _Spy(monkeypatch, "fine_rows")
+        contiguous = _Spy(monkeypatch, "fine_block")
+        for probe in probes:
+            _assert_parity(gallery, users, probe[None, :])
+        _assert_parity(gallery, users, probes)
+        assert contiguous.calls == len(probes) + 1 and gathered.calls == 0
+
+
+class TestEpochRoundTrip:
+    def test_epoch_and_compaction_keep_best_match_bitwise(self):
+        config = GalleryConfig(
+            shard_size=4, prescreen_rank=OUT, compact_tombstone_ratio=0.2
+        )
+        gallery, users = _populated(11, config)
+        probes = np.vstack(
+            [np.random.default_rng(13).normal(size=(5, IN)), np.zeros(IN)]
+        )
+        for victim in ("u2", "u5", "u6"):
+            gallery.remove(victim)
+            users.pop(victim)
+        gallery.upsert("u9", _matrix(99), _template(99))
+        users["u9"] = (_matrix(99), _template(99))
+        gallery.sync()
+        assert gallery.compactions >= 1
+        live = gallery.best_match(probes)
+        arrays, meta = gallery.export_epoch()
+        clone = ShardedGallery.from_epoch(config, arrays, meta)
+        for gallery_copy in (gallery, clone):
+            matches = gallery_copy.best_match(probes)
+            assert [(m.user_id, m.distance) for m in matches] == [
+                (m.user_id, m.distance) for m in live
+            ]
+        for shard, adopted in zip(
+            [shard for shard in gallery._shards if shard.count], clone._shards
+        ):
+            for name in ("coarse_block", "fine_block", "tail_block", "coarse_tail_block"):
+                np.testing.assert_array_equal(
+                    getattr(adopted, name)(), getattr(shard, name)()
+                )
+        _assert_parity(gallery, users, probes[:-1])
+        _assert_parity(clone, users, probes[:-1])
 
 
 class TestProjectedCosineDistance:
@@ -502,7 +679,7 @@ def facade():
     return build_bench_system(
         dtype="float32",
         num_probes=6,
-        gallery=GalleryConfig(shard_size=2, top_k=1, prescreen_rank=4),
+        gallery=GalleryConfig(shard_size=2, prescreen_rank=4),
     )
 
 
@@ -613,7 +790,7 @@ class TestConcurrentMutationVsIdentification:
         started must never be returned.
         """
         config = GalleryConfig(
-            shard_size=4, top_k=2, prescreen_rank=3,
+            shard_size=4, prescreen_rank=3,
             compact_tombstone_ratio=0.3,
         )
         gallery = ShardedGallery(config)
@@ -740,7 +917,6 @@ class TestGalleryConfigValidation:
         "kwargs",
         [
             {"shard_size": 0},
-            {"top_k": 0},
             {"prescreen_rank": 0},
             {"shard_size": -1},
             {"compact_tombstone_ratio": 0.0},
