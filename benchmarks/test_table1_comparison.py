@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from repro.core.engine import InferenceEngine
 from repro.core.frontend import make_frontend
 from repro.core.enrollment import build_template
 from repro.core.mandibleprint import extract_embeddings
@@ -39,6 +40,7 @@ def test_table1_comparison(benchmark, production_model, users, enrolled,
     templates, probes, probe_labels = enrolled
     preprocessor = Preprocessor()
     frontend = make_frontend("spectral")
+    engine = InferenceEngine(production_model, preprocessor, frontend)
     recorder = Recorder(seed=9)
     person = users.profiles[1]
 
@@ -46,9 +48,7 @@ def test_table1_comparison(benchmark, production_model, users, enrolled,
         # RTC: one enrollment recording through the registration path.
         recording = recorder.record(person, trial_index=0)
         t0 = time.perf_counter()
-        template, _ = build_template(
-            production_model, preprocessor, frontend, [recording]
-        )
+        template, _ = build_template(engine, [recording])
         CancelableTransform(template.shape[0], seed=0).apply(template)
         rtc_s = time.perf_counter() - t0
 

@@ -154,7 +154,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     # An untrained (but deterministically seeded) compact extractor is
     # enough to exercise every instrumented stage; the decisions are
-    # meaningless but the latency/failure/cache metrics are real.
+    # meaningless but the latency/failure metrics are real.
     extractor_config = ExtractorConfig(embedding_dim=64, channels=(4, 8, 16))
     config = MandiPassConfig(
         extractor=extractor_config,
@@ -163,9 +163,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             compute_dtype=args.dtype, metrics_enabled=True
         ),
     )
-    # Eval mode up front: a deployed extractor never flips back to
-    # training, so the per-dtype parameter casts stay warm and the
-    # eval_cache hit/miss counters show the production pattern.
     model = TwoBranchExtractor(extractor_config, num_classes=4, seed=0).eval()
     with obs.collecting() as registry:
         device = MandiPass(model, config=config)

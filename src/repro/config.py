@@ -8,7 +8,9 @@ keeping the rest reproducible.  Defaults follow the paper:
 * segment length ``n = 60`` samples per axis (Section IV),
 * onset rule: window of 10 samples, start std > 250, sustain std >= 100,
 * high-pass 4th-order Butterworth, 20 Hz cutoff,
-* embedding dimension 512, decision threshold 0.5485 (Section VII-A).
+* embedding dimension 512, decision threshold 0.48 (the paper's 0.5485,
+  Section VII-A, recalibrated on the synthetic substrate; see
+  :class:`DecisionConfig`).
 """
 
 from __future__ import annotations

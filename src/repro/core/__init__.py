@@ -1,7 +1,8 @@
 """The paper's primary contribution: MandiblePrint extraction and the
 MandiPass authentication system.
 
-* :mod:`repro.core.extractor` -- the two-branch CNN of Fig. 8,
+* :mod:`repro.core.extractor` -- the two-branch CNN of Fig. 8 and its
+  frozen serving forward,
 * :mod:`repro.core.mandibleprint` -- embedding extraction,
 * :mod:`repro.core.similarity` -- cosine distance and decisions,
 * :mod:`repro.core.enrollment` / :mod:`repro.core.verification` -- the
@@ -17,7 +18,7 @@ used by the evaluation harness).
 """
 
 from repro.core.engine import BatchItemFailure, BatchOutcome, InferenceEngine
-from repro.core.extractor import TwoBranchExtractor
+from repro.core.extractor import FrozenExtractor, TwoBranchExtractor
 from repro.core.frontend import (
     FrontEnd,
     GradientFrontEnd,
@@ -32,6 +33,7 @@ __all__ = [
     "BatchItemFailure",
     "BatchOutcome",
     "FrontEnd",
+    "FrozenExtractor",
     "GradientFrontEnd",
     "InferenceEngine",
     "MandiPass",

@@ -25,9 +25,8 @@ import numpy as np
 
 from repro import errors
 from repro.config import ResilienceConfig
-from repro.core.extractor import TwoBranchExtractor
+from repro.core.extractor import FrozenExtractor, TwoBranchExtractor
 from repro.core.frontend import FrontEnd
-from repro.core.mandibleprint import extract_embeddings
 from repro.core.similarity import center_embedding
 from repro.dsp.pipeline import Preprocessor
 from repro.errors import ConfigError, ShapeError, TransientError
@@ -158,7 +157,9 @@ class InferenceEngine:
             is the opt-in inference fast path — roughly half the memory
             traffic and double the BLAS throughput, with embedding drift
             bounded by the parity tests.  Distances and decisions are
-            computed in float64 regardless.
+            computed in float64 regardless.  The engine builds its
+            :class:`~repro.core.extractor.FrozenExtractor` here, once:
+            it serves the model as it was at construction.
         resilience: retry/backoff and degraded-mode policy.  ``None``
             uses :class:`repro.config.ResilienceConfig` defaults: two
             retries with exponential backoff on
@@ -178,14 +179,10 @@ class InferenceEngine:
     ) -> None:
         if batch_size <= 0:
             raise ConfigError("batch_size must be positive")
-        compute_dtype = np.dtype(compute_dtype)
-        if compute_dtype not in (np.float32, np.float64):
-            raise ConfigError("compute_dtype must be float32 or float64")
-        self.model = model
+        self.extractor = FrozenExtractor(model, compute_dtype)
         self.preprocessor = preprocessor
         self.frontend = frontend
         self.batch_size = batch_size
-        self.compute_dtype = compute_dtype
         self.resilience = resilience or ResilienceConfig()
 
     def _with_retry(self, fn: Callable[[], T], stage: str) -> T:
@@ -252,14 +249,7 @@ class InferenceEngine:
         faults.maybe_delay("engine.extractor")
         faults.maybe_fail("engine.extractor")
         with obs.span("extractor"):
-            return center_embedding(
-                extract_embeddings(
-                    self.model,
-                    feature_arrays,
-                    batch_size=self.batch_size,
-                    dtype=self.compute_dtype,
-                )
-            )
+            return center_embedding(self.extractor(feature_arrays, self.batch_size))
 
     # -- end-to-end -----------------------------------------------------
 
@@ -296,7 +286,7 @@ class InferenceEngine:
                 lambda: self.embed_features(features), "extractor"
             )
         else:
-            values = np.empty((0, self.model.config.embedding_dim))
+            values = np.empty((0, self.extractor.config.embedding_dim))
         return BatchOutcome(
             values=values,
             indices=indices,

@@ -13,9 +13,6 @@ import dataclasses
 import numpy as np
 
 from repro.core.engine import InferenceEngine
-from repro.core.extractor import TwoBranchExtractor
-from repro.core.frontend import FrontEnd
-from repro.dsp.pipeline import Preprocessor
 from repro.errors import EnrollmentError
 from repro.security.cancelable import CancelableTransform
 from repro.types import RawRecording
@@ -39,17 +36,15 @@ class EnrollmentResult:
 
 
 def build_template(
-    model: TwoBranchExtractor,
-    preprocessor: Preprocessor,
-    frontend: FrontEnd,
-    recordings: list[RawRecording],
+    engine: InferenceEngine, recordings: list[RawRecording]
 ) -> tuple[np.ndarray, int]:
     """Extract and average embeddings from enrollment recordings.
 
     The recordings run through the batched
     :class:`repro.core.engine.InferenceEngine` in one pass; recordings
     without a detectable vibration are skipped (the engine records them
-    as per-item failures), and at least one must survive.
+    as per-item failures), and at least one must survive.  The engine
+    needs its preprocessor and front end.
 
     Returns:
         ``(template, used_count)`` where template is ``(embedding_dim,)``.
@@ -57,7 +52,6 @@ def build_template(
     Raises:
         repro.errors.EnrollmentError: if no recording was usable.
     """
-    engine = InferenceEngine(model, preprocessor, frontend)
     outcome = engine.embed(recordings)
     if outcome.num_ok == 0:
         raise EnrollmentError("no enrollment recording contained a vibration")
@@ -66,16 +60,14 @@ def build_template(
 
 def enroll_user(
     user_id: str,
-    model: TwoBranchExtractor,
-    preprocessor: Preprocessor,
-    frontend: FrontEnd,
+    engine: InferenceEngine,
     recordings: list[RawRecording],
     transform: CancelableTransform,
 ) -> EnrollmentResult:
     """Full registration: template -> cancelable projection."""
     if not recordings:
         raise EnrollmentError("enrollment requires at least one recording")
-    template, used = build_template(model, preprocessor, frontend, recordings)
+    template, used = build_template(engine, recordings)
     cancelable = transform.apply(template)
     return EnrollmentResult(
         user_id=user_id,

@@ -8,6 +8,10 @@ flattened branch outputs are concatenated, projected by a fully
 connected layer, and squashed by a sigmoid into the MandiblePrint
 vector (512-d by default).  A final linear head maps the embedding to
 person logits for the VSP-side training.
+
+Serving runs :class:`FrozenExtractor`: the trained model's arrays,
+snapshotted once in the serving compute dtype, and one flat forward
+over them with no module walk.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from repro.config import ExtractorConfig
 from repro.errors import ConfigError, ModelError, ShapeError
+from repro.nn import functional as F
 from repro.nn.functional import conv_output_size
 from repro.nn.layers import (
     BatchNorm2d,
@@ -57,6 +62,15 @@ def _branch(
     return layers, c3 * height * width
 
 
+def _check_features(x: np.ndarray, config: ExtractorConfig) -> None:
+    expected = (2, config.num_axes, config.input_width)
+    if x.ndim != 4 or x.shape[1:] != expected:
+        raise ShapeError(
+            f"extractor expects (B, {expected[0]}, {expected[1]}, "
+            f"{expected[2]}), got {x.shape}"
+        )
+
+
 class TwoBranchExtractor(Module):
     """Fig. 8: positive/negative branches -> concat -> FC -> sigmoid.
 
@@ -91,25 +105,14 @@ class TwoBranchExtractor(Module):
 
     # ------------------------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        # Compute-dtype policy: training (and any non-float input) runs
-        # in float64; an eval-mode float32 batch stays float32 through
-        # the whole forward (the layers cache per-dtype parameter
-        # casts), which is the inference engine's opt-in fast path.
-        x = np.asarray(x)
-        if self.training or x.dtype not in (np.float32, np.float64):
-            x = x.astype(np.float64, copy=False)
-        expected = (2, self.config.num_axes, self.config.input_width)
-        if x.ndim != 4 or x.shape[1:] != expected:
-            raise ShapeError(
-                f"extractor expects (B, {expected[0]}, {expected[1]}, "
-                f"{expected[2]}), got {x.shape}"
-            )
-        return x
-
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """MandiblePrint vectors ``(B, embedding_dim)`` (no logits)."""
-        x = self._check_input(x)
+        """MandiblePrint vectors ``(B, embedding_dim)`` (no logits).
+
+        Computes in float64 in either mode; the serving forward is
+        :class:`FrozenExtractor`.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        _check_features(x, self.config)
         pos = self.branch_pos(x[:, 0:1, :, :])
         neg = self.branch_neg(x[:, 1:2, :, :])
         features = np.concatenate([pos, neg], axis=1)
@@ -139,3 +142,114 @@ class TwoBranchExtractor(Module):
     def storage_nbytes(self) -> int:
         """On-device model size in bytes (float32), Section VII-E."""
         return self.num_parameters() * 4
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _freeze_branch(
+    branch: Sequential, config: ExtractorConfig, dtype: np.dtype
+) -> tuple[tuple, ...]:
+    """Per conv block: geometry, output shape and read-only arrays."""
+    height, width = config.num_axes, config.input_width
+    convs = [layer for layer in branch.layers if isinstance(layer, Conv2d)]
+    norms = [layer for layer in branch.layers if isinstance(layer, BatchNorm2d)]
+    blocks = []
+    for conv, norm in zip(convs, norms):
+        height = conv_output_size(
+            height, conv.kernel_size[0], conv.stride[0], conv.padding[0]
+        )
+        width = conv_output_size(
+            width, conv.kernel_size[1], conv.stride[1], conv.padding[1]
+        )
+        scale, shift = norm.folded_affine()
+        weight = conv.weight.data.reshape(conv.out_channels, -1)
+        blocks.append((
+            (conv.kernel_size, conv.stride, conv.padding),
+            (conv.out_channels, height, width),
+            _frozen(weight.astype(dtype)),
+            _frozen(conv.bias.data.astype(dtype)[None, :, None, None]),
+            _frozen(scale.astype(dtype)[None, :, None, None]),
+            _frozen(shift.astype(dtype)[None, :, None, None]),
+        ))
+    return tuple(blocks)
+
+
+class FrozenExtractor:
+    """The served MandiblePrint forward: one model snapshot, one dtype.
+
+    Built once from a trained :class:`TwoBranchExtractor` (in either
+    mode; BatchNorm contributes its running statistics), it copies the
+    parameters into read-only arrays in the compute dtype: per conv
+    block the ``(F, C·kh·kw)`` weight matrix, the bias and BatchNorm's
+    folded ``scale``/``shift``
+    (:meth:`~repro.nn.layers.BatchNorm2d.folded_affine`), then the
+    transposed FC weight and bias.  The forward runs the eval forward's
+    operations in its order — conv gemm plus bias, ``* scale +
+    shift``, ReLU; flatten, concatenate, FC, sigmoid — so in float64
+    it is bitwise equal to ``model.embed`` at every batch size.
+
+    This is the inference compute-dtype policy (DESIGN.md §4d):
+    ``float64`` is bit-compatible with training, ``float32`` is the
+    opt-in fast path.  The snapshot does not follow later edits of the
+    model; build a new one after training or ``load_state``.  Calls
+    are safe from concurrent threads (the im2col workspaces are
+    per-thread).
+    """
+
+    __slots__ = ("dtype", "config", "_branches", "_fc")
+
+    def __init__(
+        self, model: TwoBranchExtractor, dtype: np.dtype | str = np.float64
+    ) -> None:
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ConfigError("compute dtype must be float32 or float64")
+        self.dtype = dtype
+        self.config = model.config
+        branches = (model.branch_pos, model.branch_neg)
+        self._branches = tuple(
+            _freeze_branch(branch, self.config, dtype) for branch in branches
+        )
+        fc = model.embedding_layer
+        self._fc = (
+            _frozen(fc.weight.data.astype(dtype)).T,
+            _frozen(fc.bias.data.astype(dtype)),
+        )
+
+    def __call__(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """MandiblePrint vectors ``(B, embedding_dim)`` in :attr:`dtype`.
+
+        ``features`` is ``(B, 2, num_axes, input_width)``; the forward
+        runs in chunks of ``batch_size`` rows.
+        """
+        x = np.asarray(features, dtype=self.dtype)
+        _check_features(x, self.config)
+        if batch_size <= 0:
+            raise ShapeError("batch_size must be positive")
+        if not len(x):
+            return np.empty((0, self.config.embedding_dim), dtype=self.dtype)
+        return np.concatenate(
+            [
+                self._forward(x[start : start + batch_size])
+                for start in range(0, len(x), batch_size)
+            ],
+            axis=0,
+        )
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        flat = []
+        for channel, blocks in enumerate(self._branches):
+            h = x[:, channel : channel + 1]
+            for geometry, out_shape, weight, bias, scale, shift in blocks:
+                cols = F.im2col(h, *geometry, reuse=True)
+                h = (weight @ cols).reshape(len(x), *out_shape)
+                h += bias
+                h *= scale
+                h += shift
+                np.maximum(h, 0.0, out=h)
+            flat.append(h.reshape(len(x), -1))
+        weight_t, bias = self._fc
+        return F.sigmoid(np.concatenate(flat, axis=1) @ weight_t + bias)

@@ -82,6 +82,9 @@ class MandiPass:
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
         )
+        # Templates are built by a default-settings (float64) engine,
+        # whatever the serving dtype; built once like the serving one.
+        self._enroll_engine = InferenceEngine(model, self.preprocessor, self.frontend)
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}
@@ -135,12 +138,7 @@ class MandiPass:
         )
         with self._rwlock.write_locked():
             result = enroll_user(
-                user_id,
-                self.model,
-                self.preprocessor,
-                self.frontend,
-                recordings,
-                transform,
+                user_id, self._enroll_engine, recordings, transform
             )
             self._transforms[user_id] = transform
             self.enclave.seal(user_id, result.cancelable_template, transform.seed)

@@ -36,7 +36,7 @@ class _ThreadLocalWorkspaces(threading.local):
 
     ``reuse=True`` hands out *aliased* buffers (the returned columns
     are only valid until the next same-shape call), so the pool must
-    never be shared between threads: two concurrent eval forwards at
+    never be shared between threads: two concurrent serving forwards at
     the same shape signature would gather into the same column buffer
     mid-gemm.  A ``threading.local`` pool keeps the aliasing contract
     single-threaded while each serving worker keeps its own buffers

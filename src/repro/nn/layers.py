@@ -6,41 +6,30 @@ accumulates parameter gradients and returns the input gradient.  Layers
 are stateful between a forward and its matching backward, exactly like
 a define-by-run framework in training mode.
 
-In eval mode, forward skips the activation caching entirely — the
-inference engine runs eval-mode forwards only, and retaining im2col
-buffers and masks for a backward that never comes costs both time and
-memory.  A ``backward`` after an eval-mode forward therefore raises
-:class:`repro.errors.ModelError`, the same as a backward with no
-forward at all.
+In eval mode, forward skips the activation caching entirely — retaining
+im2col buffers and masks for a backward that never comes costs both
+time and memory.  A ``backward`` after an eval-mode forward therefore
+raises :class:`repro.errors.ModelError`, the same as a backward with no
+forward at all.  BatchNorm's eval forward applies its running
+statistics as one folded ``x * scale + shift``
+(:meth:`BatchNorm2d.folded_affine`).
 
-Eval mode additionally follows the *input dtype* (the inference
-compute-dtype policy, DESIGN.md §4d): a float32 batch runs the whole
-forward in float32 against per-dtype cached casts of the float64 master
-parameters, and BatchNorm folds its running statistics into one cached
-scale/shift so the eval forward is a single multiply-add per layer.
-Those derived caches are invalidated whenever parameters may have
-changed: on the train→eval transition (optimisers step in train mode)
-and on ``load_state``.
-
-Eval-mode forwards are safe to run concurrently (the serving layer's
-worker threads share one extractor): the only state an eval forward
-touches is the per-module eval cache, whose first-touch population is
-guarded by a per-module lock — two workers racing the same (key, dtype)
-entry can neither double-build it nor observe a half-built value.
-Training-mode forwards remain single-threaded by contract (they mutate
-activation caches and BatchNorm running statistics).
+Every layer computes in float64.  Serving does not walk this module
+tree: :class:`repro.core.extractor.FrozenExtractor` snapshots a trained
+model's arrays once, in the serving compute dtype, and owns the
+inference compute-dtype policy (DESIGN.md §4d).  Eval-mode forwards
+keep no per-call state, so concurrent ones are safe; training-mode
+forwards remain single-threaded by contract (they mutate activation
+caches and BatchNorm running statistics).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
 from repro.nn import functional as F
 from repro.nn.tensor import Parameter, kaiming_uniform
-from repro.obs import runtime as obs
 
 
 class Module:
@@ -48,32 +37,6 @@ class Module:
 
     def __init__(self) -> None:
         self.training = True
-        self._eval_cache: dict = {}
-        self._eval_cache_lock = threading.Lock()
-
-    def _eval_cached(self, key: str, dtype: np.dtype, builder):
-        """Memoise ``builder()`` per (key, dtype) for eval-mode forwards.
-
-        Double-checked under a per-module lock: concurrent eval
-        forwards (serving workers) hit the fast path with no lock once
-        the entry exists, and a first-touch race builds exactly once —
-        never twice, and never exposes a half-built entry (the dict
-        publication happens after ``builder()`` returns).
-        """
-        cache_key = (key, np.dtype(dtype))
-        entry = self._eval_cache.get(cache_key)
-        if entry is not None:
-            obs.inc("eval_cache_total", result="hit")
-            return entry
-        with self._eval_cache_lock:
-            entry = self._eval_cache.get(cache_key)
-            if entry is None:
-                entry = builder()
-                self._eval_cache[cache_key] = entry
-                obs.inc("eval_cache_total", result="miss")
-            else:
-                obs.inc("eval_cache_total", result="hit")
-        return entry
 
     # -- traversal ------------------------------------------------------
 
@@ -113,12 +76,6 @@ class Module:
         return self
 
     def eval(self) -> "Module":
-        # Entering eval after training: parameters (and BatchNorm
-        # running statistics) may have moved, so derived eval caches
-        # rebuild lazily.  Re-calling eval() on an eval module keeps
-        # the caches warm — nothing can have stepped the parameters.
-        if self.training:
-            self._eval_cache = {}
         self.training = False
         for child in self.children():
             child.eval()
@@ -159,57 +116,7 @@ class Module:
         """Restore arrays saved by :meth:`state_dict` (strict shapes)."""
         self._restore_state(state, prefix="")
 
-    def adopt_state(self, state: dict[str, np.ndarray]) -> None:
-        """Reference arrays saved by :meth:`state_dict` without copying.
-
-        The zero-copy sibling of :meth:`load_state`, for serving worker
-        processes that map model parameters out of a shared-memory
-        segment (:mod:`repro.serve.shm`): the adopted (typically
-        read-only) arrays become the parameter/buffer storage directly,
-        so N workers share one physical copy.  Eval-mode use only — a
-        training step would write through the mapping.  Arrays must
-        already be float64 (what :meth:`state_dict` emits), so the
-        referenced bytes are bitwise what the source model holds and
-        per-dtype eval caches derive identically.
-        """
-        self._adopt_state(state, prefix="")
-
-    def _adopt_state(self, state: dict[str, np.ndarray], prefix: str) -> None:
-        self._eval_cache = {}
-        for name, value in self.__dict__.items():
-            key = f"{prefix}{name}"
-            if isinstance(value, Parameter):
-                if key not in state:
-                    raise ModelError(f"missing parameter {key!r} in state dict")
-                saved = state[key]
-                if saved.shape != value.data.shape:
-                    raise ModelError(
-                        f"shape mismatch for {key!r}: saved {saved.shape}, "
-                        f"expected {value.data.shape}"
-                    )
-                if saved.dtype != np.float64:
-                    raise ModelError(
-                        f"adopt_state requires float64 arrays, got "
-                        f"{saved.dtype} for {key!r}"
-                    )
-                value.data = saved
-            elif isinstance(value, np.ndarray) and name.startswith("running_"):
-                if key not in state:
-                    raise ModelError(f"missing buffer {key!r} in state dict")
-                saved = state[key]
-                if saved.shape != value.shape:
-                    raise ModelError(f"shape mismatch for buffer {key!r}")
-                if saved.dtype != np.float64:
-                    raise ModelError(
-                        f"adopt_state requires float64 arrays, got "
-                        f"{saved.dtype} for buffer {key!r}"
-                    )
-                setattr(self, name, saved)
-        for idx, child in enumerate(self.children()):
-            child._adopt_state(state, prefix=f"{prefix}c{idx}.")
-
     def _restore_state(self, state: dict[str, np.ndarray], prefix: str) -> None:
-        self._eval_cache = {}
         for name, value in self.__dict__.items():
             key = f"{prefix}{name}"
             if isinstance(value, Parameter):
@@ -282,24 +189,12 @@ class Conv2d(Module):
         out_w = F.conv_output_size(
             x.shape[3], self.kernel_size[1], self.stride[1], self.padding[1]
         )
-        if not self.training:
-            # The workspace pool, whose buffers the next same-shape
-            # forward overwrites, is inference-only; so are the weight
-            # matrix and bias column in the input's dtype, built once.
-            w_mat, bias = self._eval_cached("w", x.dtype, lambda: (
-                self.weight.data.reshape(self.out_channels, -1).astype(x.dtype),
-                self.bias.data.astype(x.dtype)[:, None],
-            ))
-            cols = F.im2col(x, self.kernel_size, self.stride, self.padding, reuse=True)
-            out = w_mat @ cols + bias
-            self._cache = None
-            return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
-        # Training must own its columns: backward re-reads them.
         cols = F.im2col(x, self.kernel_size, self.stride, self.padding)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         # (F, K) @ (B, K, L) broadcasts to a BLAS gemm per batch item.
         out = w_mat @ cols + self.bias.data[None, :, None]
-        self._cache = (x.shape, cols)
+        # Backward re-reads the columns.
+        self._cache = (x.shape, cols) if self.training else None
         return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -336,24 +231,17 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(num_channels)
         self._cache: tuple | None = None
 
-    def _eval_affine(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    def folded_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Running stats + gamma/beta folded to one ``x * scale + shift``.
 
-        Folded in float64, cast to the compute dtype, cached per dtype;
-        invalidated by the Module eval-cache rules (train→eval
-        transition, load_state).
+        ``(C,)`` float64 arrays; the eval forward and the frozen
+        serving forward (:class:`repro.core.extractor.FrozenExtractor`)
+        both apply this fold.
         """
-
-        def build() -> tuple[np.ndarray, np.ndarray]:
-            std = np.sqrt(self.running_var + self.eps)
-            scale = self.gamma.data / std
-            shift = self.beta.data - self.running_mean * scale
-            return (
-                scale.astype(dtype)[None, :, None, None],
-                shift.astype(dtype)[None, :, None, None],
-            )
-
-        return self._eval_cached("affine", dtype, build)
+        std = np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.data / std
+        shift = self.beta.data - self.running_mean * scale
+        return scale, shift
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_channels:
@@ -361,9 +249,9 @@ class BatchNorm2d(Module):
                 f"BatchNorm2d expected (B, {self.num_channels}, H, W), got {x.shape}"
             )
         if not self.training:
-            scale, shift = self._eval_affine(x.dtype)
+            scale, shift = self.folded_affine()
             self._cache = None
-            return x * scale + shift
+            return x * scale[None, :, None, None] + shift[None, :, None, None]
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         self.running_mean = (
@@ -481,17 +369,7 @@ class Linear(Module):
                 f"Linear expected (B, {self.in_features}), got {x.shape}"
             )
         self._input = x if self.training else None
-        weight_t = self.weight.data.T
-        bias = self.bias.data
-        if not self.training and x.dtype != weight_t.dtype:
-            weight_t, bias = self._eval_cached(
-                "wT", x.dtype,
-                lambda: (
-                    self.weight.data.T.astype(x.dtype),
-                    self.bias.data.astype(x.dtype),
-                ),
-            )
-        return x @ weight_t + bias
+        return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._input is None:

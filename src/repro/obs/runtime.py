@@ -26,7 +26,6 @@ batch_size                histogram  ``op``: embed, verify_many,
                                      identify_many
 failures_total            counter    ``error``: BatchItemFailure.error
 decisions_total           counter    ``decision``: accept, reject, refusal
-eval_cache_total          counter    ``result``: hit, miss
 enrolled_users            gauge      --
 gallery_users             gauge      --
 ========================  =========  =======================================

@@ -430,7 +430,7 @@ def serving_benchmark(
     )
     system, user_id, probes = build_bench_system(dtype=dtype, serving=serving)
 
-    # Warm the eval caches and the im2col workspaces once per shape.
+    # Warm the im2col workspaces once per shape.
     system.verify_many(user_id, probes[: min(8, len(probes))])
     system.verify(user_id, probes[0])
 

@@ -13,13 +13,14 @@ This module escapes the interpreter instead (DESIGN.md §4i):
   is untouched — a dispatcher behaves exactly like a thread worker
   whose ``verify_many`` happens to run elsewhere.
 
-* **Shared read-mostly state.**  Model parameters and the gallery's
-  resident scoring arrays are published once into shared-memory
-  segments (:mod:`repro.serve.shm`) and mapped zero-copy by every
-  worker: the worker's model adopts the mapped float64 parameter
-  arrays (:meth:`~repro.nn.layers.Module.adopt_state`), so per-dtype
-  eval caches derive from bitwise-identical bytes, and its gallery is
-  rebuilt around the mapped blocks
+* **Replica state.**  The model's float64 state dict travels in the
+  pickled :class:`WorkerBootstrap`; each worker restores it with
+  :meth:`~repro.nn.layers.Module.load_state` and builds its own
+  :class:`~repro.core.extractor.FrozenExtractor` from the same bytes
+  the parent's engine was built from.  The gallery's resident scoring
+  arrays are published into shared-memory segments
+  (:mod:`repro.serve.shm`) and mapped zero-copy by every worker, which
+  rebuilds its gallery around the mapped blocks
   (:meth:`~repro.core.gallery.sharded.ShardedGallery.from_epoch`).
   Decisions are therefore **bitwise identical** to the single-process
   path on identical batch compositions.
@@ -84,13 +85,13 @@ class WorkerBootstrap:
     """Everything a spawned worker needs to build its replica.
 
     Must stay picklable under the ``spawn`` start method: frozen
-    config dataclasses, plain ints/bools and the plain-dict
-    shared-memory manifest all are.
+    config dataclasses, plain ints/bools and the model's state dict of
+    float64 arrays all are.
     """
 
     config: "MandiPassConfig"
     num_classes: int
-    model_manifest: dict
+    model_state: dict
     metrics_enabled: bool
 
 
@@ -113,7 +114,7 @@ class _EpochTransform:  # pragma: no cover - runs in worker processes
 
 
 class WorkerReplica:  # pragma: no cover - runs in worker processes
-    """The child-side pipeline: model + engine + adopted gallery epochs."""
+    """The child-side pipeline: engine + adopted gallery epochs."""
 
     def __init__(self, bootstrap: WorkerBootstrap) -> None:
         from repro.core.engine import InferenceEngine
@@ -127,12 +128,8 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
         model = TwoBranchExtractor(
             config.extractor, num_classes=bootstrap.num_classes, seed=0
         )
-        # Map the parent's parameters zero-copy; the freshly-initialised
-        # weights above only fixed the module topology.
-        self._model_segment, arrays = shm.attach(bootstrap.model_manifest)
-        model.eval()
-        model.adopt_state(arrays)
-        self.model = model
+        # The freshly-initialised weights only fixed the module topology.
+        model.load_state(bootstrap.model_state)
         self.engine = InferenceEngine(
             model,
             Preprocessor(config.preprocess),
@@ -269,11 +266,10 @@ def _worker_main(  # pragma: no cover - worker process entry point
 def _exit_worker(conn) -> None:  # pragma: no cover - worker side
     """Leave the worker process without running interpreter teardown.
 
-    A replica's model parameters and gallery views alias mapped
-    shared-memory pages, so normal finalization would have
-    ``SharedMemory.__del__`` try to close mappings that still have
-    exported numpy pointers — a harmless but noisy ``BufferError`` per
-    segment at every clean shutdown.  ``os._exit`` skips finalization
+    A replica's gallery views alias mapped shared-memory pages, so
+    normal finalization would have ``SharedMemory.__del__`` try to
+    close mappings that still have exported numpy pointers — a harmless
+    but noisy ``BufferError`` per segment at every clean shutdown.  ``os._exit`` skips finalization
     entirely; the OS reclaims the mappings, and segment lifetime is
     the parent's job anyway.
     """
@@ -353,7 +349,6 @@ class WorkerPool:
             threading.Lock() for _ in range(self.num_processes)
         ]
         self._bootstrap: WorkerBootstrap | None = None
-        self._model_segment = None
         self._epoch_segment = None
         self._epoch_manifest: dict | None = None
         self._epoch_generation = 0
@@ -365,13 +360,11 @@ class WorkerPool:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "WorkerPool":
-        """Publish model + initial epoch, then spawn every worker."""
-        model_state = self._system.model.state_dict()
-        self._model_segment, model_manifest = shm.publish(model_state, "model")
+        """Publish the initial epoch, then spawn every worker."""
         self._bootstrap = WorkerBootstrap(
             config=self._system.config,
             num_classes=self._system.model.num_classes,
-            model_manifest=model_manifest,
+            model_state=self._system.model.state_dict(),
             metrics_enabled=obs.get_registry().enabled,
         )
         try:
@@ -409,8 +402,6 @@ class WorkerPool:
                 worker.conn.close()
             except Exception:
                 pass
-        shm.unlink(self._model_segment)
-        self._model_segment = None
         shm.unlink(self._epoch_segment)
         self._epoch_segment = None
         self._epoch_manifest = None

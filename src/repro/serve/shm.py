@@ -2,8 +2,8 @@
 
 The multi-process serving pool (:mod:`repro.serve.pool`) escapes the
 GIL by running the full verify/identify pipeline in worker *processes*.
-What makes that cheap is that the big read-mostly state — model
-parameters, stacked shard template matrices, prescreen blocks — is
+What makes that cheap is that the big read-mostly state — the
+gallery's stacked shard template matrices and prescreen blocks — is
 published once into ``multiprocessing.shared_memory`` segments and
 mapped zero-copy by every worker, instead of each process holding a
 private copy.

@@ -2,20 +2,23 @@
 
 Covers the degenerate batches (empty, all-fail, mixed — input-order
 indices must survive all three), single-vs-batch numerical equivalence
-at every stage, the verify/verify_many decision parity, and the
-eval-mode cache/state satellites.
+at every stage, the verify/verify_many decision parity, the frozen
+serving forward's contract, and the eval-mode state satellites.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro import InferenceEngine, MandiPass
 from repro.core.engine import BatchItemFailure, BatchOutcome
+from repro.core.extractor import FrozenExtractor, TwoBranchExtractor
 from repro.core.frontend import GradientFrontEnd, RectifiedSpectralFrontEnd
 from repro.core.mandibleprint import extract_embeddings
-from repro.core.similarity import cosine_distance
+from repro.core.similarity import center_embedding, cosine_distance
 from repro.core.verification import REJECTED_DISTANCE, verify_batch
 from repro.dsp.pipeline import Preprocessor
 from repro.errors import ConfigError, ModelError, ShapeError
@@ -279,6 +282,78 @@ class TestEngineConstruction:
         assert np.allclose(emb, expected)
 
 
+# ------------------------------------------------ frozen serving forward
+
+
+@pytest.fixture()
+def served_model(trained_model):
+    """A private copy of the trained model (tests here edit it)."""
+    model = TwoBranchExtractor(
+        trained_model.config, num_classes=trained_model.num_classes, seed=1
+    )
+    model.load_state(trained_model.state_dict())
+    return model.eval()
+
+
+class TestFrozenExtractor:
+    def test_float64_bitwise_equals_eval_forward(self, served_model, hired_dataset):
+        norms = served_model.branch_pos.layers[1], served_model.branch_neg.layers[4]
+        for norm in norms:  # the fold carries trained running statistics
+            assert np.abs(norm.running_mean).max() > 1e-3
+            assert np.abs(norm.running_var - 1.0).max() > 1e-3
+        frozen = FrozenExtractor(served_model, np.float64)
+        features = hired_dataset.features[:64]
+        for batch in (1, 3, 64):
+            want = served_model.embed(features[:batch])
+            assert frozen(features[:batch]).tobytes() == want.tobytes()
+
+    def test_float32_within_drift_bound(self, served_model, hired_dataset):
+        features = hired_dataset.features[:16]
+        emb32 = FrozenExtractor(served_model, np.float32)(features)
+        emb64 = FrozenExtractor(served_model, np.float64)(features)
+        assert emb32.dtype == np.float32
+        assert np.max(np.abs(emb64 - emb32)) < 1e-4
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_engine_serves_the_frozen_forward(
+        self, served_model, hired_dataset, dtype
+    ):
+        engine = InferenceEngine(served_model, compute_dtype=dtype)
+        features = hired_dataset.features[:8]
+        want = center_embedding(FrozenExtractor(served_model, dtype)(features))
+        assert engine.embed_features(features).tobytes() == want.tobytes()
+
+    def test_engine_is_a_snapshot(self, served_model, hired_dataset):
+        engine = InferenceEngine(served_model, compute_dtype="float32")
+        features = hired_dataset.features[:4]
+        before = engine.embed_features(features)
+        served_model.train()
+        for param in served_model.parameters():
+            param.data += 0.5
+        served_model.branch_pos.layers[1].running_mean += 1.0
+        assert engine.embed_features(features).tobytes() == before.tobytes()
+
+    def test_concurrent_calls_agree(self, served_model, hired_dataset):
+        engine = InferenceEngine(served_model, compute_dtype="float32")
+        features = hired_dataset.features[:8]
+        want = engine.embed_features(features)
+        barrier = threading.Barrier(4)
+        outputs: list = [None] * 4
+
+        def worker(index: int) -> None:
+            barrier.wait(10)
+            outputs[index] = [engine.embed_features(features) for _ in range(20)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        for runs in outputs:
+            assert runs is not None
+            assert all(run.tobytes() == want.tobytes() for run in runs)
+
+
 # ----------------------------------------------- eval-mode state satellites
 
 
@@ -298,21 +373,18 @@ class TestEvalModeSatellites:
     def test_eval_model_embeddings_survive_mode_round_trips(
         self, trained_model, hired_dataset, dtype
     ):
-        # An eval-mode model is not re-walked by extract_embeddings, so
-        # its cached eval weights serve the call; a train()/eval()
-        # round trip drops and rebuilds them from the same parameters.
+        # extract_embeddings snapshots the model's arrays and never
+        # reads its mode: a training-mode model embeds bitwise as in
+        # eval mode.
         features = hired_dataset.features[:6]
         trained_model.eval()
         warm = extract_embeddings(trained_model, features, dtype=dtype)
         again = extract_embeddings(trained_model, features, dtype=dtype)
         trained_model.train()
-        trained_model.eval()
-        rebuilt = extract_embeddings(trained_model, features, dtype=dtype)
-        trained_model.train()
         from_training = extract_embeddings(trained_model, features, dtype=dtype)
         assert trained_model.training is True
         trained_model.eval()
-        for other in (again, rebuilt, from_training):
+        for other in (again, from_training):
             assert other.tobytes() == warm.tobytes()
 
     def test_eval_forward_caches_nothing(self, rng):

@@ -136,6 +136,12 @@ class TestExtractEmbeddings:
     def test_empty_batch(self, trained_model):
         emb = extract_embeddings(trained_model, np.empty((0, 2, 6, 31)))
         assert emb.shape == (0, trained_model.config.embedding_dim)
+        assert emb.dtype == np.float64
+        emb32 = extract_embeddings(
+            trained_model, np.empty((0, 2, 6, 31)), dtype=np.float32
+        )
+        assert emb32.shape == (0, trained_model.config.embedding_dim)
+        assert emb32.dtype == np.float32
 
     def test_same_user_closer_than_different(self, trained_model, user_dataset):
         emb = center_embedding(extract_embeddings(trained_model, user_dataset.features))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import InferenceEngine
 from repro.core.enrollment import build_template, enroll_user
 from repro.core.frontend import make_frontend
 from repro.core.verification import verify_presented_vector
@@ -29,24 +30,24 @@ def enrolled(mandipass_system, population):
 
 class TestEnrollment:
     def test_empty_recordings_rejected(self, trained_model):
-        fe = make_frontend("spectral")
+        engine = InferenceEngine(trained_model, Preprocessor(), make_frontend("spectral"))
         with pytest.raises(EnrollmentError):
             enroll_user(
-                "x", trained_model, Preprocessor(), fe, [],
+                "x", engine, [],
                 CancelableTransform(trained_model.config.embedding_dim, seed=0),
             )
 
     def test_silent_recordings_rejected(self, trained_model):
-        fe = make_frontend("spectral")
+        engine = InferenceEngine(trained_model, Preprocessor(), make_frontend("spectral"))
         silent = [np.zeros((210, 6))]
         with pytest.raises(EnrollmentError):
-            build_template(trained_model, Preprocessor(), fe, silent)
+            build_template(engine, silent)
 
     def test_template_dimension(self, trained_model, population):
         recorder = Recorder(seed=3)
-        fe = make_frontend("spectral")
+        engine = InferenceEngine(trained_model, Preprocessor(), make_frontend("spectral"))
         recs = [recorder.record(population[2], trial_index=i) for i in range(3)]
-        template, used = build_template(trained_model, Preprocessor(), fe, recs)
+        template, used = build_template(engine, recs)
         assert template.shape == (trained_model.config.embedding_dim,)
         assert used == 3
 

@@ -145,9 +145,9 @@ class TestFailureAttribution:
     ):
         """Whole-batch stages (frontend/extractor) must raise, not hide."""
         monkeypatch.setattr(
-            engine.model,
-            "embed",
-            _raise_on_call(engine.model.embed, 0, RuntimeError("injected forward")),
+            engine,
+            "extractor",
+            _raise_on_call(engine.extractor, 0, RuntimeError("injected forward")),
         )
         with pytest.raises(RuntimeError, match="injected forward"):
             engine.embed(good_recordings)
@@ -229,34 +229,6 @@ class TestServingPathMetrics:
         assert snapshot["histograms"][gallery_series]["count"] == 1
         assert registry.counter("decisions_total", decision="refusal").value == 1
         assert snapshot["gauges"]["gallery_users"] == 1.0
-
-    def test_eval_cache_counters(self, population, recorder):
-        """First float32 forward misses the per-dtype casts; reruns hit."""
-        config = ExtractorConfig(embedding_dim=64, channels=(4, 8, 16))
-        model = TwoBranchExtractor(config, num_classes=4, seed=3).eval()
-        engine = InferenceEngine(
-            model, Preprocessor(), make_frontend("spectral"),
-            compute_dtype="float32",
-        )
-        batch = [recorder.record(population[0], trial_index=95 + i) for i in range(2)]
-        with obs.collecting() as registry:
-            engine.embed(batch)
-            misses_after_first = registry.counter(
-                "eval_cache_total", result="miss"
-            ).value
-            hits_after_first = registry.counter(
-                "eval_cache_total", result="hit"
-            ).value
-            engine.embed(batch)
-            misses_after_second = registry.counter(
-                "eval_cache_total", result="miss"
-            ).value
-            hits_after_second = registry.counter(
-                "eval_cache_total", result="hit"
-            ).value
-        assert misses_after_first > 0
-        assert misses_after_second == misses_after_first  # casts stay warm
-        assert hits_after_second > hits_after_first
 
     def test_metrics_enabled_config_switch(self, trained_model):
         previous = obs.get_registry()

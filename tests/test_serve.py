@@ -556,7 +556,7 @@ class TestParity:
         assert not thread.is_alive()
 
 
-# -- eval-cache concurrency (satellite: lock-guarded first touch) ---------
+# -- concurrent cold start (threads share one frozen forward) -------------
 
 
 class TestEvalCacheConcurrency:
@@ -587,18 +587,12 @@ class TestEvalCacheConcurrency:
         _, _, probes = serve_system
         num_threads = 4
 
-        # Reference: how many cache builds one cold pass performs.
         cold = self._fresh_system()
         cold.enroll("u", probes[:4])
-        with obs.collecting() as registry:
-            baseline = cold.verify_many("u", probes)
-            misses_single = registry.to_dict()["counters"].get(
-                'eval_cache_total{result="miss"}', 0.0
-            )
-        assert misses_single > 0  # float32 eval casts exercise the cache
+        baseline = cold.verify_many("u", probes)
 
-        # Concurrent cold start on an identical system: same number of
-        # builds (each entry built exactly once) and identical outputs.
+        # Concurrent cold start on an identical system: every thread's
+        # decisions equal the single-threaded ones.
         system = self._fresh_system()
         system.enroll("u", probes[:4])
         outputs: list = [None] * num_threads
@@ -608,19 +602,14 @@ class TestEvalCacheConcurrency:
             barrier.wait(10)
             outputs[index] = system.verify_many("u", probes)
 
-        with obs.collecting() as registry:
-            threads = [
-                threading.Thread(target=worker, args=(i,), daemon=True)
-                for i in range(num_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-            misses_concurrent = registry.to_dict()["counters"].get(
-                'eval_cache_total{result="miss"}', 0.0
-            )
-        assert misses_concurrent == misses_single
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(num_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
         for result_list in outputs:
             assert result_list is not None
             for got, want in zip(result_list, baseline):

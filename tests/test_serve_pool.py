@@ -3,7 +3,7 @@
 The expensive spawn-backed tests are few and share servers where they
 can — on a 1-CPU container each worker process costs real wall-clock
 to boot.  Everything that can be verified without a child process
-(segment packing, epoch export/import, zero-copy model adoption,
+(segment packing, epoch export/import, the worker's model bootstrap,
 metrics merging) is, so failures localise to the layer that broke.
 
 Every test asserts the shared-memory namespace is clean on teardown —
@@ -199,52 +199,45 @@ class TestEpochExport:
         assert version == 0 and arrays == {} and meta["shards"] == []
 
 
-# -- zero-copy model adoption (no child processes) ------------------------
+# -- worker model bootstrap (no child processes) -------------------------
 
 
-class TestAdoptState:
-    def test_adopted_model_embeds_bitwise_identically(self, pool_system):
+class TestWorkerBootstrap:
+    def test_loaded_state_embeds_bitwise_identically(self, pool_system):
+        """The replica's path: state dict → load_state → frozen forward."""
+        import pickle
+
         from repro.core.engine import InferenceEngine
         from repro.core.extractor import TwoBranchExtractor
         from repro.core.frontend import make_frontend
         from repro.dsp.pipeline import Preprocessor
 
         system, _, probes = pool_system
-        segment, manifest = serve_shm.publish(system.model.state_dict(), "model")
-        try:
-            _, views = serve_shm.attach(manifest)
-            clone = TwoBranchExtractor(
-                system.config.extractor, num_classes=4, seed=1234
-            ).eval()
-            clone.adopt_state(views)
-            engine = InferenceEngine(
-                clone,
-                Preprocessor(system.config.preprocess),
-                make_frontend(system.config.extractor.frontend),
-                batch_size=system.config.inference.batch_size,
-                compute_dtype=system.config.inference.compute_dtype,
-                resilience=system.config.resilience,
-            )
-            want = system.engine.embed(probes[:3]).values
-            got = engine.embed(probes[:3]).values
-            assert got.tobytes() == want.tobytes()
-            del views, clone, engine
-        finally:
-            serve_shm.unlink(segment)
+        state = pickle.loads(pickle.dumps(system.model.state_dict()))
+        clone = TwoBranchExtractor(system.config.extractor, num_classes=4, seed=1234)
+        clone.load_state(state)
+        engine = InferenceEngine(
+            clone,
+            Preprocessor(system.config.preprocess),
+            make_frontend(system.config.extractor.frontend),
+            batch_size=system.config.inference.batch_size,
+            compute_dtype=system.config.inference.compute_dtype,
+            resilience=system.config.resilience,
+        )
+        want = system.engine.embed(probes[:3]).values
+        got = engine.embed(probes[:3]).values
+        assert got.tobytes() == want.tobytes()
 
-    def test_adopt_rejects_non_float64(self, pool_system):
+    def test_load_state_rejects_malformed_state(self, pool_system):
         system, *_ = pool_system
         from repro.core.extractor import TwoBranchExtractor
 
-        state = {
-            key: value.astype(np.float32)
-            for key, value in system.model.state_dict().items()
-        }
-        clone = TwoBranchExtractor(
-            system.config.extractor, num_classes=4, seed=0
-        ).eval()
-        with pytest.raises(ModelError, match="float64"):
-            clone.adopt_state(state)
+        state = dict(system.model.state_dict())
+        key = next(iter(state))
+        state[key] = state[key][..., :-1]
+        clone = TwoBranchExtractor(system.config.extractor, num_classes=4, seed=0)
+        with pytest.raises(ModelError, match="shape mismatch"):
+            clone.load_state(state)
 
 
 # -- config + metrics aggregation (no child processes) --------------------
