@@ -28,15 +28,15 @@ import sys
 
 def _cmd_info(args: argparse.Namespace) -> int:
     import repro
-    from repro.config import DEFAULT_CONFIG
+    from repro.config import DEFAULT_CONFIG, HIGHPASS_ORDER, SAMPLE_RATE_HZ
 
     cfg = DEFAULT_CONFIG
     print(f"repro {repro.__version__} -- MandiPass (ICDCS 2021) reproduction")
-    print(f"  sampling      : {cfg.sampling.rate_hz} Hz, "
+    print(f"  sampling      : {SAMPLE_RATE_HZ} Hz, "
           f"{cfg.sampling.duration_s}s per trial")
     print(f"  segment       : n = {cfg.preprocess.segment_length}, "
           f"high-pass {cfg.preprocess.highpass_cutoff_hz} Hz "
-          f"(order {cfg.preprocess.highpass_order})")
+          f"(order {HIGHPASS_ORDER})")
     print(f"  front end     : {cfg.extractor.frontend} "
           f"(width {cfg.extractor.input_width})")
     print(f"  MandiblePrint : {cfg.extractor.embedding_dim}-d, "

@@ -1,16 +1,29 @@
 """Frozen configuration objects for every pipeline stage.
 
-Each stage of MandiPass takes its tunables from a small frozen dataclass
-so that experiment sweeps (Section VII) can vary one knob at a time while
-keeping the rest reproducible.  Defaults follow the paper:
+A value is a settable field only if something needs to set it: a
+perfbench workload, a paper experiment (the ablation and sweep benches)
+or a test of a behaviour the system must keep.  The values the paper
+fixes and nothing varies are constants next to the code that reads
+them, or here when several modules read one:
 
-* sampling rate 350 Hz (the paper's "0.2 (60 / 350) seconds" in VII-E),
-* segment length ``n = 60`` samples per axis (Section IV),
-* onset rule: window of 10 samples, start std > 250, sustain std >= 100,
-* high-pass 4th-order Butterworth, 20 Hz cutoff,
-* embedding dimension 512, decision threshold 0.48 (the paper's 0.5485,
-  Section VII-A, recalibrated on the synthetic substrate; see
-  :class:`DecisionConfig`).
+* :data:`SAMPLE_RATE_HZ` (350 Hz, the paper's "0.2 (60 / 350) seconds"
+  in VII-E), :data:`INTERNAL_RATE_HZ` (the physiological simulation)
+  and :data:`HIGHPASS_ORDER` (the 4th-order Butterworth, Section IV),
+* the onset thresholds (start std > 250, sustain std >= 100) in
+  :mod:`repro.dsp.detection` and the sustained-energy gate in
+  :mod:`repro.dsp.pipeline`,
+* the conv geometry (3x3 kernels, stride 1x2, Fig. 8) and the
+  256-row forward chunk in :mod:`repro.core.extractor`, and the retry
+  backoff schedule below,
+* the drain waits in :mod:`repro.serve.server` and
+  :mod:`repro.stream.session`.
+
+``tests/test_config.py`` pins the field names of every class, so a new
+knob is a deliberate change.  Defaults follow the paper: segment length
+``n = 60`` samples per axis and a 10-sample onset window (Section IV),
+a 20 Hz high-pass cutoff, embedding dimension 512 and decision
+threshold 0.48 (the paper's 0.5485, Section VII-A, recalibrated on the
+synthetic substrate; see :class:`DecisionConfig`).
 """
 
 from __future__ import annotations
@@ -18,6 +31,21 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ConfigError
+
+#: IMU output data rate.  The paper's prototype samples at about 350 Hz;
+#: common earphone IMUs stay below 500 Hz.
+SAMPLE_RATE_HZ = 350
+#: Rate of the continuous-time physiological simulation before sensor
+#: sampling, an integer multiple of :data:`SAMPLE_RATE_HZ`.
+INTERNAL_RATE_HZ = 2800
+#: Order of the Section IV high-pass Butterworth (even, so it splits into
+#: biquads).
+HIGHPASS_ORDER = 4
+#: Retry backoff schedule: the first delay, its growth per attempt and
+#: the ceiling on one sleep (:meth:`ResilienceConfig.backoff_delay`).
+BACKOFF_INITIAL_S = 0.005
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_S = 0.25
 
 
 def _require(cond: bool, message: str) -> None:
@@ -30,13 +58,8 @@ class SamplingConfig:
     """IMU acquisition parameters.
 
     Attributes:
-        rate_hz: IMU output data rate.  The paper's prototype samples at
-            about 350 Hz; common earphone IMUs stay below 500 Hz.
         duration_s: length of each recorded trial, including the silent
             lead-in before the user voices 'EMM'.
-        internal_rate_hz: rate of the continuous-time physiological
-            simulation before sensor sampling.  Must be an integer
-            multiple of ``rate_hz``.
         utterance_s: how long the voiced 'EMM' lasts from its onset.
             ``None`` (default) sustains voicing to the end of the trial
             -- the paper's short-trial behaviour, and bitwise identical
@@ -45,18 +68,11 @@ class SamplingConfig:
             captures use to expose the cardiac channel (DESIGN.md §4l).
     """
 
-    rate_hz: int = 350
     duration_s: float = 0.6
-    internal_rate_hz: int = 2800
     utterance_s: float | None = None
 
     def __post_init__(self) -> None:
-        _require(self.rate_hz > 0, "rate_hz must be positive")
         _require(self.duration_s > 0, "duration_s must be positive")
-        _require(
-            self.internal_rate_hz % self.rate_hz == 0,
-            "internal_rate_hz must be a multiple of rate_hz",
-        )
         _require(
             self.utterance_s is None
             or 0.0 < self.utterance_s <= self.duration_s,
@@ -66,12 +82,12 @@ class SamplingConfig:
     @property
     def oversample(self) -> int:
         """Internal simulation steps per IMU sample."""
-        return self.internal_rate_hz // self.rate_hz
+        return INTERNAL_RATE_HZ // SAMPLE_RATE_HZ
 
     @property
     def num_samples(self) -> int:
         """Number of IMU samples in one trial."""
-        return int(round(self.duration_s * self.rate_hz))
+        return int(round(self.duration_s * SAMPLE_RATE_HZ))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,26 +96,17 @@ class PreprocessConfig:
 
     segment_length: int = 60
     onset_window: int = 10
-    onset_std_start: float = 250.0
-    onset_std_sustain: float = 100.0
     onset_sustain_windows: int = 3
     mad_threshold: float = 3.5
-    min_segment_std: float = 50.0
     highpass_cutoff_hz: float = 20.0
-    highpass_order: int = 4
-    sample_rate_hz: int = 350
 
     def __post_init__(self) -> None:
         _require(self.segment_length > 1, "segment_length must be > 1")
         _require(self.onset_window > 1, "onset_window must be > 1")
-        _require(self.onset_std_start > 0, "onset_std_start must be > 0")
-        _require(self.onset_std_sustain > 0, "onset_std_sustain must be > 0")
         _require(self.onset_sustain_windows >= 0, "onset_sustain_windows >= 0")
         _require(self.mad_threshold > 0, "mad_threshold must be > 0")
-        _require(self.min_segment_std >= 0, "min_segment_std must be >= 0")
-        _require(self.highpass_order in (2, 4, 6, 8), "order must be even, 2..8")
         _require(
-            0 < self.highpass_cutoff_hz < self.sample_rate_hz / 2,
+            0 < self.highpass_cutoff_hz < SAMPLE_RATE_HZ / 2,
             "cutoff must be below Nyquist",
         )
 
@@ -117,9 +124,6 @@ class ExtractorConfig:
 
     embedding_dim: int = 512
     channels: tuple[int, int, int] = (8, 16, 32)
-    kernel_size: tuple[int, int] = (3, 3)
-    stride: tuple[int, int] = (1, 2)
-    num_axes: int = 6
     frontend: str = "spectral"
     input_width: int = 31
 
@@ -149,7 +153,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         _require(self.epochs > 0, "epochs must be positive")
@@ -169,7 +172,6 @@ class InferenceConfig:
             twice the BLAS throughput), with embedding drift bounded by
             the parity tests and decisions computed in float64 either
             way.
-        batch_size: forward-pass chunking of the inference engine.
         metrics_enabled: turn on process-wide metric collection
             (:mod:`repro.obs`) when the system facade is constructed.
             Off by default: the instrumented call sites then hit the
@@ -179,7 +181,6 @@ class InferenceConfig:
     """
 
     compute_dtype: str = "float64"
-    batch_size: int = 256
     metrics_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -187,7 +188,6 @@ class InferenceConfig:
             self.compute_dtype in ("float32", "float64"),
             "compute_dtype must be 'float32' or 'float64'",
         )
-        _require(self.batch_size > 0, "batch_size must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,8 +255,6 @@ class ServingConfig:
         queue_capacity: admission bound on queued requests; submissions
             beyond it resolve as explicitly *rejected* rather than
             growing an unbounded heap.
-        drain_timeout_s: how long ``stop(drain=True)`` waits for the
-            workers to finish the accepted backlog.
         num_worker_processes: size of the multi-process worker pool
             (DESIGN.md §4i).  0 (default) serves from one in-process
             dispatcher thread; N > 0 spawns N worker processes, each
@@ -268,13 +266,11 @@ class ServingConfig:
 
     max_batch_size: int = 64
     queue_capacity: int = 1024
-    drain_timeout_s: float = 30.0
     num_worker_processes: int = 0
 
     def __post_init__(self) -> None:
         _require(self.max_batch_size > 0, "max_batch_size must be positive")
         _require(self.queue_capacity > 0, "queue_capacity must be positive")
-        _require(self.drain_timeout_s > 0, "drain_timeout_s must be positive")
         _require(
             self.num_worker_processes >= 0,
             "num_worker_processes must be non-negative",
@@ -296,11 +292,8 @@ class ResilienceConfig:
     Attributes:
         max_retries: bounded retry budget for transient stage failures
             (per stage in the engine, per batch in the server).  0
-            disables retrying.
-        backoff_initial_s: first retry delay; doubles (by
-            ``backoff_multiplier``) per attempt up to ``backoff_max_s``.
-        backoff_multiplier: exponential backoff growth factor.
-        backoff_max_s: ceiling on one backoff sleep.
+            disables retrying; each retry first sleeps
+            :meth:`backoff_delay`.
         stage_timeout_s: wall-clock bound on one batch call in a
             serving worker.  ``None`` (default) runs the call inline at
             zero cost; a value runs it on a helper thread and refuses
@@ -318,9 +311,6 @@ class ResilienceConfig:
     """
 
     max_retries: int = 2
-    backoff_initial_s: float = 0.005
-    backoff_multiplier: float = 2.0
-    backoff_max_s: float = 0.25
     stage_timeout_s: float | None = None
     breaker_failure_threshold: int = 8
     breaker_cooldown_s: float = 0.5
@@ -328,10 +318,6 @@ class ResilienceConfig:
 
     def __post_init__(self) -> None:
         _require(self.max_retries >= 0, "max_retries must be >= 0")
-        _require(self.backoff_initial_s >= 0, "backoff_initial_s must be >= 0")
-        _require(self.backoff_multiplier >= 1.0, "backoff_multiplier must be >= 1")
-        _require(self.backoff_max_s >= self.backoff_initial_s,
-                 "backoff_max_s must be >= backoff_initial_s")
         _require(
             self.stage_timeout_s is None or self.stage_timeout_s > 0,
             "stage_timeout_s must be positive when given",
@@ -347,10 +333,12 @@ class ResilienceConfig:
         )
 
     def backoff_delay(self, attempt: int) -> float:
-        """The sleep before retry number ``attempt`` (0-based)."""
+        """The sleep before retry number ``attempt`` (0-based).
+
+        5 ms, doubling per attempt, capped at 0.25 s.
+        """
         return min(
-            self.backoff_initial_s * self.backoff_multiplier**attempt,
-            self.backoff_max_s,
+            BACKOFF_INITIAL_S * BACKOFF_MULTIPLIER**attempt, BACKOFF_MAX_S
         )
 
 
@@ -361,7 +349,7 @@ class StreamConfig:
     A :class:`~repro.stream.StreamSession` consumes a live ``(k, 6)``
     IMU feed, confirms 'EMM' onsets with the streaming detector, and
     submits each captured post-onset window for verification.  All
-    sample counts are at the IMU rate (350 Hz by default).
+    sample counts are at the IMU rate (:data:`SAMPLE_RATE_HZ`).
 
     Attributes:
         chunk_size: default push granularity for the CLI demo and the
@@ -376,11 +364,6 @@ class StreamConfig:
             the submitted window reproduces the batch pipeline exactly;
             hitting this cap discards the buffer and re-arms with a
             fresh detector, bounding memory at a few seconds of feed.
-        verify_timeout_ms: optional queueing deadline forwarded to
-            :meth:`repro.serve.AuthServer.verify` for server-backed
-            sessions; ``None`` submits without a deadline.
-        drain_timeout_s: default wait for in-flight verifications in
-            :meth:`~repro.stream.StreamSession.drain`.
 
     Windows without a usable vibration are submitted like any other and
     come back from the engine as refusals.
@@ -389,8 +372,6 @@ class StreamConfig:
     chunk_size: int = 35
     cooldown_samples: int = 105
     rearm_after_samples: int = 4096
-    verify_timeout_ms: float | None = None
-    drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         _require(self.chunk_size > 0, "chunk_size must be positive")
@@ -398,11 +379,6 @@ class StreamConfig:
         _require(
             self.rearm_after_samples > 0, "rearm_after_samples must be positive"
         )
-        _require(
-            self.verify_timeout_ms is None or self.verify_timeout_ms > 0,
-            "verify_timeout_ms must be positive when given",
-        )
-        _require(self.drain_timeout_s > 0, "drain_timeout_s must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -456,10 +432,6 @@ class MandiPassConfig:
             >= self.preprocess.segment_length + 3 * self.preprocess.onset_window,
             "stream.rearm_after_samples must fit one confirmable event "
             "(segment_length + 3 * onset_window)",
-        )
-        _require(
-            self.preprocess.sample_rate_hz == self.sampling.rate_hz,
-            "preprocess.sample_rate_hz must match sampling.rate_hz",
         )
         _require(
             self.extractor.input_width

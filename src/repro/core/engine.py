@@ -151,7 +151,6 @@ class InferenceEngine:
         preprocessor: Section IV pipeline; optional when only
             feature-level entry points (:meth:`embed_features`) are used.
         frontend: direction-splitting front end; optional likewise.
-        batch_size: forward-pass chunking for the extractor.
         compute_dtype: dtype the extractor forward runs in.  ``float64``
             (the default) is bit-compatible with training; ``float32``
             is the opt-in inference fast path — roughly half the memory
@@ -173,16 +172,12 @@ class InferenceEngine:
         model: TwoBranchExtractor,
         preprocessor: Preprocessor | None = None,
         frontend: FrontEnd | None = None,
-        batch_size: int = 256,
         compute_dtype: np.dtype | str = "float64",
         resilience: ResilienceConfig | None = None,
     ) -> None:
-        if batch_size <= 0:
-            raise ConfigError("batch_size must be positive")
         self.extractor = FrozenExtractor(model, compute_dtype)
         self.preprocessor = preprocessor
         self.frontend = frontend
-        self.batch_size = batch_size
         self.resilience = resilience or ResilienceConfig()
 
     def _with_retry(self, fn: Callable[[], T], stage: str) -> T:
@@ -242,14 +237,15 @@ class InferenceEngine:
     def embed_features(self, feature_arrays: np.ndarray) -> np.ndarray:
         """Centred MandiblePrints ``(K, d)`` for stacked feature arrays.
 
-        The extractor forward runs in the engine's compute dtype; the
-        centring upcasts to float64, so everything downstream (cosine
+        The extractor forward runs in the engine's compute dtype, in
+        chunks of the frozen forward's default 256 rows; the centring
+        upcasts to float64, so everything downstream (cosine
         distances, decisions) is float64 either way.
         """
         faults.maybe_delay("engine.extractor")
         faults.maybe_fail("engine.extractor")
         with obs.span("extractor"):
-            return center_embedding(self.extractor(feature_arrays, self.batch_size))
+            return center_embedding(self.extractor(feature_arrays))
 
     # -- end-to-end -----------------------------------------------------
 

@@ -32,6 +32,12 @@ from repro.nn.layers import (
     Sequential,
     Sigmoid,
 )
+from repro.types import NUM_AXES
+
+#: Every conv block's geometry (Fig. 8): a 3x3 kernel at stride 1x2,
+#: zero-padded by half a kernel.
+KERNEL_SIZE = (3, 3)
+STRIDE = (1, 2)
 
 
 def _branch(
@@ -39,8 +45,7 @@ def _branch(
 ) -> tuple[Sequential, int]:
     """One convolutional branch and its flattened output size."""
     c1, c2, c3 = config.channels
-    kernel = config.kernel_size
-    stride = config.stride
+    kernel, stride = KERNEL_SIZE, STRIDE
     pad = (kernel[0] // 2, kernel[1] // 2)
     layers = Sequential(
         Conv2d(1, c1, kernel, stride, pad, rng=rng),
@@ -54,7 +59,7 @@ def _branch(
         ReLU(),
         Flatten(),
     )
-    height = config.num_axes
+    height = NUM_AXES
     width = config.input_width
     for _ in range(3):
         height = conv_output_size(height, kernel[0], stride[0], pad[0])
@@ -63,7 +68,7 @@ def _branch(
 
 
 def _check_features(x: np.ndarray, config: ExtractorConfig) -> None:
-    expected = (2, config.num_axes, config.input_width)
+    expected = (2, NUM_AXES, config.input_width)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ShapeError(
             f"extractor expects (B, {expected[0]}, {expected[1]}, "
@@ -153,7 +158,7 @@ def _freeze_branch(
     branch: Sequential, config: ExtractorConfig, dtype: np.dtype
 ) -> tuple[tuple, ...]:
     """Per conv block: geometry, output shape and read-only arrays."""
-    height, width = config.num_axes, config.input_width
+    height, width = NUM_AXES, config.input_width
     convs = [layer for layer in branch.layers if isinstance(layer, Conv2d)]
     norms = [layer for layer in branch.layers if isinstance(layer, BatchNorm2d)]
     blocks = []
@@ -222,7 +227,7 @@ class FrozenExtractor:
     def __call__(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """MandiblePrint vectors ``(B, embedding_dim)`` in :attr:`dtype`.
 
-        ``features`` is ``(B, 2, num_axes, input_width)``; the forward
+        ``features`` is ``(B, 2, 6, input_width)``; the forward
         runs in chunks of ``batch_size`` rows.
         """
         x = np.asarray(features, dtype=self.dtype)

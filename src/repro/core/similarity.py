@@ -122,8 +122,3 @@ def center_embedding(embedding: np.ndarray) -> np.ndarray:
     values (genuine ~0.49, impostor ~0.70, threshold 0.5485).
     """
     return np.asarray(embedding, dtype=np.float64) - SIGMOID_MIDPOINT
-
-
-def mandibleprint_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine distance between two centred MandiblePrint vectors."""
-    return cosine_distance(center_embedding(u), center_embedding(v))

@@ -78,13 +78,15 @@ class MandiPass:
             model,
             self.preprocessor,
             self.frontend,
-            batch_size=config.inference.batch_size,
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
         )
-        # Templates are built by a default-settings (float64) engine,
-        # whatever the serving dtype; built once like the serving one.
-        self._enroll_engine = InferenceEngine(model, self.preprocessor, self.frontend)
+        # Templates are built in float64 whatever the serving dtype,
+        # under the deployment's resilience policy; built once like the
+        # serving engine.
+        self._enroll_engine = InferenceEngine(
+            model, self.preprocessor, self.frontend, resilience=config.resilience
+        )
         obs.set_gauge("model_bytes", float(model.storage_nbytes()), dtype="float32")
         self.enclave = enclave or SecureEnclave()
         self._transforms: dict[str, CancelableTransform] = {}

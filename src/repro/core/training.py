@@ -80,7 +80,6 @@ def train_extractor(
     loader = DataLoader(
         ArrayDataset(feature_arrays, labels),
         batch_size=train_cfg.batch_size,
-        shuffle=train_cfg.shuffle,
         seed=train_cfg.seed,
     )
     loss_fn = CrossEntropyLoss()

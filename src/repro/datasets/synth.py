@@ -14,7 +14,12 @@ import dataclasses
 
 import numpy as np
 
-from repro.config import PreprocessConfig, SamplingConfig
+from repro.config import (
+    HIGHPASS_ORDER,
+    SAMPLE_RATE_HZ,
+    PreprocessConfig,
+    SamplingConfig,
+)
 from repro.core.frontend import FRONTEND_KINDS, make_frontend
 from repro.dsp.detection import detect_onset, segment_after_onset
 from repro.dsp.filters import design_highpass, sosfilt
@@ -208,9 +213,7 @@ def generate_dataset(
     preprocess = preprocess or PreprocessConfig()
     recordings, labels, profiles = generate_recordings(spec, sampling)
     sos = design_highpass(
-        preprocess.highpass_order,
-        preprocess.highpass_cutoff_hz,
-        preprocess.sample_rate_hz,
+        HIGHPASS_ORDER, preprocess.highpass_cutoff_hz, SAMPLE_RATE_HZ
     )
     frontend = make_frontend(spec.frontend)
 

@@ -17,13 +17,7 @@ pipeline, are imported from their modules: :mod:`repro.dsp.windows`
 """
 
 from repro.dsp.detection import detect_onset
-from repro.dsp.filters import (
-    design_bandpass,
-    design_highpass,
-    design_lowpass,
-    highpass,
-    sosfilt,
-)
+from repro.dsp.filters import design_highpass, highpass, sosfilt
 from repro.dsp.gradients import gradient_array, signal_gradients
 from repro.dsp.normalize import min_max_normalize, z_score_normalize
 from repro.dsp.outliers import mad_outlier_mask, replace_outliers
@@ -31,9 +25,7 @@ from repro.dsp.pipeline import Preprocessor
 
 __all__ = [
     "Preprocessor",
-    "design_bandpass",
     "design_highpass",
-    "design_lowpass",
     "detect_onset",
     "gradient_array",
     "highpass",

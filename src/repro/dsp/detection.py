@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.config import PreprocessConfig
+from repro.config import HIGHPASS_ORDER, SAMPLE_RATE_HZ, PreprocessConfig
 from repro.dsp.filters import cascade, design_highpass, normalized_sections, zero_state
 from repro.errors import OnsetNotFoundError, ShapeError, SignalError
 from repro.types import ACCEL_AXES, ensure_raw_recording
@@ -52,6 +52,12 @@ from repro.types import ACCEL_AXES, ensure_raw_recording
 DETECT_FIRST = 130
 DETECT_STEP = 30
 
+#: The paper's std rule in raw counts: a window starts the vibration
+#: when its std exceeds ``ONSET_STD_START`` and the following windows
+#: stay at or above ``ONSET_STD_SUSTAIN``.
+ONSET_STD_START = 250.0
+ONSET_STD_SUSTAIN = 100.0
+
 
 def _detection_sos(
     config: PreprocessConfig, sos: np.ndarray | None = None
@@ -59,15 +65,11 @@ def _detection_sos(
     """The high-pass sections used for detection (design once, reuse)."""
     if sos is not None:
         return sos
-    return design_highpass(
-        config.highpass_order, config.highpass_cutoff_hz, config.sample_rate_hz
-    )
+    return design_highpass(HIGHPASS_ORDER, config.highpass_cutoff_hz, SAMPLE_RATE_HZ)
 
 
 def _detection_pad(config: PreprocessConfig) -> int:
-    return max(
-        int(round(4.0 * config.sample_rate_hz / config.highpass_cutoff_hz)), 8
-    )
+    return max(int(round(4.0 * SAMPLE_RATE_HZ / config.highpass_cutoff_hz)), 8)
 
 
 def window_metrics(axis_major: np.ndarray, window: int) -> np.ndarray:
@@ -91,9 +93,9 @@ def window_metrics(axis_major: np.ndarray, window: int) -> np.ndarray:
 def first_confirmed(metric: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     """Index of the first window that fires the std rule, along the last axis.
 
-    Window ``i`` fires when ``metric[i]`` is not ``<= onset_std_start``
+    Window ``i`` fires when ``metric[i]`` is not ``<= ONSET_STD_START``
     (so a NaN metric passes the start test) and the next
-    ``onset_sustain_windows`` metrics are all ``>= onset_std_sustain``
+    ``onset_sustain_windows`` metrics are all ``>= ONSET_STD_SUSTAIN``
     (so a NaN fails the sustain test).  A window whose sustain run is
     cut off by the end of ``metric`` never fires.  Returns ``-1`` where
     no window fires.
@@ -102,9 +104,9 @@ def first_confirmed(metric: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     decidable = metric.shape[-1] - sustain
     if decidable <= 0:
         return np.full(metric.shape[:-1], -1)
-    fired = ~(metric[..., :decidable] <= config.onset_std_start)
+    fired = ~(metric[..., :decidable] <= ONSET_STD_START)
     # The run of windows i + 1 .. i + sustain confirms window i.
-    sustained = metric >= config.onset_std_sustain
+    sustained = metric >= ONSET_STD_SUSTAIN
     for lag in range(1, sustain + 1):
         fired &= sustained[..., lag : lag + decidable]
     return np.where(fired.any(axis=-1), fired.argmax(axis=-1), -1)
@@ -309,8 +311,8 @@ def _not_found(num_samples: int, config: PreprocessConfig) -> OnsetNotFoundError
         return OnsetNotFoundError("recording shorter than one window")
     return OnsetNotFoundError(
         "no window exceeded "
-        f"{config.onset_std_start} with {config.onset_sustain_windows} "
-        f"sustained windows >= {config.onset_std_sustain}"
+        f"{ONSET_STD_START} with {config.onset_sustain_windows} "
+        f"sustained windows >= {ONSET_STD_SUSTAIN}"
     )
 
 

@@ -120,21 +120,6 @@ def _zpk_to_sos(
     return sos
 
 
-def design_lowpass(
-    order: int, cutoff_hz: float, sample_rate_hz: float
-) -> np.ndarray:
-    """Digital Butterworth low-pass as second-order sections ``(n/2, 6)``."""
-    if order % 2 != 0 or not 2 <= order <= 8:
-        raise ConfigError("order must be even, in 2..8")
-    wc = _prewarp(cutoff_hz, sample_rate_hz)
-    prototype = butterworth_prototype_poles(order)
-    poles = wc * prototype
-    gain = float(np.real(np.prod(-poles)))  # wc**order
-    zeros = np.empty(0, dtype=complex)
-    dz, dp, dk = _bilinear_zpk(zeros, poles, gain, sample_rate_hz)
-    return _zpk_to_sos(dz, dp, dk)
-
-
 def design_highpass(
     order: int, cutoff_hz: float, sample_rate_hz: float
 ) -> np.ndarray:
@@ -153,27 +138,6 @@ def design_highpass(
     gain = float(np.real(1.0 / np.prod(-prototype)))
     dz, dp, dk = _bilinear_zpk(zeros, poles, gain, sample_rate_hz)
     return _zpk_to_sos(dz, dp, dk)
-
-
-def design_bandpass(
-    order: int,
-    low_hz: float,
-    high_hz: float,
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """Digital Butterworth band-pass as cascaded high-pass + low-pass.
-
-    A composition of two even-order Butterworth halves (``order`` each);
-    its magnitude is the product of the two responses, giving -3 dB
-    within a hair of each edge for well-separated bands.  Sufficient
-    for the band-selection studies in the benches; an elliptic-integral
-    band transform is out of scope.
-    """
-    if not 0.0 < low_hz < high_hz < sample_rate_hz / 2.0:
-        raise ConfigError("need 0 < low < high < Nyquist")
-    highpass_sos = design_highpass(order, low_hz, sample_rate_hz)
-    lowpass_sos = design_lowpass(order, high_hz, sample_rate_hz)
-    return np.concatenate([highpass_sos, lowpass_sos], axis=0)
 
 
 Section = tuple[float, float, float, float, float]

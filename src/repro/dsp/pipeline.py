@@ -17,7 +17,7 @@ import numpy as np
 
 from typing import Sequence
 
-from repro.config import PreprocessConfig
+from repro.config import HIGHPASS_ORDER, SAMPLE_RATE_HZ, PreprocessConfig
 from repro.dsp.detection import detect_onsets, segment_after_onset
 from repro.dsp.filters import design_highpass, sosfilt
 from repro.dsp.normalize import min_max_normalize
@@ -38,6 +38,10 @@ from repro.types import NUM_AXES, RawRecording, SignalArray
 # ``detection_signals_batch`` and ``replace_outliers`` are no longer
 # called here; they stay bound because the tracer wraps them by name.
 detect_onset = detect_onset_from_signal = detection_signals_batch = detect_onsets
+
+#: The quality gate's floor: a kept segment needs a usable axis whose
+#: high-passed std reaches this many raw counts.
+MIN_SEGMENT_STD = 50.0
 
 
 def _hinted_onset(hint) -> int:
@@ -94,9 +98,7 @@ class Preprocessor:
     def __init__(self, config: PreprocessConfig | None = None) -> None:
         self.config = config or PreprocessConfig()
         self._sos = design_highpass(
-            self.config.highpass_order,
-            self.config.highpass_cutoff_hz,
-            self.config.sample_rate_hz,
+            HIGHPASS_ORDER, self.config.highpass_cutoff_hz, SAMPLE_RATE_HZ
         )
 
     def process(self, recording: RawRecording) -> SignalArray:
@@ -266,7 +268,7 @@ class Preprocessor:
         # 'EMM' sustains hundreds of counts of high-passed energy.
         # Rejecting here turns glitch-triggered requests into refusals
         # instead of authenticating near-silence.
-        sustained = np.where(usable, axis_std, 0.0).max(axis=1) >= cfg.min_segment_std
+        sustained = np.where(usable, axis_std, 0.0).max(axis=1) >= MIN_SEGMENT_STD
         enough = usable.sum(axis=1) >= min_usable_axes
         keep = sustained & enough
         for local in np.flatnonzero(~keep):

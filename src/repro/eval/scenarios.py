@@ -31,6 +31,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.config import SAMPLE_RATE_HZ
 from repro.errors import ConfigError, SignalError
 from repro.eval.metrics import equal_error_rate
 from repro.obs import runtime as obs
@@ -278,7 +279,6 @@ def run_scenario_matrix(
     scenarios = scenarios if scenarios is not None else scenario_grid()
     if not scenarios:
         raise ConfigError("need at least one scenario cell")
-    rate_hz = recorder.sampling.rate_hz
     full_scale = recorder.device.full_scale_counts
 
     rows = []
@@ -296,7 +296,7 @@ def run_scenario_matrix(
                 )
                 probes.append(
                     degrade_recording(
-                        raw, scenario.degradation, rate_hz, full_scale, cell_rng
+                        raw, scenario.degradation, SAMPLE_RATE_HZ, full_scale, cell_rng
                     )
                 )
                 owners.append(person.person_id)
@@ -652,7 +652,7 @@ def run_scenario_bench(
         ),
     )
     system = MandiPass(model, config=config)
-    verifier = HeartbeatVerifier(rate_hz=sampling.rate_hz)
+    verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
     recorder = Recorder(sampling=sampling, seed=3, heartbeat=True)
     population = sample_population(num_people, num_people // 2, seed=7)
 

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from repro.config import SamplingConfig
+from repro.config import SAMPLE_RATE_HZ, SamplingConfig
 from repro.errors import ConfigError
 from repro.faults import runtime as faults
 from repro.imu import noise as imu_noise
@@ -145,7 +145,7 @@ class Recorder:
                 person,
                 condition,
                 num_samples,
-                self.sampling.rate_hz,
+                SAMPLE_RATE_HZ,
                 self.device,
                 rng,
             )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import SamplingConfig
+from repro.config import INTERNAL_RATE_HZ, SAMPLE_RATE_HZ, SamplingConfig
 from repro.errors import ConfigError
 from repro.imu import noise as imu_noise
 from repro.imu.device import IMUDevice
@@ -121,7 +121,7 @@ class IMUSensor:
     Args:
         device: the IMU part to emulate (MPU-9250 by default profiles).
         propagation: body propagation model.
-        sampling: acquisition parameters (rate, duration, oversampling).
+        sampling: trial duration and utterance length.
         amplitude_scale: global physical-amplitude calibration mapping
             oscillator output to m/s^2 at the ear.  The default is tuned
             so the ear-mounted az standard deviation sits near the
@@ -168,8 +168,7 @@ class IMUSensor:
         shape ``(num_trials, T_internal)`` in m/s^2 (or m/s).
         """
         cfg = self.sampling
-        internal = cfg.internal_rate_hz
-        steps = int(round(cfg.duration_s * internal))
+        steps = int(round(cfg.duration_s * INTERNAL_RATE_HZ))
         effective = perturb_person(person, condition, rng)
         oscillator = MandibleOscillator(effective)
         voice = VoiceSource(effective, tone=condition.tone)
@@ -179,7 +178,7 @@ class IMUSensor:
             onset = float(rng.uniform(0.10, 0.25))
             pulses, phase = voice.synthesize_with_phase(
                 cfg.duration_s,
-                internal,
+                INTERNAL_RATE_HZ,
                 rng,
                 onset_s=onset,
                 voiced_s=cfg.utterance_s,
@@ -189,7 +188,7 @@ class IMUSensor:
             # exact same loudness twice.
             forcing[trial] *= float(rng.uniform(0.92, 1.08))
 
-        _, vel, acc = oscillator.simulate_batch(forcing, internal)
+        _, vel, acc = oscillator.simulate_batch(forcing, INTERNAL_RATE_HZ)
         source_acc = forcing / effective.mass
 
         # Loudness self-regulation: speakers regulate perceived effort,
@@ -201,8 +200,8 @@ class IMUSensor:
         # exponent < 1 keeps a residual amplitude biometric.
         # The ear-coupling resonance shapes everything arriving at the
         # earbud, whichever way the sensor is oriented.
-        acc = _ear_coupling_filter(acc, effective, internal)
-        vel = _ear_coupling_filter(vel, effective, internal)
+        acc = _ear_coupling_filter(acc, effective, INTERNAL_RATE_HZ)
+        vel = _ear_coupling_filter(vel, effective, INTERNAL_RATE_HZ)
         # Anchor on the *filtered* response: that is the vibration the
         # wearer's proprioception (and loudness feedback) senses.
         rms = float(np.sqrt(np.mean(acc**2)))
@@ -225,7 +224,6 @@ class IMUSensor:
         if num_trials <= 0:
             raise ConfigError("num_trials must be positive")
         cfg = self.sampling
-        internal = cfg.internal_rate_hz
         source_acc, mand_acc, mand_vel = self._simulate_trials(
             person, condition, num_trials, rng
         )
@@ -238,7 +236,7 @@ class IMUSensor:
         out = np.empty((num_trials, cfg.num_samples, 6))
         for trial in range(num_trials):
             tissue = _one_pole_lowpass(
-                source_acc[trial], self.propagation.tissue_lowpass_hz, internal
+                source_acc[trial], self.propagation.tissue_lowpass_hz, INTERNAL_RATE_HZ
             )
             accel = self.amplitude_scale * side_gain * (
                 ear_gain * mand_acc[trial][:, None] * person.accel_coupling
@@ -276,7 +274,7 @@ class IMUSensor:
 
             accel_s = self._decimate(accel)
             gyro_s = self._decimate(gyro)
-            motion = motion_noise(condition, cfg.num_samples, cfg.rate_hz, rng)
+            motion = motion_noise(condition, cfg.num_samples, SAMPLE_RATE_HZ, rng)
             accel_s = accel_s + motion
             gyro_s = gyro_s + 0.05 * motion / self.gyro_lever_arm_m
 
@@ -319,7 +317,7 @@ class IMUSensor:
             sampled = self._decimate(src[:, None])[:, 0]
             src_rms = float(np.sqrt(np.mean(sampled**2)))
             base_acc = src * (_REFERENCE_ACC_RMS / max(src_rms, 1e-12))
-            base_vel = _one_pole_lowpass(base_acc, 50.0, cfg.internal_rate_hz)
+            base_vel = _one_pole_lowpass(base_acc, 50.0, INTERNAL_RATE_HZ)
         else:
             base_acc = mand_acc[0] * gain
             base_vel = mand_vel[0] * gain

@@ -134,7 +134,6 @@ class WorkerReplica:  # pragma: no cover - runs in worker processes
             model,
             Preprocessor(config.preprocess),
             make_frontend(config.extractor.frontend),
-            batch_size=config.inference.batch_size,
             compute_dtype=config.inference.compute_dtype,
             resilience=config.resilience,
         )

@@ -61,6 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MandiPass
     from repro.types import RawRecording
 
+#: How long ``stop(drain=True)`` waits for the workers to finish the
+#: accepted backlog when no ``timeout`` is given.
+DRAIN_TIMEOUT_S = 30.0
+
 
 class RequestKind(enum.Enum):
     VERIFY = "verify"
@@ -282,7 +286,8 @@ class AuthServer:
         request is still served before the workers exit; new
         submissions are rejected from the moment ``stop`` is called.
         With ``drain=False`` queued-but-undispatched requests resolve
-        as rejected instead of being served.
+        as rejected instead of being served.  ``timeout`` bounds the
+        wait for the workers (:data:`DRAIN_TIMEOUT_S` when ``None``).
         """
         # Close streaming sessions first, while the workers can still
         # serve their in-flight windows: each close() drains at most one
@@ -309,7 +314,7 @@ class AuthServer:
                 )
         if already and not self._workers:
             return True
-        budget = self.config.drain_timeout_s if timeout is None else timeout
+        budget = DRAIN_TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + budget
         # Snapshot: a dying worker's replacement may append concurrently.
         with self._state_lock:

@@ -76,6 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A session records five per decision, so this is the last ~200
 #: decisions; the bound keeps a long-lived session's memory flat.
 TRACE_CAPACITY = 1024
+#: Default wait for in-flight verifications in :meth:`StreamSession.drain`.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class SessionState(enum.Enum):
@@ -282,7 +284,7 @@ class StreamSession:
         (continuous authentication re-verifies on the next 'EMM'); only
         submitted windows owe a decision.
         """
-        budget = self.config.drain_timeout_s if timeout is None else timeout
+        budget = DRAIN_TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + budget
         with self._lock:
             decisions: list[SessionDecision] = []
@@ -379,12 +381,7 @@ class StreamSession:
         onset = self._onset_abs - self._window_start
         with obs.span("stream_submit"):
             if self._server is not None:
-                future = self._server.verify(
-                    self.user_id,
-                    window,
-                    timeout_ms=self.config.verify_timeout_ms,
-                    onset=onset,
-                )
+                future = self._server.verify(self.user_id, window, onset=onset)
                 self._pending = (future, submitted, *meta)
             else:
                 results = self._system.verify_many(

@@ -6,38 +6,88 @@ import pytest
 
 from repro.config import (
     DEFAULT_CONFIG,
+    HIGHPASS_ORDER,
+    INTERNAL_RATE_HZ,
+    SAMPLE_RATE_HZ,
     DecisionConfig,
     ExtractorConfig,
+    GalleryConfig,
+    InferenceConfig,
     MandiPassConfig,
     PreprocessConfig,
+    ResilienceConfig,
     SamplingConfig,
     SecurityConfig,
+    ServingConfig,
+    StreamConfig,
     TrainingConfig,
 )
+from repro.dsp.detection import ONSET_STD_START, ONSET_STD_SUSTAIN
 from repro.errors import ConfigError
+
+#: Every settable field, 47 in all.  A field stays only if a perfbench
+#: workload, a paper experiment or a test of a needed behaviour sets it;
+#: values the paper fixes are module constants.  A new knob changes this
+#: table.
+SETTABLE_FIELDS = {
+    SamplingConfig: ("duration_s", "utterance_s"),
+    PreprocessConfig: (
+        "segment_length",
+        "onset_window",
+        "onset_sustain_windows",
+        "mad_threshold",
+        "highpass_cutoff_hz",
+    ),
+    ExtractorConfig: ("embedding_dim", "channels", "frontend", "input_width"),
+    TrainingConfig: ("epochs", "batch_size", "learning_rate", "weight_decay", "seed"),
+    InferenceConfig: ("compute_dtype", "metrics_enabled"),
+    GalleryConfig: ("shard_size", "prescreen_rank", "compact_tombstone_ratio"),
+    ServingConfig: ("max_batch_size", "queue_capacity", "num_worker_processes"),
+    ResilienceConfig: (
+        "max_retries",
+        "stage_timeout_s",
+        "breaker_failure_threshold",
+        "breaker_cooldown_s",
+        "min_usable_axes",
+    ),
+    StreamConfig: ("chunk_size", "cooldown_samples", "rearm_after_samples"),
+    SecurityConfig: ("template_dim", "projected_dim", "matrix_seed"),
+    DecisionConfig: ("threshold",),
+    MandiPassConfig: (
+        "sampling",
+        "preprocess",
+        "extractor",
+        "training",
+        "security",
+        "decision",
+        "inference",
+        "serving",
+        "resilience",
+        "gallery",
+        "stream",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SETTABLE_FIELDS), ids=lambda cls: cls.__name__)
+def test_settable_fields_census(cls):
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    assert names == SETTABLE_FIELDS[cls]
 
 
 class TestSamplingConfig:
     def test_defaults_match_paper(self):
         cfg = SamplingConfig()
-        assert cfg.rate_hz == 350
+        assert SAMPLE_RATE_HZ == 350
         assert cfg.num_samples == 210
 
     def test_oversample_is_integer_ratio(self):
-        cfg = SamplingConfig(rate_hz=350, internal_rate_hz=2800)
-        assert cfg.oversample == 8
-
-    def test_rejects_non_multiple_internal_rate(self):
-        with pytest.raises(ConfigError):
-            SamplingConfig(rate_hz=350, internal_rate_hz=1000)
+        assert INTERNAL_RATE_HZ % SAMPLE_RATE_HZ == 0
+        assert SamplingConfig().oversample == 8
 
     def test_rejects_negative_duration(self):
         with pytest.raises(ConfigError):
             SamplingConfig(duration_s=-1.0)
-
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ConfigError):
-            SamplingConfig(rate_hz=0)
 
 
 class TestPreprocessConfig:
@@ -45,18 +95,14 @@ class TestPreprocessConfig:
         cfg = PreprocessConfig()
         assert cfg.segment_length == 60
         assert cfg.onset_window == 10
-        assert cfg.onset_std_start == 250.0
-        assert cfg.onset_std_sustain == 100.0
+        assert ONSET_STD_START == 250.0
+        assert ONSET_STD_SUSTAIN == 100.0
         assert cfg.highpass_cutoff_hz == 20.0
-        assert cfg.highpass_order == 4
+        assert HIGHPASS_ORDER == 4
 
     def test_rejects_cutoff_above_nyquist(self):
         with pytest.raises(ConfigError):
-            PreprocessConfig(highpass_cutoff_hz=200.0, sample_rate_hz=350)
-
-    def test_rejects_odd_order(self):
-        with pytest.raises(ConfigError):
-            PreprocessConfig(highpass_order=3)
+            PreprocessConfig(highpass_cutoff_hz=200.0)
 
     def test_rejects_tiny_segment(self):
         with pytest.raises(ConfigError):
@@ -111,10 +157,6 @@ class TestDecisionConfig:
 class TestMandiPassConfig:
     def test_default_is_consistent(self):
         assert DEFAULT_CONFIG.extractor.input_width == 31
-
-    def test_rejects_mismatched_rates(self):
-        with pytest.raises(ConfigError):
-            MandiPassConfig(sampling=SamplingConfig(rate_hz=700, internal_rate_hz=2800))
 
     def test_rejects_mismatched_width(self):
         with pytest.raises(ConfigError):

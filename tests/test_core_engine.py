@@ -266,10 +266,6 @@ class TestEngineConstruction:
         with pytest.raises(ConfigError):
             engine.embed([SILENCE.copy()])
 
-    def test_bad_batch_size(self, trained_model):
-        with pytest.raises(ConfigError):
-            InferenceEngine(trained_model, batch_size=0)
-
     def test_embed_features_centered(self, trained_model, hired_dataset):
         from repro.core.similarity import center_embedding
 

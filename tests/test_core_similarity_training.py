@@ -9,7 +9,6 @@ from repro.core.similarity import (
     accept,
     center_embedding,
     cosine_distance,
-    mandibleprint_distance,
     pairwise_cosine_distance,
 )
 from repro.core.training import evaluate_classification, train_extractor
@@ -61,12 +60,6 @@ class TestCosineDistance:
 
     def test_center_embedding(self):
         np.testing.assert_allclose(center_embedding(np.full(4, 0.5)), np.zeros(4))
-
-    def test_mandibleprint_distance_is_centered(self, rng):
-        u = rng.uniform(size=16)
-        v = rng.uniform(size=16)
-        expected = cosine_distance(u - 0.5, v - 0.5)
-        assert mandibleprint_distance(u, v) == pytest.approx(expected)
 
 
 class TestTraining:

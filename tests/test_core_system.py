@@ -51,6 +51,33 @@ class TestEnrollment:
         assert template.shape == (trained_model.config.embedding_dim,)
         assert used == 3
 
+    def test_enrollment_follows_deployment_resilience_policy(
+        self, trained_model, population
+    ):
+        from repro.config import MandiPassConfig, ResilienceConfig, SecurityConfig
+        from repro.core.system import MandiPass
+        from repro.errors import InsufficientAxesError
+
+        dim = trained_model.config.embedding_dim
+        system = MandiPass(
+            trained_model,
+            config=MandiPassConfig(
+                extractor=trained_model.config,
+                security=SecurityConfig(template_dim=dim, projected_dim=dim),
+                resilience=ResilienceConfig(min_usable_axes=6),
+            ),
+        )
+        recorder = Recorder(seed=3)
+        recs = [recorder.record(population[2], trial_index=i) for i in range(4)]
+        dead = [rec.copy() for rec in recs]
+        for rec in dead:
+            rec[:, 4] = 0.0  # one gyroscope axis reads zero
+        with pytest.raises(InsufficientAxesError):
+            system.engine.embed_one(dead[0])
+        assert system.enroll("alice", [*recs[:3], dead[3]]) == 3
+        with pytest.raises(EnrollmentError):
+            system.enroll("bob", dead)
+
 
 class TestVerification:
     def test_genuine_accepted(self, enrolled):

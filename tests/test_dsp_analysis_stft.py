@@ -10,7 +10,6 @@ from repro.dsp.analysis import (
     resample_fft,
     zero_crossing_rate,
 )
-from repro.dsp.filters import design_bandpass, frequency_response
 from repro.dsp.stft import spectrogram, stft, window_function
 from repro.errors import ConfigError, ShapeError
 
@@ -129,16 +128,3 @@ class TestSTFT:
     def test_short_signal_raises(self):
         with pytest.raises(ShapeError):
             stft(np.zeros(10), frame_length=64)
-
-
-class TestBandFilters:
-    def test_bandpass_passes_center_blocks_edges(self):
-        sos = design_bandpass(4, 50.0, 120.0, 350.0)
-        freqs = np.array([10.0, 80.0, 170.0])
-        mags = np.abs(frequency_response(sos, freqs, 350.0))
-        assert mags[1] > 0.9
-        assert mags[0] < 0.1 and mags[2] < 0.2
-
-    def test_bandpass_rejects_bad_edges(self):
-        with pytest.raises(ConfigError):
-            design_bandpass(4, 120.0, 50.0, 350.0)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import PreprocessConfig
+from repro.config import HIGHPASS_ORDER, SAMPLE_RATE_HZ, PreprocessConfig
 from repro.dsp import pipeline as pipeline_module
 from repro.dsp.detection import (
+    ONSET_STD_START,
+    ONSET_STD_SUSTAIN,
     OnsetDetector,
     _detection_pad,
     detect_onset,
@@ -63,9 +65,7 @@ def loop_detection(recording, config):
     block = recording[:, list(ACCEL_AXES)]
     pad = _detection_pad(config)
     padded = np.concatenate([np.repeat(block[:1], pad, axis=0), block])
-    sos = design_highpass(
-        config.highpass_order, config.highpass_cutoff_hz, config.sample_rate_hz
-    )
+    sos = design_highpass(HIGHPASS_ORDER, config.highpass_cutoff_hz, SAMPLE_RATE_HZ)
     filtered, _, _ = loop_filter(normalized_sections(sos), padded.T)
     return filtered.T[pad:]
 
@@ -87,12 +87,12 @@ def loop_first(metric, config):
     """The candidate-by-candidate std-rule scan."""
     sustain = config.onset_sustain_windows
     for idx in range(metric.size):
-        if metric[idx] <= config.onset_std_start:
+        if metric[idx] <= ONSET_STD_START:
             continue
         tail = metric[idx + 1 : idx + 1 + sustain]
         if tail.size < sustain:
             continue
-        if np.all(tail >= config.onset_std_sustain):
+        if np.all(tail >= ONSET_STD_SUSTAIN):
             return idx
     return -1
 

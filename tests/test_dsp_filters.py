@@ -7,7 +7,6 @@ from scipy import signal as scipy_signal
 from repro.dsp.filters import (
     butterworth_prototype_poles,
     design_highpass,
-    design_lowpass,
     frequency_response,
     highpass,
     normalized_sections,
@@ -42,16 +41,6 @@ class TestDesignVsScipy:
     def test_highpass_magnitude_matches_scipy(self, order):
         sos = design_highpass(order, 20.0, FS)
         sos_ref = scipy_signal.butter(order, 20.0, "highpass", fs=FS, output="sos")
-        freqs = np.linspace(1.0, FS / 2 - 1, 400)
-        ours = np.abs(frequency_response(sos, freqs, FS))
-        w = 2 * np.pi * freqs / FS
-        _, ref = scipy_signal.sosfreqz(sos_ref, worN=w)
-        np.testing.assert_allclose(ours, np.abs(ref), atol=1e-10)
-
-    @pytest.mark.parametrize("order", [2, 4, 8])
-    def test_lowpass_magnitude_matches_scipy(self, order):
-        sos = design_lowpass(order, 50.0, FS)
-        sos_ref = scipy_signal.butter(order, 50.0, "lowpass", fs=FS, output="sos")
         freqs = np.linspace(1.0, FS / 2 - 1, 400)
         ours = np.abs(frequency_response(sos, freqs, FS))
         w = 2 * np.pi * freqs / FS

@@ -172,7 +172,7 @@ class TestQualityGate:
         )
 
         usable, sustained, enough = _reference_gate(
-            filtered, pre.config.min_segment_std, min_usable_axes
+            filtered, pipeline_module.MIN_SEGMENT_STD, min_usable_axes
         )
         keep = sustained & enough
         assert list(kept) == list(np.flatnonzero(keep))

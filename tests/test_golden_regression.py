@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Recorder, sample_population
-from repro.config import ExtractorConfig
+from repro.config import SAMPLE_RATE_HZ, ExtractorConfig
 from repro.core.engine import InferenceEngine
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import make_frontend
@@ -324,10 +324,10 @@ class TestHeartbeatFusionGolden:
         return Recorder(sampling=hb_sampling, seed=99, heartbeat=True)
 
     @pytest.fixture(scope="class")
-    def hb_verifier(self, hb_sampling, hb_recorder, golden_population):
+    def hb_verifier(self, hb_recorder, golden_population):
         from repro.physio.heartbeat import HeartbeatVerifier
 
-        verifier = HeartbeatVerifier(rate_hz=hb_sampling.rate_hz)
+        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
         verifier.fit(
             golden_population[0].person_id,
             [hb_recorder.record(golden_population[0], trial_index=t) for t in (1, 2, 3)],

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro import Recorder, sample_population
-from repro.config import MandiPassConfig, SamplingConfig, SecurityConfig
+from repro.config import (
+    SAMPLE_RATE_HZ,
+    MandiPassConfig,
+    SamplingConfig,
+    SecurityConfig,
+)
 from repro.errors import (
     ConfigError,
     EnrollmentError,
@@ -58,7 +63,7 @@ def hb_recorder():
 
 @pytest.fixture(scope="module")
 def fitted_verifier(people, hb_recorder):
-    verifier = HeartbeatVerifier(rate_hz=SAMPLING.rate_hz)
+    verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
     for person in people:
         verifier.fit(
             person.person_id,
@@ -191,7 +196,7 @@ class TestHeartbeatVerifier:
             fitted_verifier.verify("nobody", probe)
 
     def test_drop_user_forgets_template(self, people, hb_recorder):
-        verifier = HeartbeatVerifier(rate_hz=SAMPLING.rate_hz)
+        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
         verifier.fit(
             people[0].person_id,
             [hb_recorder.record(people[0], trial_index=i) for i in range(3)],
@@ -201,13 +206,13 @@ class TestHeartbeatVerifier:
         assert not verifier.has_user(people[0].person_id)
 
     def test_enrollment_without_heartbeat_raises(self, people):
-        verifier = HeartbeatVerifier(rate_hz=SAMPLING.rate_hz)
+        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
         silent = [np.zeros((SAMPLING.num_samples, 6)) for _ in range(3)]
         with pytest.raises(EnrollmentError):
             verifier.fit(people[0].person_id, silent)
 
     def test_z_scoring_mode(self, people, hb_recorder):
-        verifier = HeartbeatVerifier(rate_hz=SAMPLING.rate_hz, scoring="z")
+        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ, scoring="z")
         verifier.fit(
             people[0].person_id,
             [hb_recorder.record(people[0], trial_index=i) for i in range(4)],

@@ -190,6 +190,7 @@ class TestMatrixIntegration:
     def rig(self, trained_model):
         from repro import Recorder, sample_population
         from repro.config import (
+            SAMPLE_RATE_HZ,
             MandiPassConfig,
             SamplingConfig,
             SecurityConfig,
@@ -210,7 +211,7 @@ class TestMatrixIntegration:
                 ),
             ),
         )
-        verifier = HeartbeatVerifier(rate_hz=sampling.rate_hz)
+        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
         recorder = Recorder(sampling=sampling, seed=3, heartbeat=True)
         population = sample_population(2, 1, seed=7)
         for person in population:

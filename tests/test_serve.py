@@ -288,7 +288,6 @@ class TestServingConfig:
         [
             {"max_batch_size": 0},
             {"queue_capacity": 0},
-            {"drain_timeout_s": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -220,7 +220,6 @@ class TestWorkerBootstrap:
             clone,
             Preprocessor(system.config.preprocess),
             make_frontend(system.config.extractor.frontend),
-            batch_size=system.config.inference.batch_size,
             compute_dtype=system.config.inference.compute_dtype,
             resilience=system.config.resilience,
         )

@@ -94,8 +94,6 @@ class TestStreamConfig:
             {"chunk_size": 0},
             {"cooldown_samples": -1},
             {"rearm_after_samples": 0},
-            {"verify_timeout_ms": 0.0},
-            {"drain_timeout_s": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
