@@ -39,6 +39,10 @@ from repro.types import NUM_AXES
 KERNEL_SIZE = (3, 3)
 STRIDE = (1, 2)
 
+#: Rows per serving forward pass: a larger batch runs in chunks of this
+#: many rows, which bounds the im2col workspace.
+FORWARD_CHUNK = 256
+
 
 def _branch(
     config: ExtractorConfig, rng: np.random.Generator
@@ -224,22 +228,20 @@ class FrozenExtractor:
             _frozen(fc.bias.data.astype(dtype)),
         )
 
-    def __call__(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def __call__(self, features: np.ndarray) -> np.ndarray:
         """MandiblePrint vectors ``(B, embedding_dim)`` in :attr:`dtype`.
 
         ``features`` is ``(B, 2, 6, input_width)``; the forward
-        runs in chunks of ``batch_size`` rows.
+        runs in chunks of :data:`FORWARD_CHUNK` rows.
         """
         x = np.asarray(features, dtype=self.dtype)
         _check_features(x, self.config)
-        if batch_size <= 0:
-            raise ShapeError("batch_size must be positive")
         if not len(x):
             return np.empty((0, self.config.embedding_dim), dtype=self.dtype)
         return np.concatenate(
             [
-                self._forward(x[start : start + batch_size])
-                for start in range(0, len(x), batch_size)
+                self._forward(x[start : start + FORWARD_CHUNK])
+                for start in range(0, len(x), FORWARD_CHUNK)
             ],
             axis=0,
         )

@@ -10,7 +10,6 @@ from repro.core.extractor import FrozenExtractor, TwoBranchExtractor
 def extract_embeddings(
     model: TwoBranchExtractor,
     feature_arrays: np.ndarray,
-    batch_size: int = 256,
     dtype: np.dtype | str = np.float64,
 ) -> np.ndarray:
     """MandiblePrint vectors for a batch of gradient arrays.
@@ -24,7 +23,6 @@ def extract_embeddings(
     Args:
         model: a trained extractor.
         feature_arrays: ``(B, 2, 6, W)``.
-        batch_size: forward-pass chunking.
         dtype: compute dtype of the forward; float64 by default,
             float32 for the opt-in inference fast path.
 
@@ -32,4 +30,4 @@ def extract_embeddings(
         ``(B, embedding_dim)`` embeddings in ``(0, 1)`` (sigmoid
         outputs), in the compute dtype.
     """
-    return FrozenExtractor(model, dtype)(feature_arrays, batch_size)
+    return FrozenExtractor(model, dtype)(feature_arrays)

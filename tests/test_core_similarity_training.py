@@ -121,9 +121,18 @@ class TestExtractEmbeddings:
         assert emb.shape == (10, trained_model.config.embedding_dim)
 
     def test_batching_equivalence(self, trained_model, hired_dataset):
-        features = hired_dataset.features[:9]
-        whole = extract_embeddings(trained_model, features, batch_size=256)
-        chunked = extract_embeddings(trained_model, features, batch_size=2)
+        from repro.core.extractor import FORWARD_CHUNK
+
+        # More rows than one forward chunk, so the call runs three.
+        rows = np.arange(2 * FORWARD_CHUNK + 3) % len(hired_dataset.features)
+        features = hired_dataset.features[rows]
+        whole = extract_embeddings(trained_model, features)
+        chunked = np.concatenate(
+            [
+                extract_embeddings(trained_model, features[start : start + FORWARD_CHUNK])
+                for start in range(0, len(features), FORWARD_CHUNK)
+            ]
+        )
         np.testing.assert_allclose(whole, chunked)
 
     def test_empty_batch(self, trained_model):

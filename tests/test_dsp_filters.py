@@ -11,6 +11,7 @@ from repro.dsp.filters import (
     highpass,
     normalized_sections,
     sosfilt,
+    zero_state_response,
 )
 from repro.errors import ConfigError, ShapeError
 
@@ -168,3 +169,24 @@ class TestZeroInitialConditionContract:
         for row, (b0, b1, b2, a1, a2) in zip(sos, normalized_sections(sos)):
             assert (b0, b1, b2) == (row[0], row[1], row[2])
             assert (a1, a2) == (row[4], row[5])
+
+
+class TestZeroStateResponse:
+    """The segment filter's ``(n, n)`` matrix: ``signal @ response``."""
+
+    @pytest.mark.parametrize("n", [60, 37])
+    def test_bitwise_equal_to_filtered_identity(self, n):
+        sos = design_highpass(4, 20.0, FS)
+        response = zero_state_response(sos, n)
+        expected = sosfilt(sos, np.eye(n))
+        assert response.shape == (n, n)
+        assert response.tobytes() == expected.tobytes()
+
+    def test_read_only_and_causal(self):
+        response = zero_state_response(design_highpass(4, 20.0, FS), 60)
+        assert not response.flags.writeable
+        np.testing.assert_array_equal(np.tril(response, -1), 0.0)
+
+    def test_rejects_empty_length(self):
+        with pytest.raises(ShapeError):
+            zero_state_response(design_highpass(4, 20.0, FS), 0)

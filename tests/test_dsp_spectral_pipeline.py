@@ -198,3 +198,132 @@ class TestQualityGate:
             assert set(kept) == {0, 1, 2, 3, 4}
         else:
             assert set(kept) == {0, 3}
+
+
+@pytest.fixture(scope="module")
+def wearer_recordings(population, recorder):
+    """Eight real recordings, one per person, with their detected onsets."""
+    recordings = np.stack(
+        [recorder.record(person, trial_index=3) for person in population]
+    )
+    onsets = Preprocessor()._stages(recordings).onsets
+    assert len(onsets) == len(recordings)
+    return recordings, onsets
+
+
+def _perturbed(wearer_recordings, count, seed):
+    """``count`` seeded variants of the wearers (gain, offset, noise)."""
+    recordings, onsets = wearer_recordings
+    rng = np.random.default_rng(seed)
+    base = np.arange(count) % len(recordings)
+    gain = rng.uniform(0.7, 1.3, size=(count, 1, 1))
+    offset = rng.normal(0.0, 500.0, size=(count, 1, 6))
+    noise = rng.normal(0.0, 5.0, size=(count, *recordings.shape[1:]))
+    return recordings[base] * gain + offset + noise, [onsets[i] for i in base]
+
+
+class TestSegmentFilter:
+    """The segment high-pass as one zero-state response matmul."""
+
+    def test_item_bitwise_equal_in_any_stack(self, wearer_recordings):
+        pre = Preprocessor()
+        target = wearer_recordings[0][1]
+        alone = pre.process_debug(target)
+        others, hints = _perturbed(wearer_recordings, 63, seed=7)
+        for size in (2, 8, 64):
+            for position in (0, size // 2, size - 1):
+                for target_hint in (None, alone.onset):
+                    stack = np.insert(others[: size - 1], position, target, axis=0)
+                    # Every other item hinted, so detected and hinted
+                    # items share the stack.
+                    onsets = [h if i % 2 else None for i, h in enumerate(hints)]
+                    onsets = onsets[: size - 1]
+                    onsets.insert(position, target_hint)
+                    stages = pre._stages(stack, onsets=onsets)
+                    assert stages.kept.tolist() == list(range(size))
+                    assert stages.onsets[position] == alone.onset
+                    assert stages.filtered[position].tobytes() == alone.filtered.tobytes()
+                    assert (
+                        stages.normalized[position].tobytes()
+                        == alone.normalized.tobytes()
+                    )
+
+    def test_within_bound_of_recursion(self, wearer_recordings):
+        from repro.dsp.filters import sosfilt
+
+        pre = Preprocessor()
+        recordings, onsets = _perturbed(wearer_recordings, 320, seed=11)
+        stages = pre._stages(recordings, onsets=onsets)
+        assert len(stages.filtered) == 320
+        reference = sosfilt(pre._sos, stages.despiked)
+        # About 1e-15 of the segments' peak (~2e4 counts) in practice.
+        np.testing.assert_allclose(stages.filtered, reference, rtol=0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("min_usable_axes", [1, 5])
+    def test_faults_gate_like_the_recursion(
+        self, monkeypatch, wearer_recordings, min_usable_axes
+    ):
+        from repro.dsp import filters
+        from repro.dsp import pipeline as pipeline_module
+
+        recordings, onsets = wearer_recordings
+        faulty = recordings[:7].copy()
+        seg = [slice(onset, onset + 60) for onset in onsets[:7]]
+        faulty[0, seg[0].start + 20 : seg[0].start + 26, 1] = np.nan  # NaN burst
+        faulty[1, seg[1].start + 40, 4] = np.inf  # one inf sample (despiked)
+        faulty[2, seg[2], 3] = 0.0  # dead axis
+        faulty[3, seg[3], 2] = 4321.0  # stuck-constant axis
+        faulty[4, seg[4], :] = 0.0  # silent: every axis dead
+        faulty[5, seg[5], 0] = np.nan  # NaN axis plus a dead one
+        faulty[5, seg[5], 5] = 0.0
+        # Saturated at inf from sample 20 on: the MAD is NaN, so the
+        # outlier stage leaves the infs for the filter.
+        faulty[6, seg[6].start + 20 : seg[6].stop, 4] = np.inf
+        hints = list(onsets[:7])
+        pre = Preprocessor()
+
+        def gate(stages_result):
+            stages, (_, kept, failures, degraded) = stages_result
+            filtered = stages.filtered
+            with np.errstate(all="ignore"):
+                usable = np.isfinite(filtered).all(axis=2) & (filtered.std(axis=2) > 1e-9)
+            return usable, kept.tolist(), [(i, type(e)) for i, e in failures], degraded
+
+        def run():
+            return (
+                pre._stages(faulty, min_usable_axes, hints),
+                pre.process_batch_detailed(faulty, min_usable_axes, hints),
+            )
+
+        matmul = run()
+        monkeypatch.setattr(
+            pipeline_module, "sosfilt", lambda x, response: filters.sosfilt(pre._sos, x)
+        )
+        recursion = run()
+        usable, kept, failures, degraded = gate(matmul)
+        want_usable, want_kept, want_failures, want_degraded = gate(recursion)
+        np.testing.assert_array_equal(usable, want_usable)
+        assert (kept, failures, degraded) == (want_kept, want_failures, want_degraded)
+        assert usable.tolist() == [
+            [axis != 1 for axis in range(6)],
+            [True] * 6,
+            [axis != 3 for axis in range(6)],
+            [True] * 6,
+            [False] * 6,
+            [axis not in (0, 5) for axis in range(6)],
+            [axis != 4 for axis in range(6)],
+        ]
+        assert np.isfinite(matmul[0].despiked[1, 4]).all()
+        assert np.isinf(matmul[0].despiked[6, 4]).any()
+        if min_usable_axes == 1:
+            assert kept == [0, 1, 2, 3, 5, 6] and degraded == (0, 2, 5, 6)
+        else:
+            assert kept == [0, 1, 2, 3, 6] and degraded == (0, 2, 6)
+        # The matmul spreads a non-finite sample over its whole axis; the
+        # recursion only from that sample on.  Both refuse the axis.
+        filtered, reference = matmul[0].filtered, recursion[0].filtered
+        for item, axis in ((0, 1), (6, 4)):
+            assert np.isnan(filtered[item, axis]).all()
+            assert np.isfinite(reference[item, axis, :20]).all()
+            assert not np.isfinite(reference[item, axis, 20:]).any()
