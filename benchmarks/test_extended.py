@@ -89,23 +89,22 @@ def test_extended_score_normalization(
 
 def test_extended_operating_points_and_fusion(benchmark, baseline_eer):
     """Deployment-style calibration: FRR at FAR budgets, and what
-    two/three-probe fusion buys analytically."""
-    from repro.core.fusion import fused_error_rates
-    from repro.eval.calibration import operating_table
+    asking for three or five probes buys analytically."""
+    from repro.eval.calibration import fused_error_rates, operating_table
 
     eer, genuine, impostor = baseline_eer
 
     def run():
         table = operating_table(genuine, impostor, (0.05, 0.01, 0.001))
-        fused = {
+        multi_probe = {
             probes: fused_error_rates(
                 eer.frr_at_threshold, eer.far_at_threshold, probes, "majority"
             )
             for probes in (1, 3, 5)
         }
-        return table, fused
+        return table, multi_probe
 
-    table, fused = once(benchmark, run)
+    table, multi_probe = once(benchmark, run)
 
     print()
     print(render_table(
@@ -118,16 +117,16 @@ def test_extended_operating_points_and_fusion(benchmark, baseline_eer):
     ))
     print(render_table(
         ["probes (majority vote)", "FRR", "FAR"],
-        [[k, f"{v[0]:.5f}", f"{v[1]:.5f}"] for k, v in fused.items()],
-        title="Extended - analytical multi-probe fusion",
+        [[k, f"{v[0]:.5f}", f"{v[1]:.5f}"] for k, v in multi_probe.items()],
+        title="Extended - analytical multi-probe majority vote",
     ))
 
-    # Shape: tighter FAR budgets cost FRR monotonically; majority fusion
-    # with three probes improves both error rates.
+    # Shape: tighter FAR budgets cost FRR monotonically; a majority vote
+    # over three probes improves both error rates.
     frrs = [p.frr for p in table]
     assert frrs == sorted(frrs)
-    assert fused[3][0] < fused[1][0]
-    assert fused[3][1] < fused[1][1]
+    assert multi_probe[3][0] < multi_probe[1][0]
+    assert multi_probe[3][1] < multi_probe[1][1]
 
 
 def test_extended_enrollment_count_sweep(benchmark, user_embeddings, operating_threshold):

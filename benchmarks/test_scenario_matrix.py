@@ -1,19 +1,16 @@
-"""Adversarial scenario matrix: fusion must buy back hostile-cell EER.
+"""Adversarial scenario matrix: the IMU pipeline under hostile conditions.
 
-The bench behind the "cross-modal fusion survives what breaks one
-channel" claim (``README.md``, DESIGN.md §4l), run over the full
-motion x degradation grid plus the attack families:
+The bench behind the hostile-conditions result (``README.md``, DESIGN.md
+§4l), run over the full motion x degradation grid plus the attack
+families:
 
 * **coverage** — every motion x degradation cell and both attack
   families must appear in the report;
-* **hostile-cell recovery** — in the worst cell for the IMU channel
-  the fused EER must beat IMU-only by a clear margin;
-* **clean-cell safety** — fusion must not cost accuracy where the IMU
-  channel is healthy;
-* **attack surface** — template replay must be structurally blocked by
-  the fused pipeline, and mimicry must never get *easier* under fusion;
+* **calibration** — the static+clean cell comes first and sets the
+  operating threshold every other cell is scored at;
 * **accounting** — the refusal (failure-to-acquire) rate is reported
-  separately per cell, never folded into the error rates.
+  separately per cell, never folded into the error rates, and every
+  cell emits its ``scenario_*`` observability series.
 
 Results land in ``BENCH_scenarios.json`` at the repo root; quick mode
 writes ``BENCH_scenarios.quick.json`` instead, so a smoke never
@@ -29,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.scenarios import MODALITIES, run_scenario_bench
+from repro.eval.scenarios import run_scenario_bench
 
 QUICK = os.environ.get("SCENARIO_QUICK", "") == "1"
 RESULTS_PATH = Path(__file__).resolve().parents[1] / (
@@ -43,8 +40,7 @@ def report() -> dict:
     claims = data["claims"]
     print(
         f"\nscenario matrix: hostile {claims['hostile_cell']} "
-        f"imu {claims['hostile_imu_eer']:.3f} -> "
-        f"fused {claims['hostile_fused_eer']:.3f}"
+        f"EER {claims['hostile_eer']:.3f}"
     )
     return data
 
@@ -53,47 +49,19 @@ def test_matrix_covers_grid_and_attacks(report):
     """>= 3 motions x >= 3 degradations x >= 2 attack families."""
     assert report["claims"]["matrix_full"]
     for row in report["matrix"]:
-        assert set(row["modalities"]) == set(MODALITIES)
-        for modality in MODALITIES:
-            cell = row["modalities"][modality]
-            # Small inverted pools can push the empirical EER past
-            # chance level; it is still a rate.
-            assert 0.0 <= cell["eer"] <= 1.0
-            assert 0.0 <= cell["refusal_rate"] <= 1.0
+        # Small inverted pools can push the empirical EER past chance
+        # level; it is still a rate.
+        assert 0.0 <= row["eer"] <= 1.0
+        assert 0.0 <= row["refusal_rate"] <= 1.0
+    for row in report["attacks"]:
+        assert 0.0 <= row["far"] <= 1.0
 
 
 def test_clean_cell_is_first_and_calibrates(report):
     first = report["matrix"][0]
     assert first["scenario"] == "static+clean"
-    assert all(d == 0.0 for d in first["deltas_vs_clean"].values())
-    calibration = report["calibration"]
-    assert 0.0 < calibration["imu_threshold"] < 2.0
-    assert 0.0 < calibration["heartbeat_threshold"] < 2.0
-    assert calibration["fusion_weights"]["imu"] > 0.0
-
-
-def test_fusion_buys_back_hostile_cell(report):
-    """The tentpole claim: a cell where IMU-only collapses and the
-    heartbeat channel carries the fused decision."""
-    assert report["claims"]["fused_beats_imu_in_hostile_cell"], (
-        f"hostile {report['claims']['hostile_cell']}: "
-        f"imu {report['claims']['hostile_imu_eer']:.3f} vs "
-        f"fused {report['claims']['hostile_fused_eer']:.3f}"
-    )
-
-
-def test_fusion_free_in_clean_cell(report):
-    assert report["claims"]["fused_no_worse_in_clean"]
-
-
-def test_replay_structurally_blocked(report):
-    assert report["claims"]["replay_blocked_by_fusion"]
-    replay = next(r for r in report["attacks"] if r["attack"] == "replay")
-    assert replay["far"]["fused"] == 0.0
-
-
-def test_mimicry_not_easier_under_fusion(report):
-    assert report["claims"]["mimicry_no_worse_fused"]
+    assert first["eer_delta_vs_clean"] == 0.0
+    assert 0.0 < report["calibration"]["threshold"] < 2.0
 
 
 def test_metrics_emitted_per_cell(report):
@@ -101,4 +69,4 @@ def test_metrics_emitted_per_cell(report):
     metrics = report["metrics"]
     assert metrics["scenario_cells_total"] == len(report["matrix"])
     eer_series = [k for k in metrics if k.startswith("scenario_eer")]
-    assert len(eer_series) == len(report["matrix"]) * len(MODALITIES)
+    assert len(eer_series) == len(report["matrix"])

@@ -56,7 +56,6 @@ _EXPORTS = {
     "repro.imu.recorder": ("Recorder",),
     "repro.obs.metrics": ("MetricsRegistry",),
     "repro.physio.conditions": ("RecordingCondition",),
-    "repro.physio.heartbeat": ("HeartbeatVerifier",),
     "repro.physio.person": ("PersonProfile",),
     "repro.physio.population": ("sample_population",),
     "repro.security.cancelable": ("CancelableTransform",),

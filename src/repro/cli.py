@@ -15,9 +15,6 @@ Commands:
 * ``chaos``       -- run randomized seeded fault-injection schedules
                      through the serving stack and write the
                      outcome-accounting report ``BENCH_chaos.json``.
-* ``scenario-bench`` -- run the adversarial scenario matrix (motion x
-                     degradation x attacks; IMU vs heartbeat vs fused)
-                     and write ``BENCH_scenarios.json``.
 """
 
 from __future__ import annotations
@@ -406,49 +403,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if unhealthy else 0
 
 
-_SCENARIO_CLAIMS = (
-    "matrix_full",
-    "fused_beats_imu_in_hostile_cell",
-    "fused_no_worse_in_clean",
-    "replay_blocked_by_fusion",
-    "mimicry_no_worse_fused",
-)
-
-
-def _cmd_scenario_bench(args: argparse.Namespace) -> int:
-    from repro.eval.scenarios import run_scenario_bench
-
-    print(f"scenario matrix ({'quick' if args.quick else 'full'} mode)")
-    report = run_scenario_bench(
-        quick=args.quick, output=args.output or None, seed=args.seed
-    )
-    cal = report["calibration"]
-    print(f"  calibration: imu threshold {cal['imu_threshold']:.3f}, "
-          f"heartbeat threshold {cal['heartbeat_threshold']:.3f}, "
-          f"weights imu {cal['fusion_weights']['imu']:.2f} / "
-          f"hb {cal['fusion_weights']['heartbeat']:.2f}")
-    print(f"  {'cell':<18} {'imu':>7} {'heart':>7} {'fused':>7}")
-    for row in report["matrix"]:
-        mods = row["modalities"]
-        print(f"  {row['scenario']:<18} "
-              f"{mods['imu']['eer']:>7.3f} "
-              f"{mods['heartbeat']['eer']:>7.3f} "
-              f"{mods['fused']['eer']:>7.3f}")
-    for row in report["attacks"]:
-        far = row["far"]
-        print(f"  attack {row['attack']:<11} FAR: imu {far['imu']:.3f}, "
-              f"heartbeat {far['heartbeat']:.3f}, fused {far['fused']:.3f}")
-    claims = report["claims"]
-    print(f"  hostile cell: {claims['hostile_cell']} "
-          f"(imu EER {claims['hostile_imu_eer']:.3f} -> "
-          f"fused {claims['hostile_fused_eer']:.3f})")
-    for name in _SCENARIO_CLAIMS:
-        print(f"  {name:<32}: {'PASS' if claims[name] else 'FAIL'}")
-    if args.output:
-        print(f"# report written to {args.output}", file=sys.stderr)
-    return 0 if all(claims[name] for name in _SCENARIO_CLAIMS) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -564,21 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here (empty string to skip)",
     )
     chaos.set_defaults(func=_cmd_chaos)
-
-    scenario_bench = sub.add_parser(
-        "scenario-bench",
-        help="adversarial scenario matrix: motion x degradation x "
-             "attacks, IMU vs heartbeat vs fused",
-    )
-    scenario_bench.add_argument("--quick", action="store_true",
-                                help="CI smoke: smaller population/grids")
-    scenario_bench.add_argument("--seed", type=int, default=0,
-                                help="degradation/attack randomness")
-    scenario_bench.add_argument(
-        "--output", default="BENCH_scenarios.json",
-        help="write the JSON report here (empty string to skip)",
-    )
-    scenario_bench.set_defaults(func=_cmd_scenario_bench)
     return parser
 
 

@@ -64,8 +64,8 @@ class SamplingConfig:
             ``None`` (default) sustains voicing to the end of the trial
             -- the paper's short-trial behaviour, and bitwise identical
             to the pre-knob synthesis.  A value shorter than the trial
-            leaves a silent post-utterance tail, which longer fused
-            captures use to expose the cardiac channel (DESIGN.md §4l).
+            leaves a silent post-utterance tail; the scenario matrix's
+            long captures use it (DESIGN.md §4l).
     """
 
     duration_s: float = 0.6

@@ -11,10 +11,8 @@ MandiPass authentication system.
 * :mod:`repro.core.gallery` -- the sharded 1:N identification gallery,
 * :mod:`repro.core.system` -- the ``MandiPass`` facade.
 
-Two modules sit outside the serving path and are not imported here:
-:mod:`repro.core.training` (VSP-side training, Section V-C) and
-:mod:`repro.core.fusion` (multi-probe and multi-modal fusion rules,
-used by the evaluation harness).
+One module sits outside the serving path and is not imported here:
+:mod:`repro.core.training` (VSP-side training, Section V-C).
 """
 
 from repro.core.engine import BatchItemFailure, BatchOutcome, InferenceEngine

@@ -8,6 +8,7 @@ the similarity-distribution summaries behind Figs. 12-14.
 from repro.eval.calibration import (
     OperatingPoint,
     calibrate_far,
+    fused_error_rates,
     operating_table,
     threshold_for_target_far,
     threshold_for_target_frr,
@@ -51,6 +52,7 @@ __all__ = [
     "EmbeddingProtocolResult",
     "OperatingPoint",
     "calibrate_far",
+    "fused_error_rates",
     "operating_table",
     "threshold_for_target_far",
     "threshold_for_target_frr",

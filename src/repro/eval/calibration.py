@@ -3,12 +3,15 @@
 The paper fixes the threshold at the EER crossing (0.5485).  Real
 deployments usually calibrate to a *target FAR* instead ("no more than
 1 in 1000 impostor acceptances") and accept whatever FRR follows.
-These helpers compute such operating points from score sets.
+These helpers compute such operating points from score sets, and
+:func:`fused_error_rates` shows what asking for several probes does to
+a single-probe operating point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from math import comb
 
 import numpy as np
 
@@ -102,3 +105,50 @@ def operating_table(
         calibrate_far(genuine_distances, impostor_distances, far)
         for far in target_fars
     ]
+
+
+def fused_error_rates(
+    frr: float, far: float, num_probes: int, rule: str = "majority"
+) -> tuple[float, float]:
+    """Analytical (independence-assuming) error rates after fusion.
+
+    One 'EMM' costs 0.2 s of signal, so a deployment can cheaply ask for
+    two or three probes before unlocking anything valuable.
+
+    Args:
+        frr / far: single-probe error rates.
+        num_probes: how many probes are fused.
+        rule: ``"majority"``, ``"all"`` (AND: every probe must accept) or
+            ``"any"`` (OR: one acceptance suffices).
+
+    Returns:
+        ``(fused_frr, fused_far)``.
+    """
+    if not 0.0 <= frr <= 1.0 or not 0.0 <= far <= 1.0:
+        raise ConfigError("rates must lie in [0, 1]")
+    if num_probes <= 0:
+        raise ConfigError("num_probes must be positive")
+
+    if rule == "all":
+        # Reject if any probe rejects.
+        fused_frr = 1.0 - (1.0 - frr) ** num_probes
+        fused_far = far**num_probes
+    elif rule == "any":
+        fused_frr = frr**num_probes
+        fused_far = 1.0 - (1.0 - far) ** num_probes
+    elif rule == "majority":
+        need = num_probes // 2 + 1
+
+        def at_least(p: float, k: int) -> float:
+            return sum(
+                comb(num_probes, i) * p**i * (1.0 - p) ** (num_probes - i)
+                for i in range(k, num_probes + 1)
+            )
+
+        # FRR: genuine accepted with prob (1-frr) per probe; reject when
+        # acceptances fall below the majority.
+        fused_frr = 1.0 - at_least(1.0 - frr, need)
+        fused_far = at_least(far, need)
+    else:
+        raise ConfigError("rule must be 'majority', 'all' or 'any'")
+    return float(fused_frr), float(fused_far)

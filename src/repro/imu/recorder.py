@@ -12,14 +12,12 @@ import zlib
 
 import numpy as np
 
-from repro.config import SAMPLE_RATE_HZ, SamplingConfig
+from repro.config import SamplingConfig
 from repro.errors import ConfigError
 from repro.faults import runtime as faults
-from repro.imu import noise as imu_noise
 from repro.imu.device import IMUDevice, MPU9250
 from repro.imu.sensor import IMUSensor
 from repro.physio.conditions import NOMINAL, RecordingCondition
-from repro.physio.heartbeat import HeartbeatGenerator
 from repro.physio.person import PersonProfile
 from repro.physio.propagation import BodyLocation, PropagationModel
 from repro.types import RawRecording
@@ -35,11 +33,6 @@ class Recorder:
         seed: base seed; combined with person id and condition so that
             the same (seed, person, condition) always yields the same
             session, while different people get independent streams.
-        heartbeat: when True, the wearer's cardiac micro-vibration
-            (:mod:`repro.physio.heartbeat`) rides additively on every
-            capture.  Off by default: the cardiac stream draws from its
-            own salted RNG, so disabled recordings are bit-for-bit
-            identical to the historical ones.
     """
 
     def __init__(
@@ -49,7 +42,6 @@ class Recorder:
         propagation: PropagationModel | None = None,
         seed: int = 0,
         amplitude_scale: float = 4.5,
-        heartbeat: bool = False,
     ) -> None:
         self.sampling = sampling or SamplingConfig()
         self.sensor = IMUSensor(
@@ -59,12 +51,6 @@ class Recorder:
             amplitude_scale=amplitude_scale,
         )
         self.seed = seed
-        self.heartbeat = heartbeat
-        self._heartbeat_gen = (
-            HeartbeatGenerator(propagation=self.sensor.propagation)
-            if heartbeat
-            else None
-        )
 
     @property
     def device(self) -> IMUDevice:
@@ -98,10 +84,6 @@ class Recorder:
         """
         rng = self._rng(person, condition, salt=trial_index)
         batch = self.sensor.capture_batch(person, condition, 1, rng)
-        if self.heartbeat:
-            batch = self._add_heartbeat(
-                batch, person, condition, salt=50_000 + trial_index
-            )
         return faults.corrupt_recording(batch[0])
 
     def record_session(
@@ -115,43 +97,7 @@ class Recorder:
         if num_trials <= 0:
             raise ConfigError("num_trials must be positive")
         rng = self._rng(person, condition, salt=10_000 + session_index)
-        batch = self.sensor.capture_batch(person, condition, num_trials, rng)
-        if self.heartbeat:
-            batch = self._add_heartbeat(
-                batch, person, condition, salt=60_000 + session_index
-            )
-        return batch
-
-    def _add_heartbeat(
-        self,
-        batch: np.ndarray,
-        person: PersonProfile,
-        condition: RecordingCondition,
-        salt: int,
-    ) -> np.ndarray:
-        """Superpose the cardiac channel on a captured batch of trials.
-
-        The cardiac stream is salted separately from the capture stream
-        (50k/60k offsets vs the capture's 0/10k/20k) so enabling it
-        never perturbs the mandible signal itself; the sum is then
-        re-quantised and re-saturated through the device model.
-        """
-        assert self._heartbeat_gen is not None
-        rng = self._rng(person, condition, salt=salt)
-        num_samples = batch.shape[1]
-        out = batch.copy()
-        for trial in range(out.shape[0]):
-            out[trial] += self._heartbeat_gen.counts(
-                person,
-                condition,
-                num_samples,
-                SAMPLE_RATE_HZ,
-                self.device,
-                rng,
-            )
-        if self.device.quantize:
-            out = imu_noise.quantize(out)
-        return imu_noise.saturate(out, self.device.full_scale_counts)
+        return self.sensor.capture_batch(person, condition, num_trials, rng)
 
     def record_at_location(
         self,

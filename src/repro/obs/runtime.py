@@ -140,22 +140,19 @@ gallery_bytes                gauge      --  (derived 1:N scoring state,
                                             all shards)
 ===========================  =========  =================================
 
-The adversarial scenario matrix, which alone fuses the IMU and
-heartbeat channels (:mod:`repro.eval.scenarios`, DESIGN.md §4l), adds:
+The adversarial scenario matrix (:mod:`repro.eval.scenarios`,
+DESIGN.md §4l) adds:
 
 ===========================  =========  =================================
 name                         kind       labels
 ===========================  =========  =================================
 scenario_cells_total         counter    --  (matrix cells evaluated)
 scenario_eer                 gauge      ``scenario`` (motion+degradation
-                                        cell), ``modality``: imu,
-                                        heartbeat, fused
-scenario_far                 gauge      ``scenario``, ``modality`` (at
-                                        the clean-cell calibrated
-                                        threshold)
-scenario_frr                 gauge      ``scenario``, ``modality``
-scenario_attack_far          gauge      ``attack``: replay, mimicry;
-                                        ``modality``
+                                        cell)
+scenario_far                 gauge      ``scenario`` (at the clean-cell
+                                        calibrated threshold)
+scenario_frr                 gauge      ``scenario``
+scenario_attack_far          gauge      ``attack``: replay, mimicry
 ===========================  =========  =================================
 """
 

@@ -11,17 +11,10 @@ data.  It implements the paper's own feasibility model (Section II):
 * per-person anatomical parameters and reproducible population sampling
   (:mod:`repro.physio.person`, :mod:`repro.physio.population`),
 * recording conditions: activities, food, tone, orientation, ear side,
-  long-term drift (:mod:`repro.physio.conditions`),
-* the cardiac micro-vibration channel and its verifier
-  (:mod:`repro.physio.heartbeat`, DESIGN.md §4l).
+  long-term drift (:mod:`repro.physio.conditions`).
 """
 
 from repro.physio.conditions import RecordingCondition
-from repro.physio.heartbeat import (
-    CardiacProfile,
-    HeartbeatGenerator,
-    HeartbeatVerifier,
-)
 from repro.physio.person import PersonProfile
 from repro.physio.population import sample_population
 from repro.physio.propagation import BodyLocation, PropagationModel
@@ -31,9 +24,6 @@ from repro.physio.voice import VoiceSource
 
 __all__ = [
     "BodyLocation",
-    "CardiacProfile",
-    "HeartbeatGenerator",
-    "HeartbeatVerifier",
     "MandibleOscillator",
     "PersonProfile",
     "PropagationModel",

@@ -115,7 +115,7 @@ class VoiceSource:
         ``voiced_s`` bounds how long voicing lasts after the onset;
         ``None`` (the historical behaviour, bit-for-bit) sustains it to
         the end of the trial.  A shorter utterance leaves a silent tail
-        where only the cardiac channel remains (DESIGN.md §4l).
+        (the scenario matrix's long captures, DESIGN.md §4l).
 
         Returns:
             ``(waveform, cycle_phase)``, both of length

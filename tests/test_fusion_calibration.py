@@ -1,17 +1,13 @@
-"""Tests for decision fusion, threshold calibration and IMU calibration."""
+"""Tests for multi-probe error rates, threshold calibration and IMU
+calibration."""
 
 import numpy as np
 import pytest
 
-from repro.core.fusion import (
-    fuse_majority,
-    fuse_mean_distance,
-    fuse_min_distance,
-    fused_error_rates,
-)
 from repro.errors import ConfigError, ShapeError
 from repro.eval.calibration import (
     calibrate_far,
+    fused_error_rates,
     operating_table,
     threshold_for_target_far,
     threshold_for_target_frr,
@@ -23,38 +19,6 @@ from repro.imu.calibration import (
     calibrate_static,
     find_quiet_samples,
 )
-from repro.types import VerificationResult
-
-
-def _result(distance, threshold=0.5, user="u"):
-    return VerificationResult(
-        accepted=distance <= threshold,
-        distance=distance,
-        threshold=threshold,
-        user_id=user,
-    )
-
-
-class TestFusionRules:
-    def test_mean_distance_accepts_on_average(self):
-        fused = fuse_mean_distance([_result(0.3), _result(0.6)])
-        assert fused.accepted and fused.distance == pytest.approx(0.45)
-
-    def test_min_distance_takes_best_probe(self):
-        fused = fuse_min_distance([_result(0.9), _result(0.2), _result(0.7)])
-        assert fused.accepted and fused.distance == pytest.approx(0.2)
-
-    def test_majority_requires_more_than_half(self):
-        assert fuse_majority([_result(0.2), _result(0.3), _result(0.9)]).accepted
-        assert not fuse_majority([_result(0.2), _result(0.9), _result(0.9)]).accepted
-
-    def test_mixed_users_rejected(self):
-        with pytest.raises(ShapeError):
-            fuse_mean_distance([_result(0.2, user="a"), _result(0.2, user="b")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            fuse_majority([])
 
 
 class TestFusedErrorRates:

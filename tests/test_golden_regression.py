@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Recorder, sample_population
-from repro.config import SAMPLE_RATE_HZ, ExtractorConfig
+from repro.config import ExtractorConfig
 from repro.core.engine import InferenceEngine
 from repro.core.extractor import TwoBranchExtractor
 from repro.core.frontend import make_frontend
@@ -300,114 +300,3 @@ class TestStreamingGolden:
         # first recording — bitwise, not approximately.
         batch = golden_system.verify("golden", golden_recording)
         assert decisions[0].result.distance == batch.distance
-
-
-class TestHeartbeatFusionGolden:
-    """Fixed-seed goldens for the cardiac channel (DESIGN.md §4l).
-
-    Same contract as the IMU chain above: a fixed-seed heartbeat-carrying
-    capture pins the verifier's template, features and genuine/impostor
-    distances, plus one end-to-end fused decision, so a refactor of the
-    beat detector, the fold alignment or the fusion arithmetic that
-    shifts the numerics fails loudly.
-    """
-
-    @pytest.fixture(scope="class")
-    def hb_sampling(self):
-        from repro.config import SamplingConfig
-
-        # Heartbeat reading needs several cardiac cycles of silent tail.
-        return SamplingConfig(duration_s=3.6, utterance_s=0.45)
-
-    @pytest.fixture(scope="class")
-    def hb_recorder(self, hb_sampling):
-        return Recorder(sampling=hb_sampling, seed=99, heartbeat=True)
-
-    @pytest.fixture(scope="class")
-    def hb_verifier(self, hb_recorder, golden_population):
-        from repro.physio.heartbeat import HeartbeatVerifier
-
-        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
-        verifier.fit(
-            golden_population[0].person_id,
-            [hb_recorder.record(golden_population[0], trial_index=t) for t in (1, 2, 3)],
-        )
-        return verifier
-
-    @pytest.fixture(scope="class")
-    def hb_probe(self, hb_recorder, golden_population):
-        # Trial 9 acquires cleanly under seed 99 (2, 3, 4 also would;
-        # many others refuse with too few clean beats -- the channel's
-        # documented ~FTA behaviour, not an error).
-        return hb_recorder.record(golden_population[0], trial_index=9)
-
-    def test_template_values(self, hb_verifier, golden_population):
-        template = hb_verifier.template(golden_population[0].person_id)
-        assert template.shape == (122,)
-        np.testing.assert_allclose(template.mean(), 0.003183864747, rtol=RTOL)
-        np.testing.assert_allclose(template.std(), 0.092465266873, rtol=RTOL)
-        np.testing.assert_allclose(
-            template[:3],
-            [-0.00113236, -0.01375706, 0.02227187],
-            rtol=1e-5,
-            atol=ATOL,
-        )
-
-    def test_probe_features(self, hb_verifier, hb_probe):
-        features = hb_verifier.beat_features(hb_probe)
-        assert features.shape == (122,)
-        np.testing.assert_allclose(features.mean(), 0.001970076365, rtol=RTOL)
-        np.testing.assert_allclose(features.std(), 0.092189152245, rtol=RTOL)
-        np.testing.assert_allclose(features[0], -0.004546337474, rtol=RTOL)
-
-    def test_genuine_and_impostor_distances(
-        self, hb_verifier, hb_probe, hb_recorder, golden_population
-    ):
-        user = golden_population[0].person_id
-        genuine = hb_verifier.score(user, hb_probe)
-        impostor = hb_verifier.score(
-            user, hb_recorder.record(golden_population[1], trial_index=9)
-        )
-        np.testing.assert_allclose(genuine, 0.047365519522, rtol=RTOL)
-        np.testing.assert_allclose(impostor, 0.474366182986, rtol=RTOL)
-
-    def test_fused_decision_golden(
-        self, hb_verifier, hb_probe, hb_recorder, golden_model, golden_population
-    ):
-        """End-to-end fused decision: IMU chain + cardiac chain -> score."""
-        from repro.core.fusion import fuse_score_level
-        from repro.types import VerificationResult
-
-        engine = InferenceEngine(
-            golden_model, Preprocessor(), make_frontend("spectral")
-        )
-        transform = CancelableTransform(64, seed=5)
-        template = np.mean(
-            [
-                transform.apply(
-                    engine.embed_one(
-                        hb_recorder.record(golden_population[0], trial_index=t)
-                    )
-                )
-                for t in (1, 2, 3)
-            ],
-            axis=0,
-        )
-        imu_distance = cosine_distance(
-            transform.apply(engine.embed_one(hb_probe)), template
-        )
-        np.testing.assert_allclose(imu_distance, 0.135954528451, rtol=RTOL)
-
-        user = golden_population[0].person_id
-        imu = VerificationResult(
-            accepted=imu_distance <= 0.48,
-            distance=float(imu_distance),
-            threshold=0.48,
-            user_id=user,
-        )
-        heart = hb_verifier.verify(user, hb_probe)
-        assert heart.accepted and heart.exit_stage == "full"
-        fused = fuse_score_level([imu, heart], weights=[2.0, 1.0])
-        assert fused.accepted
-        assert fused.threshold == 1.0
-        np.testing.assert_allclose(fused.distance, 0.238164816796, rtol=RTOL)

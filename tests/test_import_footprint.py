@@ -6,8 +6,8 @@ cancelable template with its enclave, the cosine decision -- plus the
 serving, streaming, fault-hook and metrics layers around
 them.  The recording simulator (``physio``, ``imu``, ``datasets``),
 training (``core.training``, the ``nn`` optimisers, losses and data
-loaders), the classical-ML baselines, fusion and the scenario matrix
-(``core.fusion``, ``eval``), the attacker models and every bench driver
+loaders), the classical-ML baselines, the evaluation harness and its
+scenario matrix (``eval``), the attacker models and every bench driver
 sit outside it.  A serving process, and each pool worker it spawns,
 pays the import of whatever these modules pull in, so the product set
 below is the whole list a serving import may load.
@@ -19,6 +19,10 @@ process that imported ``repro``.  On a 2-CPU Xeon at 2.1 GHz that was
 76 of the 107 MB of resident memory and 1.65 of the 2.1 s of ``import
 repro``.  Simulation and evaluation code may still import scipy inside
 the functions that need it.
+
+``import repro`` itself loads nothing: its names resolve lazily through
+the ``_EXPORTS`` table, which is checked here name by name so a stale
+entry fails at once rather than at first use.
 """
 
 from __future__ import annotations
@@ -137,3 +141,11 @@ def test_serving_imports_load_only_the_product(loaded):
     # imports still load, so a deleted module leaves it.
     assert sorted(PRODUCT.difference(loaded)) == []
     assert len(PRODUCT) == 47
+
+
+def test_every_export_resolves_lazily():
+    import repro
+
+    lazy = [name for name in repro.__all__ if name != "obs"]  # a subpackage
+    for name in lazy:
+        assert repro.__getattr__(name) is not None, name

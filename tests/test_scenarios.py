@@ -13,12 +13,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.eval.scenarios import (
-    _REJECTED,
     DegradationSpec,
     Scenario,
     _cell_metrics,
     _distance_sets,
-    _fused_score,
     default_degradations,
     default_motions,
     degrade_recording,
@@ -26,8 +24,9 @@ from repro.eval.scenarios import (
     scenario_grid,
 )
 
-RATE = 350.0
 FULL_SCALE = 32767.0
+#: Distance a refused probe carries, mirrors ``core.verification``.
+REJECTED = 2.0
 
 
 @pytest.fixture()
@@ -65,14 +64,14 @@ class TestDegradationSpec:
 class TestDegradeRecording:
     def test_clean_spec_is_identity(self, recording, rng):
         out = degrade_recording(
-            recording, DegradationSpec(), RATE, FULL_SCALE, rng
+            recording, DegradationSpec(), FULL_SCALE, rng
         )
         np.testing.assert_array_equal(out, recording)
         assert out is not recording  # always a new array
 
     def test_quantization_lands_on_grid(self, recording, rng):
         spec = DegradationSpec("q8", quant_bits=8)
-        out = degrade_recording(recording, spec, RATE, FULL_SCALE, rng)
+        out = degrade_recording(recording, spec, FULL_SCALE, rng)
         step = 2.0 * FULL_SCALE / 2.0**8
         np.testing.assert_allclose(out, np.round(out / step) * step)
         # 256-count resolution really is coarser than the input.
@@ -80,13 +79,13 @@ class TestDegradeRecording:
 
     def test_dropped_axes_read_zero(self, recording, rng):
         spec = DegradationSpec("gyro", drop_axes=(3, 4, 5))
-        out = degrade_recording(recording, spec, RATE, FULL_SCALE, rng)
+        out = degrade_recording(recording, spec, FULL_SCALE, rng)
         assert not out[:, 3:].any()
         np.testing.assert_array_equal(out[:, :3], recording[:, :3])
 
     def test_jitter_preserves_shape_and_range(self, recording, rng):
         spec = DegradationSpec("jit", clock_jitter_s=0.002)
-        out = degrade_recording(recording, spec, RATE, FULL_SCALE, rng)
+        out = degrade_recording(recording, spec, FULL_SCALE, rng)
         assert out.shape == recording.shape
         assert not np.array_equal(out, recording)
         for axis in range(6):  # interpolation cannot extrapolate
@@ -96,10 +95,10 @@ class TestDegradeRecording:
     def test_same_rng_bitwise_identical(self, recording):
         spec = DegradationSpec("jit", clock_jitter_s=0.002, quant_bits=10)
         a = degrade_recording(
-            recording, spec, RATE, FULL_SCALE, np.random.default_rng(5)
+            recording, spec, FULL_SCALE, np.random.default_rng(5)
         )
         b = degrade_recording(
-            recording, spec, RATE, FULL_SCALE, np.random.default_rng(5)
+            recording, spec, FULL_SCALE, np.random.default_rng(5)
         )
         np.testing.assert_array_equal(a, b)
 
@@ -121,14 +120,14 @@ class TestScenarioGrid:
 
     def test_empty_scenarios_rejected(self):
         with pytest.raises(ConfigError):
-            run_scenario_matrix(None, None, None, [], scenarios=[])
+            run_scenario_matrix(None, None, [], scenarios=[])
 
 
 class TestRefusalAwareScoring:
     def test_distance_sets_drop_refused(self):
         scores = {
-            ("u", "u"): [(0.1, False), (_REJECTED, True)],
-            ("u", "v"): [(0.9, False), (_REJECTED, True), (0.8, False)],
+            ("u", "u"): [(0.1, False), (REJECTED, True)],
+            ("u", "v"): [(0.9, False), (REJECTED, True), (0.8, False)],
         }
         genuine, impostor = _distance_sets(scores)
         np.testing.assert_array_equal(genuine, [0.1])
@@ -146,28 +145,10 @@ class TestRefusalAwareScoring:
         assert metrics["refusal_rate"] == pytest.approx(0.3)
 
     def test_cell_metrics_with_nothing_acquired(self):
-        scores = {("u", "u"): [(_REJECTED, True)], ("u", "v"): [(0.9, False)]}
+        scores = {("u", "u"): [(REJECTED, True)], ("u", "v"): [(0.9, False)]}
         metrics = _cell_metrics(scores, threshold=0.5, refusal_count=1, total=1)
         assert metrics["eer"] == 0.5  # chance level, story told by FTA
         assert metrics["frr"] == 1.0
-
-    def test_fused_score_weighted_mean(self):
-        fused = _fused_score(0.2, False, 0.3, False, 0.4, 0.6, (3.0, 1.0))
-        expected = (3.0 * (0.2 / 0.4) + 1.0 * (0.3 / 0.6)) / 4.0
-        assert fused == pytest.approx(expected)
-
-    def test_fused_score_refused_modality_is_absent(self):
-        alone = _fused_score(_REJECTED, True, 0.3, False, 0.4, 0.6, (3.0, 1.0))
-        assert alone == pytest.approx(0.3 / 0.6)
-        other = _fused_score(0.2, False, _REJECTED, True, 0.4, 0.6, (3.0, 1.0))
-        assert other == pytest.approx(0.2 / 0.4)
-
-    def test_fused_score_double_refusal_is_maximal(self):
-        fused = _fused_score(
-            _REJECTED, True, _REJECTED, True, 0.4, 0.6, (1.0, 1.0)
-        )
-        assert fused == pytest.approx(_REJECTED / 0.4)
-        assert fused > 1.0  # can never be accepted
 
 
 class TestScenarioDataclass:
@@ -189,14 +170,8 @@ class TestMatrixIntegration:
     @pytest.fixture(scope="class")
     def rig(self, trained_model):
         from repro import Recorder, sample_population
-        from repro.config import (
-            SAMPLE_RATE_HZ,
-            MandiPassConfig,
-            SamplingConfig,
-            SecurityConfig,
-        )
+        from repro.config import MandiPassConfig, SamplingConfig, SecurityConfig
         from repro.core.system import MandiPass
-        from repro.physio.heartbeat import HeartbeatVerifier
 
         sampling = SamplingConfig(duration_s=3.6, utterance_s=0.45)
         system = MandiPass(
@@ -211,52 +186,46 @@ class TestMatrixIntegration:
                 ),
             ),
         )
-        verifier = HeartbeatVerifier(rate_hz=SAMPLE_RATE_HZ)
-        recorder = Recorder(sampling=sampling, seed=3, heartbeat=True)
+        recorder = Recorder(sampling=sampling, seed=3)
         population = sample_population(2, 1, seed=7)
         for person in population:
-            enrollment = [
-                recorder.record(person, trial_index=i) for i in range(4)
-            ]
-            system.enroll(person.person_id, enrollment)
-            verifier.fit(person.person_id, enrollment)
-        return system, verifier, recorder, population
+            system.enroll(
+                person.person_id,
+                [recorder.record(person, trial_index=i) for i in range(4)],
+            )
+        return system, recorder, population
 
     @pytest.fixture(scope="class")
     def small_report(self, rig):
-        system, verifier, recorder, population = rig
+        system, recorder, population = rig
         scenarios = scenario_grid(
             {"static": default_motions()["static"]},
             [DegradationSpec(), DegradationSpec("gyro-drop", drop_axes=(3, 4, 5))],
         )
         return run_scenario_matrix(
-            system, verifier, recorder, population,
-            probe_trials=2, scenarios=scenarios,
+            system, recorder, population, probe_trials=2, scenarios=scenarios
         )
 
     def test_calibrates_from_clean_cell(self, small_report):
-        calibration = small_report["calibration"]
-        assert 0.0 < calibration["imu_threshold"] < 2.0
-        assert 0.0 < calibration["heartbeat_threshold"] < 2.0
-        assert calibration["fusion_weights"]["imu"] > 0.0
+        assert 0.0 < small_report["calibration"]["threshold"] < 2.0
 
     def test_clean_cell_deltas_are_zero(self, small_report):
         rows = small_report["matrix"]
         assert [r["scenario"] for r in rows] == [
             "static+clean", "static+gyro-drop",
         ]
-        assert all(d == 0.0 for d in rows[0]["deltas_vs_clean"].values())
+        assert rows[0]["eer_delta_vs_clean"] == 0.0
 
-    def test_gyro_drop_refuses_imu_not_heartbeat(self, small_report):
-        """Three dead axes refuse the IMU pipeline; the cardiac channel
-        reads the accelerometers and carries the fused decision."""
-        cell = small_report["matrix"][1]["modalities"]
-        assert cell["imu"]["refusal_rate"] == 1.0
-        assert cell["heartbeat"]["refusal_rate"] < 1.0
-        assert cell["fused"]["eer"] == cell["heartbeat"]["eer"]
+    def test_gyro_drop_refuses_every_probe(self, small_report):
+        """Three dead axes leave too few usable axes: every probe is a
+        refusal, reported as such rather than folded into the EER."""
+        cell = small_report["matrix"][1]
+        assert cell["refusal_rate"] == 1.0
+        assert cell["eer"] == 0.5
+        assert cell["frr"] == 1.0
 
     def test_non_clean_first_cell_without_thresholds_raises(self, rig):
-        system, verifier, recorder, population = rig
+        system, recorder, population = rig
         hostile_only = [
             scenario_grid(
                 {"static": default_motions()["static"]},
@@ -265,21 +234,16 @@ class TestMatrixIntegration:
         ]
         with pytest.raises(ConfigError, match="static\\+clean"):
             run_scenario_matrix(
-                system, verifier, recorder, population,
+                system, recorder, population,
                 probe_trials=1, scenarios=hostile_only,
             )
 
-    def test_attacks_report_per_modality_far(self, rig):
+    def test_attacks_report_far(self, rig):
         from repro.eval.scenarios import run_attacks
 
-        system, verifier, recorder, population = rig
-        rows = run_attacks(
-            system, verifier, recorder, population, attack_trials=1
-        )
+        system, recorder, population = rig
+        rows = run_attacks(system, recorder, population, attack_trials=1)
         by_name = {r["attack"]: r for r in rows}
         assert set(by_name) == {"replay", "mimicry"}
-        assert by_name["replay"]["far"]["imu"] == 1.0
-        assert by_name["replay"]["far"]["fused"] == 0.0
-        for row in rows:
-            for modality in ("imu", "heartbeat", "fused"):
-                assert 0.0 <= row["far"][modality] <= 1.0
+        assert by_name["replay"]["far"] == 1.0
+        assert 0.0 <= by_name["mimicry"]["far"] <= 1.0

@@ -15,7 +15,6 @@ import pytest
 from repro import Recorder, sample_population
 from repro.config import SamplingConfig
 from repro.errors import ConfigError
-from repro.physio.heartbeat import CardiacProfile, HeartbeatGenerator
 from repro.physio.voice import VoiceSource
 from repro.security.attacks import (
     ImpersonationAttacker,
@@ -24,6 +23,7 @@ from repro.security.attacks import (
     ZeroEffortAttacker,
 )
 
+# The scenario matrix's long capture: 3.6 s trials, 0.45 s of voicing.
 SAMPLING = SamplingConfig(duration_s=3.6, utterance_s=0.45)
 
 
@@ -123,36 +123,18 @@ class TestPhysioDeterminism:
         c = voice.synthesize(0.6, 2800.0, np.random.default_rng(12))
         assert not np.array_equal(a, c)
 
-    def test_heartbeat_generator_same_rng_bitwise(self, pair):
-        person, other = pair
-        gen = HeartbeatGenerator()
-        a = gen.synthesize(person, None, 700, 350.0, np.random.default_rng(7))
-        b = gen.synthesize(person, None, 700, 350.0, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-        c = gen.synthesize(person, None, 700, 350.0, np.random.default_rng(8))
-        assert not np.array_equal(a, c)
-        d = gen.synthesize(other, None, 700, 350.0, np.random.default_rng(7))
-        assert not np.array_equal(a, d)
-
-    def test_cardiac_profile_is_seedless_and_stable(self, pair):
+    def test_long_capture_recorder_same_seed_bitwise(self, pair):
         person, _ = pair
-        a = CardiacProfile.from_person(person)
-        b = CardiacProfile.from_person(person)
-        assert a.rest_rate_bpm == b.rest_rate_bpm
-        np.testing.assert_array_equal(a.coupling, b.coupling)
-
-    def test_heartbeat_recorder_same_seed_bitwise(self, pair):
-        person, _ = pair
-        a = Recorder(sampling=SAMPLING, seed=6, heartbeat=True)
-        b = Recorder(sampling=SAMPLING, seed=6, heartbeat=True)
+        a = Recorder(sampling=SAMPLING, seed=6)
+        b = Recorder(sampling=SAMPLING, seed=6)
         np.testing.assert_array_equal(
             a.record(person, trial_index=1), b.record(person, trial_index=1)
         )
 
-    def test_heartbeat_recorder_seeds_decorrelate(self, pair):
+    def test_long_capture_recorder_seeds_decorrelate(self, pair):
         person, _ = pair
-        a = Recorder(sampling=SAMPLING, seed=6, heartbeat=True)
-        c = Recorder(sampling=SAMPLING, seed=7, heartbeat=True)
+        a = Recorder(sampling=SAMPLING, seed=6)
+        c = Recorder(sampling=SAMPLING, seed=7)
         assert not np.array_equal(
             a.record(person, trial_index=1), c.record(person, trial_index=1)
         )
