@@ -30,17 +30,6 @@ def per_person_split(
     return ~test_mask, test_mask
 
 
-def leave_one_person_out(
-    labels: np.ndarray, person: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masks ``(others, target)`` for the paper's Section VII-A protocol."""
-    labels = np.asarray(labels)
-    target = labels == person
-    if not target.any():
-        raise ConfigError(f"person {person} has no trials")
-    return ~target, target
-
-
 def enrollment_probe_split(
     labels: np.ndarray,
     enroll_count: int,

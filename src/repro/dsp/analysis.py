@@ -1,8 +1,7 @@
-"""Signal analysis: F0 estimation, autocorrelation, FFT resampling.
+"""Signal analysis: F0 estimation, autocorrelation, envelopes.
 
 The autocorrelation F0 estimator powers the impersonation attacker's
-'listening' step in extended experiments and the analysis examples; the
-band-limited resampler supports rate-conversion studies.
+'listening' step in extended experiments and the analysis examples.
 """
 
 from __future__ import annotations
@@ -79,36 +78,6 @@ def estimate_f0(
     else:
         delta = 0.0
     return float(sample_rate_hz / (peak + delta))
-
-
-def resample_fft(signal: np.ndarray, num_samples: int) -> np.ndarray:
-    """Band-limited (FFT) resampling to ``num_samples`` points."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ShapeError("resample_fft expects a 1-D signal")
-    if num_samples <= 0:
-        raise ConfigError("num_samples must be positive")
-    n = signal.size
-    if n == 0:
-        raise ShapeError("empty signal")
-    if num_samples == n:
-        return signal.copy()
-    spectrum = np.fft.rfft(signal)
-    out_bins = num_samples // 2 + 1
-    resized = np.zeros(out_bins, dtype=complex)
-    keep = min(spectrum.size, out_bins)
-    resized[:keep] = spectrum[:keep]
-    return np.fft.irfft(resized, num_samples) * (num_samples / n)
-
-
-def zero_crossing_rate(signal: np.ndarray) -> float:
-    """Fraction of consecutive sample pairs that change sign."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1 or signal.size < 2:
-        raise ShapeError("need a 1-D signal with at least two samples")
-    signs = np.sign(signal)
-    signs[signs == 0] = 1.0
-    return float(np.mean(signs[1:] != signs[:-1]))
 
 
 def envelope(signal: np.ndarray, window: int = 10) -> np.ndarray:

@@ -397,17 +397,6 @@ def onset_metric(
     return window_metrics(OnsetDetector(config)._filter(accel)[0], window)
 
 
-def has_vibration(
-    recording: np.ndarray, config: PreprocessConfig | None = None
-) -> bool:
-    """Whether the recording contains a detectable vibration event."""
-    try:
-        detect_onset(recording, config)
-    except OnsetNotFoundError:
-        return False
-    return True
-
-
 def segment_after_onset(
     recording: np.ndarray,
     onset: int,

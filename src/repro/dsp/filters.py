@@ -303,17 +303,6 @@ def zero_state_response(sos: np.ndarray, n: int) -> np.ndarray:
     return response
 
 
-def highpass(
-    signal: np.ndarray,
-    cutoff_hz: float,
-    sample_rate_hz: float,
-    order: int = 4,
-) -> np.ndarray:
-    """Convenience wrapper: design + apply the paper's high-pass filter."""
-    sos = design_highpass(order, cutoff_hz, sample_rate_hz)
-    return sosfilt(sos, signal)
-
-
 def frequency_response(
     sos: np.ndarray, freqs_hz: np.ndarray, sample_rate_hz: float
 ) -> np.ndarray:

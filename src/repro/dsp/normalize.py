@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
-
 
 def min_max_normalize(segment: np.ndarray, axis: int = -1) -> np.ndarray:
     """Map values to ``[0, 1]`` along ``axis`` (the paper's Eq. 7).
@@ -26,23 +24,3 @@ def min_max_normalize(segment: np.ndarray, axis: int = -1) -> np.ndarray:
     safe = np.where(span == 0.0, 1.0, span)
     out = (segment - lo) / safe
     return np.where(span == 0.0, 0.0, out)
-
-
-def z_score_normalize(segment: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Zero-mean unit-variance normalisation (used by ablations)."""
-    segment = np.asarray(segment, dtype=np.float64)
-    mean = segment.mean(axis=axis, keepdims=True)
-    std = segment.std(axis=axis, keepdims=True)
-    safe = np.where(std == 0.0, 1.0, std)
-    out = (segment - mean) / safe
-    return np.where(std == 0.0, 0.0, out)
-
-
-def concat_axes(segments: list[np.ndarray]) -> np.ndarray:
-    """Stack per-axis segments into a ``(num_axes, n)`` signal array."""
-    if not segments:
-        raise ShapeError("need at least one segment")
-    lengths = {np.asarray(s).shape for s in segments}
-    if len(lengths) != 1:
-        raise ShapeError(f"segments disagree on shape: {sorted(lengths)}")
-    return np.stack([np.asarray(s, dtype=np.float64) for s in segments], axis=0)

@@ -53,16 +53,6 @@ def _median(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(part[..., -1]), np.nan, median)
 
 
-def mad(values: np.ndarray) -> float:
-    """Median absolute deviation from the median."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ShapeError("mad() expects a 1-D array")
-    if values.size == 0:
-        raise ShapeError("mad() of an empty array")
-    return float(_median(np.abs(values - _median(values))))
-
-
 def mad_outlier_mask(values: np.ndarray, threshold: float = 3.5) -> np.ndarray:
     """Boolean mask of outliers by the modified z-score rule.
 

@@ -1,8 +1,7 @@
 """Spectral analysis helpers.
 
 Used by the feasibility experiments (vibration band content, the
-tissue/bone path comparison) and by tests that verify the high-pass
-filter actually removes sub-20 Hz body-motion energy.
+tissue/bone path comparison).
 """
 
 from __future__ import annotations
@@ -54,36 +53,6 @@ def periodogram(
     return freqs, psd
 
 
-def band_energy(
-    signal: np.ndarray,
-    sample_rate_hz: float,
-    low_hz: float,
-    high_hz: float,
-) -> float:
-    """Total PSD mass in ``[low_hz, high_hz]``."""
-    if low_hz < 0 or high_hz <= low_hz:
-        raise ConfigError("need 0 <= low_hz < high_hz")
-    freqs, psd = periodogram(signal, sample_rate_hz)
-    mask = (freqs >= low_hz) & (freqs <= high_hz)
-    return float(np.sum(psd[mask]))
-
-
-def band_energy_ratio(
-    signal: np.ndarray,
-    sample_rate_hz: float,
-    split_hz: float,
-) -> float:
-    """Fraction of (non-DC) spectral energy below ``split_hz``."""
-    freqs, psd = periodogram(signal, sample_rate_hz)
-    psd = psd[1:]  # remove DC: offsets are not vibration
-    freqs = freqs[1:]
-    total = float(np.sum(psd))
-    if total == 0.0:
-        return 0.0
-    low = float(np.sum(psd[freqs < split_hz]))
-    return low / total
-
-
 def dominant_frequency(signal: np.ndarray, sample_rate_hz: float) -> float:
     """Frequency of the strongest non-DC spectral peak."""
     freqs, psd = periodogram(signal, sample_rate_hz)
@@ -91,14 +60,3 @@ def dominant_frequency(signal: np.ndarray, sample_rate_hz: float) -> float:
         raise ShapeError("signal too short for a spectrum")
     idx = int(np.argmax(psd[1:])) + 1
     return float(freqs[idx])
-
-
-def spectral_centroid(signal: np.ndarray, sample_rate_hz: float) -> float:
-    """Power-weighted mean frequency (excludes DC)."""
-    freqs, psd = periodogram(signal, sample_rate_hz)
-    psd = psd[1:]
-    freqs = freqs[1:]
-    total = float(np.sum(psd))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(freqs * psd) / total)

@@ -79,28 +79,3 @@ def spectrogram(
     times = (np.arange(power.shape[0]) * hop + frame_length / 2.0) / sample_rate_hz
     freqs = np.fft.rfftfreq(frame_length, d=1.0 / sample_rate_hz)
     return times, freqs, power
-
-
-def istft_overlap_add(
-    frames_spectra: np.ndarray,
-    frame_length: int = 64,
-    hop: int = 16,
-) -> np.ndarray:
-    """Inverse STFT by overlap-add with a rectangular synthesis window.
-
-    Intended for analysis round-trips in tests, not high-fidelity
-    resynthesis (no window compensation beyond the constant-overlap-add
-    normalisation).
-    """
-    frames_spectra = np.asarray(frames_spectra)
-    if frames_spectra.ndim != 2:
-        raise ShapeError("expected (num_frames, bins)")
-    frames = np.fft.irfft(frames_spectra, frame_length, axis=1)
-    num_frames = frames.shape[0]
-    out = np.zeros((num_frames - 1) * hop + frame_length)
-    norm = np.zeros_like(out)
-    win = hann_window(frame_length)
-    for i in range(num_frames):
-        out[i * hop : i * hop + frame_length] += frames[i]
-        norm[i * hop : i * hop + frame_length] += win
-    return out / np.maximum(norm, 1e-9)

@@ -55,23 +55,6 @@ def threshold_for_target_far(
     return float(impostor[allowed - 1])
 
 
-def threshold_for_target_frr(
-    genuine_distances: np.ndarray, target_frr: float
-) -> float:
-    """Smallest threshold whose FRR does not exceed ``target_frr``."""
-    if not 0.0 <= target_frr <= 1.0:
-        raise ConfigError("target_frr must lie in [0, 1]")
-    genuine = np.sort(np.asarray(genuine_distances, dtype=np.float64).reshape(-1))
-    if genuine.size == 0:
-        raise ShapeError("need genuine distances")
-    allowed = int(np.floor(target_frr * genuine.size))
-    # Reject the `allowed` largest genuine scores at most.
-    index = genuine.size - 1 - allowed
-    if index < 0:
-        return float(np.nextafter(genuine[0], -np.inf))
-    return float(genuine[index])
-
-
 def operating_point_at(
     genuine_distances: np.ndarray,
     impostor_distances: np.ndarray,

@@ -1,6 +1,6 @@
 """Extended evaluation curves and uncertainty estimates.
 
-DET curves, ROC AUC and bootstrap confidence intervals -- the standard
+ROC AUC and a subject-level bootstrap confidence interval -- the standard
 companions of an EER number when comparing biometric systems.
 """
 
@@ -10,36 +10,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import ConfigError, ShapeError
-from repro.eval.metrics import equal_error_rate, far_frr_curve
-
-
-def det_curve(
-    genuine_distances: np.ndarray,
-    impostor_distances: np.ndarray,
-    num_points: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detection-error-tradeoff curve in normal-deviate coordinates.
-
-    Returns:
-        ``(far_deviates, frr_deviates)``: probit-transformed FAR and FRR
-        over the threshold sweep.  Points with degenerate rates (0 or 1)
-        are clipped into the transformable range.
-    """
-    _, far, frr = far_frr_curve(
-        genuine_distances, impostor_distances, num_points=num_points
-    )
-    eps = 1e-6
-    far = np.clip(far, eps, 1.0 - eps)
-    frr = np.clip(frr, eps, 1.0 - eps)
-    return _probit(far), _probit(frr)
-
-
-def _probit(p: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF via scipy."""
-    from scipy.special import ndtri
-
-    return ndtri(p)
+from repro.errors import ShapeError
+from repro.eval.metrics import equal_error_rate
 
 
 def roc_auc(
@@ -81,42 +53,6 @@ class BootstrapCI:
     lower: float
     upper: float
     confidence: float
-
-
-def bootstrap_eer_ci(
-    genuine_distances: np.ndarray,
-    impostor_distances: np.ndarray,
-    num_resamples: int = 200,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> BootstrapCI:
-    """Percentile-bootstrap confidence interval for the EER.
-
-    Resamples genuine and impostor score sets independently with
-    replacement; adequate for the i.i.d.-pairs approximation (the exact
-    dependence structure of all-pairs scores would need a subject-level
-    bootstrap, which :func:`subject_bootstrap_eer_ci` provides).
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError("confidence must lie in (0, 1)")
-    if num_resamples < 10:
-        raise ConfigError("need at least 10 resamples")
-    genuine = np.asarray(genuine_distances, dtype=np.float64).reshape(-1)
-    impostor = np.asarray(impostor_distances, dtype=np.float64).reshape(-1)
-    rng = np.random.default_rng(seed)
-    point = equal_error_rate(genuine, impostor).eer
-    samples = np.empty(num_resamples)
-    for idx in range(num_resamples):
-        g = genuine[rng.integers(0, genuine.size, genuine.size)]
-        i = impostor[rng.integers(0, impostor.size, impostor.size)]
-        samples[idx] = equal_error_rate(g, i).eer
-    alpha = (1.0 - confidence) / 2.0
-    return BootstrapCI(
-        point=point,
-        lower=float(np.quantile(samples, alpha)),
-        upper=float(np.quantile(samples, 1.0 - alpha)),
-        confidence=confidence,
-    )
 
 
 def subject_bootstrap_eer_ci(

@@ -39,23 +39,6 @@ def distance_distribution(
     return out
 
 
-def vsr_against_templates(
-    probe_embeddings: np.ndarray,
-    templates: np.ndarray,
-    probe_labels: np.ndarray,
-    threshold: float,
-) -> float:
-    """VSR of condition probes against their own enrolled templates."""
-    probe_embeddings = np.asarray(probe_embeddings, dtype=np.float64)
-    templates = np.asarray(templates, dtype=np.float64)
-    probe_labels = np.asarray(probe_labels)
-    if probe_labels.shape != (probe_embeddings.shape[0],):
-        raise ShapeError("probe_labels must align with probe_embeddings")
-    distances = pairwise_cosine_distance(probe_embeddings, templates)
-    own = distances[np.arange(distances.shape[0]), probe_labels]
-    return float(np.mean(own <= threshold))
-
-
 def genuine_distances_to_templates(
     probe_embeddings: np.ndarray,
     templates: np.ndarray,

@@ -39,13 +39,6 @@ def false_accept_rate(impostor_distances: np.ndarray, threshold: float) -> float
     return float(np.mean(impostor <= threshold))
 
 
-def verification_success_rate(
-    genuine_distances: np.ndarray, threshold: float
-) -> float:
-    """Eq. 11: ``VSR = 1 - FRR``."""
-    return 1.0 - false_reject_rate(genuine_distances, threshold)
-
-
 def far_frr_curve(
     genuine_distances: np.ndarray,
     impostor_distances: np.ndarray,
@@ -126,15 +119,3 @@ def equal_error_rate(
         far_at_threshold=far_t,
         frr_at_threshold=frr_t,
     )
-
-
-def roc_points(
-    genuine_distances: np.ndarray,
-    impostor_distances: np.ndarray,
-    num_points: int = 512,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ROC as (FAR, 1 - FRR) pairs over the threshold sweep."""
-    _, far, frr = far_frr_curve(
-        genuine_distances, impostor_distances, num_points=num_points
-    )
-    return far, 1.0 - frr

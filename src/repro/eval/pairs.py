@@ -8,16 +8,10 @@ impostor side deterministically.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 import numpy as np
 
-from repro.core.similarity import distances_to_template, pairwise_cosine_distance
+from repro.core.similarity import pairwise_cosine_distance
 from repro.errors import ShapeError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.engine import InferenceEngine
-    from repro.types import RawRecording
 
 
 def genuine_impostor_distances(
@@ -63,58 +57,3 @@ def genuine_impostor_distances(
         take = rng.choice(impostor.size, size=max_impostor_pairs, replace=False)
         impostor = impostor[take]
     return genuine, impostor
-
-
-def probe_template_distances(
-    probe_embeddings: np.ndarray,
-    probe_labels: np.ndarray,
-    templates: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of probes against per-person enrolled templates.
-
-    This is the deployment-shaped comparison (probe vs stored template)
-    rather than probe-vs-probe.
-
-    Args:
-        probe_embeddings: ``(B, d)``.
-        probe_labels: ``(B,)`` person indices into ``templates``.
-        templates: ``(P, d)`` one template per person.
-
-    Returns:
-        ``(genuine, impostor)``: each probe contributes one genuine
-        distance (to its own template) and P-1 impostor distances.
-    """
-    probe_embeddings = np.asarray(probe_embeddings, dtype=np.float64)
-    templates = np.asarray(templates, dtype=np.float64)
-    probe_labels = np.asarray(probe_labels)
-    if templates.ndim != 2:
-        raise ShapeError("templates must be (P, d)")
-    if probe_labels.max() >= templates.shape[0]:
-        raise ShapeError("probe label exceeds template count")
-    distances = pairwise_cosine_distance(probe_embeddings, templates)
-    one_hot = np.zeros_like(distances, dtype=bool)
-    one_hot[np.arange(distances.shape[0]), probe_labels] = True
-    return distances[one_hot], distances[~one_hot]
-
-
-def recording_template_distances(
-    engine: "InferenceEngine",
-    recordings: Sequence["RawRecording"],
-    template: np.ndarray,
-) -> np.ndarray:
-    """Distances of raw recordings to one enrolled template, ``(B,)``.
-
-    Runs the whole batch through the vectorised inference engine;
-    recordings without a usable vibration come back with the maximal
-    rejection distance (2.0) at their input position, so the output
-    always aligns one-to-one with the input batch.
-    """
-    from repro.core.verification import REJECTED_DISTANCE
-
-    outcome = engine.embed(recordings)
-    distances = np.full(outcome.batch_size, REJECTED_DISTANCE)
-    if outcome.num_ok:
-        distances[np.asarray(outcome.indices, dtype=np.int64)] = (
-            distances_to_template(outcome.values, np.asarray(template))
-        )
-    return distances

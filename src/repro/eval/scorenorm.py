@@ -1,4 +1,4 @@
-"""Score normalisation: Z-norm and T-norm.
+"""Score normalisation: Z-norm, T-norm and their symmetric S-norm.
 
 Classic speaker-verification techniques that transfer directly to
 MandiblePrint verification: raw cosine distances have per-template and
@@ -27,81 +27,6 @@ import numpy as np
 
 from repro.core.similarity import pairwise_cosine_distance
 from repro.errors import ConfigError, ShapeError
-
-
-class ZNorm:
-    """Per-template score standardisation against a probe cohort.
-
-    Args:
-        cohort_embeddings: ``(C, d)`` impostor probes (e.g. hired-people
-            embeddings), fixed at enrollment time.
-    """
-
-    def __init__(self, cohort_embeddings: np.ndarray) -> None:
-        cohort = np.asarray(cohort_embeddings, dtype=np.float64)
-        if cohort.ndim != 2 or cohort.shape[0] < 2:
-            raise ShapeError("cohort must be (C >= 2, d)")
-        self.cohort = cohort
-
-    def statistics(self, template: np.ndarray) -> tuple[float, float]:
-        """Mean and std of the template's cohort distances."""
-        template = np.asarray(template, dtype=np.float64).reshape(1, -1)
-        distances = pairwise_cosine_distance(template, self.cohort)[0]
-        std = float(distances.std())
-        return float(distances.mean()), max(std, 1e-9)
-
-    def normalize(self, distance: float, template: np.ndarray) -> float:
-        """Standardise one raw distance for this template."""
-        mean, std = self.statistics(template)
-        return (distance - mean) / std
-
-    def normalize_matrix(
-        self, distances: np.ndarray, templates: np.ndarray
-    ) -> np.ndarray:
-        """Standardise a ``(P, T)`` probe-template distance matrix
-        column-wise (one statistic per template)."""
-        distances = np.asarray(distances, dtype=np.float64)
-        templates = np.asarray(templates, dtype=np.float64)
-        if distances.ndim != 2 or distances.shape[1] != templates.shape[0]:
-            raise ShapeError("distances must be (P, T) matching templates (T, d)")
-        cohort_d = pairwise_cosine_distance(templates, self.cohort)
-        means = cohort_d.mean(axis=1)
-        stds = np.maximum(cohort_d.std(axis=1), 1e-9)
-        return (distances - means[None, :]) / stds[None, :]
-
-
-class TNorm:
-    """Per-probe score standardisation against a template cohort.
-
-    Args:
-        cohort_templates: ``(C, d)`` impostor templates.
-    """
-
-    def __init__(self, cohort_templates: np.ndarray) -> None:
-        cohort = np.asarray(cohort_templates, dtype=np.float64)
-        if cohort.ndim != 2 or cohort.shape[0] < 2:
-            raise ShapeError("cohort must be (C >= 2, d)")
-        self.cohort = cohort
-
-    def normalize(self, distance: float, probe: np.ndarray) -> float:
-        """Standardise one raw distance for this probe."""
-        probe = np.asarray(probe, dtype=np.float64).reshape(1, -1)
-        cohort_d = pairwise_cosine_distance(probe, self.cohort)[0]
-        std = max(float(cohort_d.std()), 1e-9)
-        return (distance - float(cohort_d.mean())) / std
-
-    def normalize_matrix(
-        self, distances: np.ndarray, probes: np.ndarray
-    ) -> np.ndarray:
-        """Standardise a ``(P, T)`` distance matrix row-wise."""
-        distances = np.asarray(distances, dtype=np.float64)
-        probes = np.asarray(probes, dtype=np.float64)
-        if distances.ndim != 2 or distances.shape[0] != probes.shape[0]:
-            raise ShapeError("distances must be (P, T) matching probes (P, d)")
-        cohort_d = pairwise_cosine_distance(probes, self.cohort)
-        means = cohort_d.mean(axis=1)
-        stds = np.maximum(cohort_d.std(axis=1), 1e-9)
-        return (distances - means[:, None]) / stds[:, None]
 
 
 def normalized_pair_distances(

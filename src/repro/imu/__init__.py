@@ -8,24 +8,12 @@ counts (:mod:`repro.imu.sensor`), and the trial recorder used by every
 experiment (:mod:`repro.imu.recorder`).
 """
 
-from repro.imu.calibration import (
-    ImuCalibration,
-    allan_deviation,
-    apply_calibration,
-    calibrate_static,
-    find_quiet_samples,
-)
 from repro.imu.device import IMUDevice, IDEAL_IMU, MPU6050, MPU9250
 from repro.imu.recorder import Recorder
 from repro.imu.sensor import IMUSensor
 
 __all__ = [
     "IDEAL_IMU",
-    "ImuCalibration",
-    "allan_deviation",
-    "apply_calibration",
-    "calibrate_static",
-    "find_quiet_samples",
     "IMUDevice",
     "IMUSensor",
     "MPU6050",

@@ -8,15 +8,6 @@ features of Section V-A they classify are in :mod:`repro.ml.features`.
 """
 
 from repro.ml.base import Estimator, accuracy, train_test_split
-from repro.ml.evaluation import (
-    confusion_matrix,
-    cross_validate,
-    macro_f1,
-    precision_recall_f1,
-    stratified_k_fold,
-)
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.logistic import LogisticRegressionClassifier
 from repro.ml.knn import KNNClassifier
 from repro.ml.mlp import MLPClassifier
 from repro.ml.naive_bayes import GaussianNBClassifier
@@ -29,14 +20,7 @@ __all__ = [
     "GaussianNBClassifier",
     "KNNClassifier",
     "LinearSVMClassifier",
-    "LogisticRegressionClassifier",
     "MLPClassifier",
-    "RandomForestClassifier",
-    "confusion_matrix",
-    "cross_validate",
-    "macro_f1",
-    "precision_recall_f1",
-    "stratified_k_fold",
     "accuracy",
     "train_test_split",
 ]

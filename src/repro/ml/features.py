@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import NUM_AXES, ensure_signal_array
+from repro.types import NUM_AXES
 
 FEATURE_NAMES: tuple[str, ...] = (
     "mean",
@@ -24,37 +24,13 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def axis_statistics(segment: np.ndarray) -> np.ndarray:
-    """The six statistics of one axis segment, in FEATURE_NAMES order."""
-    segment = np.asarray(segment, dtype=np.float64)
-    return np.array(
-        [
-            segment.mean(),
-            np.median(segment),
-            segment.var(),
-            segment.std(),
-            np.percentile(segment, 75),
-            np.percentile(segment, 25),
-        ]
-    )
-
-
-def statistical_features(signal_array: np.ndarray) -> np.ndarray:
-    """One SFS: ``(36,)`` = 6 axes x 6 statistics."""
-    signal_array = ensure_signal_array(signal_array)
-    return np.concatenate(
-        [axis_statistics(signal_array[axis]) for axis in range(NUM_AXES)]
-    )
-
-
 def statistical_features_batch(signal_arrays: np.ndarray) -> np.ndarray:
     """SFS matrix ``(B, 36)`` for a batch of ``(B, 6, n)`` signal arrays.
 
     Vectorised over the whole batch (each statistic reduces along the
-    sample axis once), but laid out axis-major exactly like
-    :func:`statistical_features` — row ``b`` equals
-    ``statistical_features(signal_arrays[b])`` bit for bit, which the
-    equivalence test pins.
+    sample axis once) and laid out axis-major: columns ``6 * a .. 6 * a + 5``
+    are axis ``a``'s statistics in :data:`FEATURE_NAMES` order.  The
+    tests pin each row bit for bit against a per-axis loop.
     """
     signal_arrays = np.asarray(signal_arrays, dtype=np.float64)
     if signal_arrays.ndim != 3:

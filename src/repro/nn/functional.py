@@ -120,32 +120,6 @@ def _window_view(
     )
 
 
-def sliding_windows(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    stride: tuple[int, int],
-) -> np.ndarray:
-    """Read-only ``(B, C, out_h, out_w, kh, kw)`` window view of ``x``.
-
-    Zero-copy: the view aliases ``x``, so it is only valid while ``x``
-    is alive and unmodified, and lets a reduction run over windows
-    without materialising them.
-    """
-    if x.ndim != 4:
-        raise ShapeError("sliding_windows expects (B, C, H, W)")
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = conv_output_size(x.shape[2], kh, sh, 0)
-    out_w = conv_output_size(x.shape[3], kw, sw, 0)
-    bs, cs, hs, ws = x.strides
-    return as_strided(
-        x,
-        shape=(x.shape[0], x.shape[1], out_h, out_w, kh, kw),
-        strides=(bs, cs, hs * sh, ws * sw, hs, ws),
-        writeable=False,
-    )
-
-
 def im2col(
     x: np.ndarray,
     kernel: tuple[int, int],
@@ -262,14 +236,6 @@ def col2im(
                 j_end = j + sw * out_w
                 padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
     return unpad2d(padded, ph, pw)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return grad * (x > 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -47,28 +47,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error; used by nn unit tests and ablations."""
-
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction = np.asarray(prediction, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if prediction.shape != target.shape:
-            raise ShapeError("prediction and target shapes differ")
-        self._cache = (prediction, target)
-        return float(np.mean((prediction - target) ** 2))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise ShapeError("backward called before forward")
-        prediction, target = self._cache
-        self._cache = None
-        return 2.0 * (prediction - target) / prediction.size
-
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)

@@ -1,4 +1,4 @@
-"""Optimisers: SGD with momentum and Adam.
+"""Optimiser: Adam.
 
 The paper trains the biometric extractor with Adam (Section V-C).
 """
@@ -25,42 +25,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ConfigError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
 
 
 class Adam(Optimizer):
@@ -109,45 +73,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with optional momentum (Tieleman & Hinton)."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ConfigError("lr must be positive")
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigError("alpha must lie in [0, 1)")
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
-        self.momentum = momentum
-        self._square_avg = [np.zeros_like(p.data) for p in self.parameters]
-        self._buf = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, square_avg, buf in zip(
-            self.parameters, self._square_avg, self._buf
-        ):
-            grad = param.grad
-            square_avg *= self.alpha
-            square_avg += (1.0 - self.alpha) * grad**2
-            update = grad / (np.sqrt(square_avg) + self.eps)
-            if self.momentum:
-                buf *= self.momentum
-                buf += update
-                update = buf
-            param.data -= self.lr * update

@@ -1,8 +1,4 @@
-"""Model state persistence (npz-based).
-
-The paper reports the trained extractor occupies about 5 MB on the
-earphone; :func:`state_dict_nbytes` measures ours the same way.
-"""
+"""Model state persistence (npz-based)."""
 
 from __future__ import annotations
 
@@ -30,8 +26,3 @@ def load_state_dict(path: str | os.PathLike) -> dict[str, np.ndarray]:
             return {key: archive[key].copy() for key in archive.files}
     except OSError as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
-
-
-def state_dict_nbytes(state: dict[str, np.ndarray]) -> int:
-    """Total parameter storage in bytes (float32 on device)."""
-    return sum(np.asarray(v).size * 4 for v in state.values())

@@ -18,7 +18,6 @@ from repro.physio.conditions import RecordingCondition
 from repro.physio.person import PersonProfile
 from repro.physio.population import sample_population
 from repro.physio.propagation import BodyLocation, PropagationModel
-from repro.physio.twomass import TwoMassOscillator, one_dof_fidelity
 from repro.physio.vibration import MandibleOscillator
 from repro.physio.voice import VoiceSource
 
@@ -28,8 +27,6 @@ __all__ = [
     "PersonProfile",
     "PropagationModel",
     "RecordingCondition",
-    "TwoMassOscillator",
     "VoiceSource",
-    "one_dof_fidelity",
     "sample_population",
 ]

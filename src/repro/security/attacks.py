@@ -6,7 +6,9 @@ threat model:
 * **Zero-effort** -- steals the earphone but does not know a vibration
   is required: submits silent wear (no 'EMM'), so no onset exists.
 * **Vibration-aware** -- knows the principle and voices 'EMM' with their
-  *own* mandible; equivalent to an impostor trial.
+  *own* mandible.  That is an ordinary impostor trial
+  (:meth:`~repro.imu.recorder.Recorder.record` of the attacker), so it
+  needs no class of its own.
 * **Impersonation** -- additionally observed the victim and mimics the
   observable voicing manner (F0, rhythm, pulse shape) with bounded
   fidelity; the mandible biomechanics (m, c1, c2, k1, k2) are not
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.imu.recorder import Recorder
-from repro.physio.conditions import NOMINAL, RecordingCondition
+from repro.physio.conditions import NOMINAL
 from repro.physio.person import PersonProfile
 from repro.types import RawRecording
 
@@ -58,21 +60,6 @@ class ZeroEffortAttacker:
         gravity /= np.linalg.norm(gravity) / 9.80665
         counts[0, :, :3] = gravity * sensor.device.accel_sensitivity
         return sensor._apply_device_model(counts, rng)[0]
-
-
-class VibrationAwareAttacker:
-    """Voices 'EMM' with their own mandible through the real pipeline."""
-
-    def __init__(self, recorder: Recorder) -> None:
-        self.recorder = recorder
-
-    def forge_recording(
-        self,
-        attacker: PersonProfile,
-        condition: RecordingCondition = NOMINAL,
-        trial_index: int = 0,
-    ) -> RawRecording:
-        return self.recorder.record(attacker, condition, trial_index=trial_index)
 
 
 class ImpersonationAttacker:

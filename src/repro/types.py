@@ -146,13 +146,3 @@ def ensure_signal_array(arr: np.ndarray, n: int | None = None) -> np.ndarray:
     if n is not None and arr.shape[1] != n:
         raise ShapeError(f"signal array must be (6, {n}), got {arr.shape}")
     return arr
-
-
-def ensure_gradient_array(arr: np.ndarray) -> np.ndarray:
-    """Validate and return ``arr`` as a GradientArray ``(2, 6, m)``."""
-    from repro.errors import ShapeError
-
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] != 2 or arr.shape[1] != NUM_AXES:
-        raise ShapeError(f"gradient array must be (2, 6, m), got {arr.shape}")
-    return arr

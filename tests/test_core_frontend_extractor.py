@@ -12,7 +12,7 @@ from repro.core.frontend import (
     make_frontend,
 )
 from repro.errors import ConfigError, ShapeError
-from repro.nn.gradcheck import check_layer_input_grad
+from tests.gradcheck import check_layer_input_grad
 
 
 class TestRectifiedSpectralFrontEnd:

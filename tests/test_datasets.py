@@ -8,7 +8,6 @@ import pytest
 from repro.datasets import DatasetCache, DatasetSpec, generate_dataset
 from repro.datasets.splits import (
     enrollment_probe_split,
-    leave_one_person_out,
     per_person_split,
 )
 from repro.datasets.standard import condition_spec, hired_spec, user_spec
@@ -92,17 +91,6 @@ class TestSplits:
         for person in range(4):
             assert np.sum(test & (labels == person)) == 2
         assert not np.any(train & test)
-
-    def test_leave_one_out(self):
-        labels = np.repeat(np.arange(3), 4)
-        others, target = leave_one_person_out(labels, 1)
-        assert target.sum() == 4
-        assert np.all(labels[target] == 1)
-        assert not np.any(others & target)
-
-    def test_leave_one_out_missing_person(self):
-        with pytest.raises(ConfigError):
-            leave_one_person_out(np.zeros(4, dtype=int), 7)
 
     def test_enrollment_probe_split(self):
         labels = np.repeat(np.arange(3), 10)

@@ -1,15 +1,9 @@
-"""Tests for signal analysis (F0, resampling) and STFT helpers."""
+"""Tests for signal analysis (F0, envelope) and STFT helpers."""
 
 import numpy as np
 import pytest
 
-from repro.dsp.analysis import (
-    autocorrelation,
-    envelope,
-    estimate_f0,
-    resample_fft,
-    zero_crossing_rate,
-)
+from repro.dsp.analysis import autocorrelation, envelope, estimate_f0
 from repro.dsp.stft import spectrogram, stft, window_function
 from repro.errors import ConfigError, ShapeError
 
@@ -67,40 +61,12 @@ class TestF0Estimation:
             estimate_f0(np.zeros(100), FS, f0_min_hz=200.0, f0_max_hz=100.0)
 
 
-class TestResampleFFT:
-    def test_identity(self, rng):
-        x = rng.normal(size=64)
-        np.testing.assert_allclose(resample_fft(x, 64), x)
-
-    def test_tone_survives_upsampling(self):
-        t = np.arange(128) / 128.0
-        x = np.sin(2 * np.pi * 5 * t)
-        up = resample_fft(x, 256)
-        t2 = np.arange(256) / 256.0
-        np.testing.assert_allclose(up, np.sin(2 * np.pi * 5 * t2), atol=1e-8)
-
-    def test_energy_scaling(self, rng):
-        x = np.sin(2 * np.pi * 3 * np.arange(100) / 100.0)
-        up = resample_fft(x, 400)
-        assert np.abs(up).max() == pytest.approx(np.abs(x).max(), rel=0.02)
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ConfigError):
-            resample_fft(np.zeros(8), 0)
-
-
 class TestEnvelopeZCR:
     def test_envelope_tracks_amplitude(self):
         t = np.arange(700)
         x = np.where(t < 350, 1.0, 5.0) * np.sin(0.5 * t)
         env = envelope(x, window=50)
         assert env[:250].mean() < env[-250:].mean() / 2
-
-    def test_zcr_of_alternating_signal(self):
-        assert zero_crossing_rate(np.array([1.0, -1.0, 1.0, -1.0])) == 1.0
-
-    def test_zcr_of_constant(self):
-        assert zero_crossing_rate(np.ones(10)) == 0.0
 
 
 class TestSTFT:

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.frontend import GradientFrontEnd
 from repro.dsp.gradients import (
-    gradient_array,
-    gradient_array_batch,
     resample_to_length,
     signal_gradients,
-    split_directions,
+    split_directions_batch,
 )
-from repro.dsp.normalize import concat_axes, min_max_normalize, z_score_normalize
+from repro.dsp.normalize import min_max_normalize
 from repro.errors import ShapeError
 
 
@@ -40,30 +39,6 @@ class TestMinMaxNormalize:
         np.testing.assert_allclose(
             min_max_normalize(segment), min_max_normalize(segment * 100 + 5)
         )
-
-
-class TestZScore:
-    def test_zero_mean_unit_std(self, rng):
-        out = z_score_normalize(rng.normal(5.0, 3.0, size=1000))
-        assert abs(out.mean()) < 1e-12
-        assert out.std() == pytest.approx(1.0)
-
-    def test_constant_maps_to_zero(self):
-        assert np.all(z_score_normalize(np.full(10, 3.0)) == 0.0)
-
-
-class TestConcatAxes:
-    def test_stacks_segments(self):
-        out = concat_axes([np.zeros(5), np.ones(5)])
-        assert out.shape == (2, 5)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ShapeError):
-            concat_axes([np.zeros(5), np.zeros(6)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            concat_axes([])
 
 
 class TestSignalGradients:
@@ -99,6 +74,11 @@ class TestResample:
             resample_to_length(np.zeros(3), 0)
 
 
+def split_directions(gradients, width):
+    """One row through the batched sign split, ``(2, width)``."""
+    return split_directions_batch(np.asarray(gradients)[None], width)[0]
+
+
 class TestSplitDirections:
     def test_sign_partition(self):
         grads = np.array([1.0, -2.0, 3.0, -4.0, 0.0])
@@ -116,21 +96,25 @@ class TestSplitDirections:
 
 
 class TestGradientArray:
+    """The Section V-B transform as the gradient front end serves it."""
+
     def test_output_shape_matches_paper(self):
         """(6, 60) signal array -> (2, 6, 30) gradient array."""
-        out = gradient_array(np.random.default_rng(0).normal(size=(6, 60)))
+        signal_array = np.random.default_rng(0).normal(size=(6, 60))
+        out = GradientFrontEnd().transform(signal_array)
         assert out.shape == (2, 6, 30)
 
     def test_custom_width(self):
-        out = gradient_array(np.zeros((6, 60)), width=10)
-        assert out.shape == (2, 6, 10)
+        out = split_directions_batch(np.zeros((6, 59)), 10)
+        assert out.shape == (6, 2, 10)
 
     def test_batch_matches_single(self, rng):
         arrays = rng.normal(size=(3, 6, 60))
-        batch = gradient_array_batch(arrays)
+        frontend = GradientFrontEnd()
+        batch = frontend.transform_batch(arrays)
         for idx in range(3):
-            np.testing.assert_allclose(batch[idx], gradient_array(arrays[idx]))
+            np.testing.assert_allclose(batch[idx], frontend.transform(arrays[idx]))
 
     def test_batch_rejects_wrong_ndim(self):
         with pytest.raises(ShapeError):
-            gradient_array_batch(np.zeros((6, 60)))
+            GradientFrontEnd().transform_batch(np.zeros((6, 60)))

@@ -7,29 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dsp.outliers import (
-    mad,
     mad_outlier_mask,
     mad_outlier_mask_batch,
     replace_outliers,
     replace_outliers_batch,
 )
 from repro.errors import ConfigError, ShapeError
-
-
-class TestMAD:
-    def test_known_value(self):
-        assert mad(np.array([1.0, 2.0, 3.0, 4.0, 5.0])) == 1.0
-
-    def test_constant_is_zero(self):
-        assert mad(np.full(10, 3.0)) == 0.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            mad(np.array([]))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ShapeError):
-            mad(np.zeros((3, 3)))
 
 
 class TestOutlierMask:

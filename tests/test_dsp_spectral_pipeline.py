@@ -5,14 +5,7 @@ import pytest
 
 from repro.config import PreprocessConfig
 from repro.dsp.pipeline import Preprocessor
-from repro.dsp.spectral import (
-    band_energy,
-    band_energy_ratio,
-    dominant_frequency,
-    hann_window,
-    periodogram,
-    spectral_centroid,
-)
+from repro.dsp.spectral import dominant_frequency, hann_window, periodogram
 from repro.errors import ConfigError, OnsetNotFoundError, ShapeError
 
 FS = 350.0
@@ -36,23 +29,6 @@ class TestSpectral:
         tone = np.sin(2 * np.pi * 60.0 * t)
         assert dominant_frequency(tone, FS) == pytest.approx(60.0, abs=1.0)
 
-    def test_band_energy_concentrated_at_tone(self):
-        t = np.arange(2048) / FS
-        tone = np.sin(2 * np.pi * 60.0 * t)
-        inside = band_energy(tone, FS, 55.0, 65.0)
-        outside = band_energy(tone, FS, 100.0, 170.0)
-        assert inside > 100 * outside
-
-    def test_band_energy_ratio_low_tone(self):
-        t = np.arange(2048) / FS
-        assert band_energy_ratio(np.sin(2 * np.pi * 5.0 * t), FS, 20.0) > 0.95
-
-    def test_spectral_centroid_between_tones(self):
-        t = np.arange(4096) / FS
-        x = np.sin(2 * np.pi * 40.0 * t) + np.sin(2 * np.pi * 120.0 * t)
-        centroid = spectral_centroid(x, FS)
-        assert 60.0 < centroid < 100.0
-
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             periodogram(np.array([]), FS)
@@ -60,10 +36,6 @@ class TestSpectral:
     def test_rejects_bad_rate(self):
         with pytest.raises(ConfigError):
             periodogram(np.zeros(16), -1.0)
-
-    def test_rejects_bad_band(self):
-        with pytest.raises(ConfigError):
-            band_energy(np.zeros(16), FS, 50.0, 40.0)
 
 
 class TestPreprocessor:

@@ -1,55 +1,18 @@
-"""Window framing and onset detection tests (Section IV)."""
+"""Onset detection and segmentation tests (Section IV)."""
 
 import numpy as np
 import pytest
 
-from repro.config import PreprocessConfig
 from repro.dsp.detection import (
     detect_onset,
-    has_vibration,
     onset_metric,
     segment_after_onset,
 )
-from repro.dsp.windows import frame, window_start_indices, window_std
 from repro.errors import (
-    ConfigError,
     OnsetNotFoundError,
     SegmentTooShortError,
     ShapeError,
 )
-
-
-class TestFraming:
-    def test_non_overlapping_frames(self):
-        frames = frame(np.arange(25), 10)
-        assert frames.shape == (2, 10)
-        np.testing.assert_array_equal(frames[0], np.arange(10))
-        np.testing.assert_array_equal(frames[1], np.arange(10, 20))
-
-    def test_custom_stride(self):
-        frames = frame(np.arange(20), 10, stride=5)
-        assert frames.shape == (3, 10)
-
-    def test_short_signal_yields_empty(self):
-        assert frame(np.arange(5), 10).shape == (0, 10)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ShapeError):
-            frame(np.zeros((5, 5)), 2)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ConfigError):
-            frame(np.arange(10), 0)
-
-    def test_window_std_values(self):
-        signal = np.concatenate([np.zeros(10), np.full(10, 7.0)])
-        stds = window_std(signal, 10)
-        np.testing.assert_allclose(stds, [0.0, 0.0])
-
-    def test_window_start_indices(self):
-        np.testing.assert_array_equal(
-            window_start_indices(35, 10), [0, 10, 20]
-        )
 
 
 def _synthetic_recording(onset_sample: int = 80, amplitude: float = 2000.0):
@@ -74,10 +37,6 @@ class TestOnsetDetection:
         rec = rng.normal(0.0, 3.0, size=(210, 6))
         with pytest.raises(OnsetNotFoundError):
             detect_onset(rec)
-
-    def test_has_vibration_is_boolean_wrapper(self):
-        assert has_vibration(_synthetic_recording())
-        assert not has_vibration(np.zeros((210, 6)))
 
     def test_short_recording_raises(self):
         with pytest.raises(OnsetNotFoundError):

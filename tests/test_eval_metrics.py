@@ -9,8 +9,6 @@ from repro.eval.metrics import (
     far_frr_curve,
     false_accept_rate,
     false_reject_rate,
-    roc_points,
-    verification_success_rate,
 )
 
 
@@ -22,10 +20,6 @@ class TestRates:
     def test_far_counts_impostor_within_threshold(self):
         impostor = np.array([0.2, 0.6, 0.8, 1.0])
         assert false_accept_rate(impostor, 0.5) == pytest.approx(0.25)
-
-    def test_vsr_is_complement_of_frr(self):
-        genuine = np.array([0.1, 0.2, 0.5, 0.9])
-        assert verification_success_rate(genuine, 0.3) == pytest.approx(0.5)
 
     def test_boundary_is_accepted(self):
         """accept iff distance <= t: equality counts as accept."""
@@ -98,14 +92,3 @@ class TestEER:
         impostor = rng.normal(0.7, 0.1, 2000)
         result = equal_error_rate(genuine, impostor)
         assert 0.0 <= result.eer < 0.1
-
-
-class TestROC:
-    def test_roc_bounds(self, rng):
-        genuine = rng.normal(0.3, 0.1, 500)
-        impostor = rng.normal(0.7, 0.1, 500)
-        far, tar = roc_points(genuine, impostor)
-        assert np.all((far >= 0) & (far <= 1))
-        assert np.all((tar >= 0) & (tar <= 1))
-        assert np.all(np.diff(far) >= 0)
-        assert np.all(np.diff(tar) >= 0)

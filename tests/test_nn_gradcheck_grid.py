@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm2d, Conv2d, Linear, Sequential
-from repro.nn.gradcheck import (
+from tests.gradcheck import (
     check_layer_input_grad,
     check_layer_param_grads,
     numerical_gradient,

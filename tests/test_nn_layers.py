@@ -7,14 +7,13 @@ from repro.errors import ModelError, ShapeError
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     Linear,
     ReLU,
     Sequential,
     Sigmoid,
 )
-from repro.nn.gradcheck import check_layer_input_grad, check_layer_param_grads
+from tests.gradcheck import check_layer_input_grad, check_layer_param_grads
 
 TOL = 1e-6
 
@@ -146,22 +145,6 @@ class TestFlattenDropout:
         back = flat.backward(out)
         np.testing.assert_array_equal(back, x)
 
-    def test_dropout_eval_is_identity(self, rng):
-        drop = Dropout(0.5)
-        drop.eval()
-        x = rng.normal(size=(4, 10))
-        np.testing.assert_array_equal(drop(x), x)
-
-    def test_dropout_preserves_expectation(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = drop(x)
-        assert out.mean() == pytest.approx(1.0, rel=0.05)
-
-    def test_dropout_rejects_bad_p(self):
-        with pytest.raises(ShapeError):
-            Dropout(1.0)
-
 
 class TestSequential:
     def test_forward_backward_chain_gradient(self, rng):
@@ -182,7 +165,7 @@ class TestSequential:
         assert net.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        net = Sequential(BatchNorm2d(2), Dropout(0.3))
+        net = Sequential(BatchNorm2d(2), ReLU())
         net.eval()
         assert not net[0].training and not net[1].training
         net.train()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.imu.sensor import _ear_coupling_filter, _peaking_biquad
-from repro.dsp.stft import istft_overlap_add, stft
 
 
 class TestExtendedAnatomy:
@@ -78,15 +77,3 @@ class TestCouplingResponse:
         gain_near = out_spec[near].sum() / in_spec[near].sum()
         gain_far = out_spec[far].sum() / in_spec[far].sum()
         assert gain_near > 1.5 * gain_far
-
-
-class TestIstft:
-    def test_round_trip_interior(self, rng):
-        signal = rng.normal(size=512)
-        frames = stft(signal, frame_length=64, hop=16)
-        rebuilt = istft_overlap_add(frames, frame_length=64, hop=16)
-        # Interior samples reconstruct closely (edges lack full overlap,
-        # and the rectangular-synthesis normalisation is approximate).
-        interior = slice(64, 448)
-        corr = np.corrcoef(rebuilt[interior], signal[interior])[0, 1]
-        assert corr > 0.95

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.core.similarity import cosine_distance, pairwise_cosine_distance
 from repro.dsp.filters import design_highpass, frequency_response, sosfilt
-from repro.dsp.gradients import resample_to_length, split_directions
+from repro.dsp.gradients import resample_to_length, split_directions_batch
 from repro.dsp.normalize import min_max_normalize
 from repro.dsp.outliers import mad_outlier_mask, replace_outliers
 from repro.eval.metrics import false_accept_rate, false_reject_rate
@@ -85,7 +85,7 @@ class TestGradientProperties:
 
     @given(vectors(2, 60), st.integers(2, 30))
     def test_split_directions_partition(self, grads, width):
-        out = split_directions(grads, width)
+        out = split_directions_batch(grads[None], width)[0]
         assert out.shape == (2, width)
         assert np.all(out[0] >= -1e-12)
         assert np.all(out[1] <= 1e-12)

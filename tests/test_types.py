@@ -7,7 +7,6 @@ from repro.errors import ShapeError
 from repro.types import (
     AXIS_NAMES,
     VerificationResult,
-    ensure_gradient_array,
     ensure_raw_recording,
     ensure_signal_array,
 )
@@ -48,15 +47,6 @@ class TestEnsureSignalArray:
     def test_rejects_wrong_axis_count(self):
         with pytest.raises(ShapeError):
             ensure_signal_array(np.zeros((5, 60)))
-
-
-class TestEnsureGradientArray:
-    def test_accepts_2_6_m(self):
-        assert ensure_gradient_array(np.zeros((2, 6, 30))).shape == (2, 6, 30)
-
-    def test_rejects_wrong_direction_count(self):
-        with pytest.raises(ShapeError):
-            ensure_gradient_array(np.zeros((3, 6, 30)))
 
 
 class TestVerificationResult:
