@@ -13,6 +13,7 @@ testbed.  EXPERIMENTS.md records paper-vs-measured per experiment.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.datasets.cache import DatasetCache
 from repro.datasets.splits import enrollment_probe_split
 from repro.datasets.standard import (
     condition_spec,
-    generate_hired_corpus,
     hired_spec,
     user_spec,
 )
@@ -156,3 +156,66 @@ def sweep_eer(
 def once(benchmark, func):
     """Run ``func`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def best_of(repeats, func):
+    """``(best wall time, last result)`` of ``repeats`` calls of ``func``."""
+    best, result = np.inf, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = func()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+@dataclasses.dataclass
+class LoadResult:
+    """Outcome of one load-test workload run (serving and stream benches)."""
+
+    completed: int
+    rejected: int
+    expired: int
+    failed: int
+    duration_s: float
+    latencies_s: list[float]
+
+    @property
+    def throughput_rps(self) -> float:
+        return self.completed / self.duration_s if self.duration_s > 0 else 0.0
+
+    def percentile_ms(self, q: float) -> float:
+        if not self.latencies_s:
+            return float("nan")
+        return float(np.percentile(np.asarray(self.latencies_s), q) * 1e3)
+
+    def summary(self) -> dict:
+        return {
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "expired": self.expired,
+            "failed": self.failed,
+            "duration_s": self.duration_s,
+            "throughput_rps": self.throughput_rps,
+            "p50_ms": self.percentile_ms(50),
+            "p95_ms": self.percentile_ms(95),
+            "p99_ms": self.percentile_ms(99),
+        }
+
+
+def run_sequential(system, user_id: str, probes: list, num_requests: int) -> LoadResult:
+    """The pre-serving baseline: one blocking ``verify`` per request."""
+    latencies: list[float] = []
+    start = time.perf_counter()
+    for i in range(num_requests):
+        t0 = time.perf_counter()
+        system.verify(user_id, probes[i % len(probes)])
+        latencies.append(time.perf_counter() - t0)
+    duration = time.perf_counter() - start
+    return LoadResult(
+        completed=num_requests,
+        rejected=0,
+        expired=0,
+        failed=0,
+        duration_s=duration,
+        latencies_s=latencies,
+    )

@@ -9,8 +9,6 @@
 
 import dataclasses
 
-import numpy as np
-
 from repro.config import PreprocessConfig
 from repro.core.mandibleprint import extract_embeddings
 from repro.core.similarity import center_embedding
@@ -22,7 +20,7 @@ from repro.eval.reporting import render_table
 from repro.physio.conditions import RecordingCondition
 from repro.types import Activity
 
-from conftest import once, sweep_eer, train_sweep_model
+from conftest import once
 
 
 def test_ablation_frontends(benchmark, cache):

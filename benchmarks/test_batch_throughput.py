@@ -9,8 +9,6 @@ asserts (a) bitwise-identical accept/reject decisions, (b) np.allclose
 distances, and (c) at least a 2x wall-clock speedup.
 """
 
-import time
-
 import numpy as np
 
 from repro.config import ExtractorConfig, MandiPassConfig, SecurityConfig
@@ -18,7 +16,7 @@ from repro.core.system import MandiPass
 from repro.imu import Recorder
 from repro.physio import sample_population
 
-from conftest import once, train_sweep_model
+from conftest import best_of, once, train_sweep_model
 
 BATCH = 64
 
@@ -45,15 +43,6 @@ def _probe_batch(population, recorder):
     return batch
 
 
-def _best_of(repeats, func):
-    best, result = np.inf, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_batch_verify_throughput(benchmark, cache):
     device = _build_device(cache)
     population = sample_population(6, 1, seed=5)
@@ -67,10 +56,10 @@ def test_batch_verify_throughput(benchmark, cache):
     # Register the batched call with pytest-benchmark, then take
     # matched best-of-2 wall-clock timings for the speedup ratio.
     batched2 = once(benchmark, lambda: device.verify_many("queue-user", batch))
-    seq_time, sequential = _best_of(
+    seq_time, sequential = best_of(
         2, lambda: [device.verify("queue-user", rec) for rec in batch]
     )
-    bat_time, batched = _best_of(2, lambda: device.verify_many("queue-user", batch))
+    bat_time, batched = best_of(2, lambda: device.verify_many("queue-user", batch))
 
     speedup = seq_time / bat_time
     print()

@@ -1,8 +1,8 @@
 """Chaos soak: hundreds of randomized fault schedules against serving.
 
-Drives :func:`repro.faults.chaos.run_campaign` — the same campaign
-behind ``python -m repro chaos`` — over many seeded schedules and
-asserts the resilience invariants on every one (DESIGN.md §4g):
+Runs one :func:`repro.faults.chaos.run_schedule` per seed with a fresh
+:func:`~repro.faults.chaos.random_plan` and asserts the resilience
+invariants on every schedule (DESIGN.md §4g):
 
 * the server never deadlocks: every submitted request resolves;
 * accounting is exactly-once: the per-status tallies partition the
@@ -25,7 +25,9 @@ import os
 from collections import Counter
 from pathlib import Path
 
-from repro.faults.chaos import run_campaign
+from repro.config import GalleryConfig
+from repro.faults.chaos import random_plan, run_schedule
+from repro.serve.loadgen import build_bench_system
 
 from conftest import once
 
@@ -34,12 +36,38 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / (
     "BENCH_chaos.quick.json" if QUICK else "BENCH_chaos.json"
 )
 NUM_SEEDS = 25 if QUICK else 200
+REQUESTS_PER_SCHEDULE = 18
+
+
+def run_campaign(seeds) -> list:
+    """Run one chaos schedule per seed on a shared bench system.
+
+    Builds the untrained compact bench substrate once, then replays a
+    fresh random plan per seed against it — the recovery invariant
+    doubles as the proof that schedules cannot contaminate each other.
+    Gallery shards are shrunk to two slots so the churn mutations
+    actually cross the compaction threshold mid-schedule.
+    """
+    system, user_id, probes = build_bench_system(
+        num_probes=8,
+        gallery=GalleryConfig(shard_size=2, compact_tombstone_ratio=0.4),
+    )
+    return [
+        run_schedule(
+            system,
+            user_id,
+            probes,
+            random_plan(seed),
+            num_requests=REQUESTS_PER_SCHEDULE,
+        )
+        for seed in seeds
+    ]
 
 
 def test_chaos_soak(benchmark):
     reports = once(
         benchmark,
-        lambda: run_campaign(range(NUM_SEEDS), num_requests=18),
+        lambda: run_campaign(range(NUM_SEEDS)),
     )
     assert len(reports) == NUM_SEEDS
 
@@ -68,7 +96,7 @@ def test_chaos_soak(benchmark):
     payload = {
         "quick": QUICK,
         "num_seeds": NUM_SEEDS,
-        "requests_per_schedule": 18,
+        "requests_per_schedule": REQUESTS_PER_SCHEDULE,
         "statuses": dict(statuses),
         "fault_fires": dict(sorted(fires.items())),
         "unhealthy_seeds": unhealthy,

@@ -13,8 +13,6 @@ i.e. the statistical feature family is infeasible as the biometric.
 
 import dataclasses
 
-import numpy as np
-
 from repro.datasets.standard import user_spec
 from repro.eval.metrics import equal_error_rate
 from repro.eval.pairs import genuine_impostor_distances

@@ -17,8 +17,6 @@ both views:
   paper's own gradient features, fed to classical metrics, collapse).
 """
 
-import numpy as np
-
 from repro.config import TrainingConfig
 from repro.core.training import evaluate_classification, train_extractor
 from repro.datasets.splits import per_person_split

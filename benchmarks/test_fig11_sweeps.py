@@ -12,14 +12,10 @@ the production model's; the paper's *shape* -- monotone orderings and
 where the big drops happen -- is what we assert.
 """
 
-import dataclasses
-
-import numpy as np
-
 from repro.config import ExtractorConfig
 from repro.eval.reporting import render_series
 
-from conftest import SWEEP_EPOCHS, once, sweep_eer, train_sweep_model
+from conftest import once, sweep_eer, train_sweep_model
 
 PAPER_AXES_EER = [14.46, 5.29, 2.05, 1.32, 1.29, 1.28]
 

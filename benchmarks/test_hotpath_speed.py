@@ -59,7 +59,7 @@ from repro.physio import sample_population
 from repro.security.cancelable import CancelableTransform
 from repro.serve.loadgen import machine_info
 
-from conftest import once, train_sweep_model
+from conftest import best_of, once, train_sweep_model
 
 QUICK = os.environ.get("HOTPATH_QUICK", "") == "1"
 BATCH = 64
@@ -77,15 +77,6 @@ def _record(section: str, payload: dict) -> None:
     data["quick"] = QUICK
     data[section] = payload
     RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _best_of(repeats, func):
-    best, result = np.inf, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _best_of_alternating(repeats, first, second):
@@ -206,11 +197,11 @@ def test_forward_strided_float32_speedup(benchmark, sweep_model, feature_batch):
     frozen32 = InferenceEngine(model, compute_dtype="float32").extractor
 
     with _seed_hot_path():
-        seed_time, seed_out = _best_of(REPEATS, lambda: model.embed(feats64))
-    f64_time, f64_out = _best_of(REPEATS, lambda: frozen64(feats64))
-    f32_time, f32_out = _best_of(REPEATS, lambda: frozen32(feats32))
+        seed_time, seed_out = best_of(REPEATS, lambda: model.embed(feats64))
+    f64_time, f64_out = best_of(REPEATS, lambda: frozen64(feats64))
+    f32_time, f32_out = best_of(REPEATS, lambda: frozen32(feats32))
     once(benchmark, lambda: frozen32(feats32))
-    single_time, _ = _best_of(REPEATS, lambda: frozen32(feats32[:1]))
+    single_time, _ = best_of(REPEATS, lambda: frozen32(feats32[:1]))
 
     # The fast path must agree with the seed forward, not just beat it.
     np.testing.assert_allclose(f64_out, seed_out, rtol=1e-10, atol=1e-12)

@@ -4,8 +4,6 @@ Paper results (attacker VSR): zero-effort 0 %, vibration-aware 1.28 %
 (= the EER), impersonation 1.30 %, replay 0.6 % after matrix renewal.
 """
 
-import numpy as np
-
 from repro.core.mandibleprint import extract_embeddings
 from repro.core.similarity import center_embedding, cosine_distance
 from repro.core.verification import verify_presented_vector

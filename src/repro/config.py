@@ -352,8 +352,8 @@ class StreamConfig:
     sample counts are at the IMU rate (:data:`SAMPLE_RATE_HZ`).
 
     Attributes:
-        chunk_size: default push granularity for the CLI demo and the
-            sustained-streams bench (35 samples = 100 ms at 350 Hz).
+        chunk_size: push granularity of perfbench's earbud feed and
+            the sustained-streams bench (35 samples = 100 ms at 350 Hz).
             Sessions accept any chunking — decisions are bitwise
             chunk-size-invariant — so this only shapes load patterns.
         cooldown_samples: refractory period after each decision before

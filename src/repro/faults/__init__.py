@@ -13,9 +13,10 @@ those conditions reproducible on demand:
   read + one branch per fault point, mirroring the obs null-registry
   pattern);
 * :mod:`~repro.faults.chaos` — randomized seeded chaos schedules and
-  the outcome-accounting report behind ``python -m repro chaos``, the
-  chaos test suite and the ``FAULTS_QUICK`` soak benchmark (imported
-  lazily; it drags in the serving substrate).
+  the outcome-accounting report behind the chaos test suite and the
+  soak benchmark (``FAULTS_QUICK=1 PYTHONPATH=src python -m pytest
+  benchmarks/test_chaos_soak.py``; imported lazily, it drags in the
+  serving substrate).
 
 See DESIGN.md §4g for the fault-point table and the degraded-outcome
 contract.

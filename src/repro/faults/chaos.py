@@ -17,8 +17,8 @@ the ``FAULTS_QUICK`` soak benchmark assert:
   residue in the system).
 
 Everything is a pure function of the seed, so a failing schedule
-replays from one integer.  Used by ``tests/test_faults_chaos.py``,
-``benchmarks/test_chaos_soak.py`` and ``python -m repro chaos``.
+replays from one integer.  Used by ``tests/test_faults_chaos.py`` and
+by the campaign in ``benchmarks/test_chaos_soak.py``.
 """
 
 from __future__ import annotations
@@ -253,40 +253,3 @@ def run_schedule(
         recovered_parity=recovered,
         wall_s=wall_s,
     )
-
-
-def run_campaign(
-    seeds: Sequence[int],
-    *,
-    num_requests: int = 18,
-    dtype: str = "float32",
-    result_timeout_s: float = 30.0,
-) -> list[ChaosReport]:
-    """Run one chaos schedule per seed on a shared bench system.
-
-    Builds the same untrained compact substrate as the serving
-    benchmarks (:func:`repro.serve.loadgen.build_bench_system`) once,
-    then replays a fresh random plan per seed against it — the recovery
-    invariant doubles as the proof that schedules cannot contaminate
-    each other.  Gallery shards are shrunk to two slots so the churn
-    mutations actually cross the compaction threshold mid-schedule.
-    """
-    from repro.config import GalleryConfig
-    from repro.serve.loadgen import build_bench_system
-
-    system, user_id, probes = build_bench_system(
-        dtype=dtype,
-        num_probes=8,
-        gallery=GalleryConfig(shard_size=2, compact_tombstone_ratio=0.4),
-    )
-    return [
-        run_schedule(
-            system,
-            user_id,
-            probes,
-            random_plan(seed),
-            num_requests=num_requests,
-            result_timeout_s=result_timeout_s,
-        )
-        for seed in seeds
-    ]

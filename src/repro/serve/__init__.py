@@ -20,10 +20,9 @@ concurrent independent single requests, by coalescing them:
   mapping shared-memory model/gallery epochs zero-copy
   (:mod:`~repro.serve.shm`), with versioned copy-on-write epoch
   publishing and per-process metrics merged back into the parent;
-* :mod:`~repro.serve.loadgen` — closed/open-loop load generation
-  (fixed-rate, Poisson and diurnal-burst arrivals) behind
-  ``python -m repro serve-bench`` (imported lazily; it drags in the
-  recording substrate).
+* :mod:`~repro.serve.loadgen` — the seeded bench system, arrivals and
+  machine facts of ``benchmarks/test_serving_throughput.py``, the tests
+  and perfbench (imported lazily; it drags in the recording substrate).
 
 See DESIGN.md §4f for the batching policy and the locking contract,
 and §4i for the process topology and epoch protocol.

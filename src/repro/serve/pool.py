@@ -62,7 +62,6 @@ import numpy as np
 
 from repro.errors import (
     ServingError,
-    TransientError,
     VerificationError,
     WorkerKilledError,
 )

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import (
-    DatasetSpec,
     MandiPass,
     Recorder,
     TrainingConfig,
@@ -22,7 +21,7 @@ from repro import (
     train_extractor,
 )
 from repro.config import ExtractorConfig
-from repro.datasets.standard import hired_spec, user_spec
+from repro.datasets.standard import user_spec
 
 # Hypothesis profiles: property suites must never flake in CI.  The
 # "ci" profile (selected whenever a CI env var is set) disables the

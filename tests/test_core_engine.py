@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import InferenceEngine, MandiPass
+from repro import InferenceEngine
 from repro.core.engine import BatchItemFailure, BatchOutcome
 from repro.core.extractor import FrozenExtractor, TwoBranchExtractor
 from repro.core.frontend import GradientFrontEnd, RectifiedSpectralFrontEnd

@@ -46,7 +46,6 @@ from repro.faults import (
     clear,
     corrupt_recording,
     get_plan,
-    install,
     maybe_delay,
     maybe_fail,
     should_reject,

@@ -878,40 +878,6 @@ class TestConcurrentMutationVsIdentification:
             assert (final.user_id, final.distance) == expected[index]
 
 
-# -- scale bench smoke (tiny tier-1 version of benchmarks/) ----------------
-
-
-class TestBenchSmoke:
-    def test_gallery_benchmark_tiny_sweep(self, tmp_path):
-        from repro.core.gallery.bench import gallery_benchmark, write_results
-
-        data = gallery_benchmark(
-            quick=True,
-            sizes=(40, 90),
-            repeats=1,
-            update_repeats=2,
-            num_timing_probes=2,
-            num_parity_probes=2,
-        )
-        assert data["claims"]["parity_bitwise_at_every_u"]
-        assert data["claims"]["update_latency_flat_2x"] in (True, False)
-        assert [p["num_users"] for p in data["sweep"]] == [40, 90]
-        target = write_results(data, tmp_path / "BENCH_gallery.json")
-        assert target.exists()
-
-    def test_cli_gallery_bench(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main(
-            ["gallery-bench", "--sizes", "40,90", "--output", str(out)]
-        )
-        captured = capsys.readouterr()
-        assert "U=" in captured.out and "PASS" in captured.out
-        assert out.exists()
-        assert code in (0, 1)  # tiny sizes may not clear the speed bars
-
-
 class TestGalleryConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

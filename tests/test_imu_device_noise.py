@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.imu import IDEAL_IMU, MPU6050, MPU9250
 from repro.imu import noise as imu_noise
-from repro.imu.device import IMUDevice
 
 
 class TestDeviceProfiles:

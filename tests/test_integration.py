@@ -5,8 +5,6 @@ import pytest
 
 from repro import MandiPass, Recorder
 from repro.config import MandiPassConfig, SecurityConfig
-from repro.core.similarity import cosine_distance
-from repro.physio import sample_population
 from repro.physio.conditions import RecordingCondition
 from repro.security.attacks import (
     ImpersonationAttacker,

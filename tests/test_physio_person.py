@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.physio import sample_population
-from repro.physio.person import PersonProfile
 from repro.types import Gender
 
 

@@ -360,22 +360,3 @@ class TestConcurrentSessions:
         server.stop()
         with pytest.raises(AdmissionRejectedError):
             server.open_stream(user_id)
-
-
-# -- bench smoke (coverage for repro.stream.bench) ------------------------
-
-
-class TestBenchSmoke:
-    @watchdog()
-    def test_quick_benchmark_report_shape(self, tmp_path):
-        from repro.stream.bench import stream_benchmark
-
-        out = tmp_path / "BENCH_stream.json"
-        report = stream_benchmark(
-            session_counts=(1, 2), repeats=2, output_path=out
-        )
-        assert out.exists()
-        assert report["claims"]["exactly_once"] is True
-        assert {row["sessions"] for row in report["sweep"]} == {1, 2}
-        for row in report["sweep"]:
-            assert row["decisions"] == row["expected_decisions"]
